@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import profiles
 from .classify import ShadeReport, classify
-from .dht import decode_b32, derive_b32, normalize_date, routing_key, xor_association, xor_distance
+from .dht import association_rows, derive_b32, normalize_date, xor_association
 from .encoding import B32_SUFFIX, EncodingError, hash_to_b32, hash_to_b64, parse_hash_text
 from .model import Destination, DestinationError, SHADES
 from .netdb import NetDbError, NetDbSnapshot, load_leasesets, load_netdb_dir
@@ -206,6 +206,13 @@ class _CombinedSource:
         self._sim.probe_floodfill(floodfill)
 
 
+def _probe_plan(floodfills, args) -> ProbePlan:
+    try:
+        return ProbePlan(floodfills, batch_size=args.batch, max_probes=args.max_probes)
+    except ValueError as exc:  # --batch or --max-probes out of range
+        raise CliError(str(exc)) from exc
+
+
 def cmd_lookup(args) -> int:
     try:
         subject = parse_hash_text(args.hash)
@@ -230,7 +237,7 @@ def cmd_lookup(args) -> int:
             random.Random(args.seed).shuffle(order)
             floodfills = tuple(order)
 
-    plan = ProbePlan(floodfills, batch_size=args.batch, max_probes=args.max_probes)
+    plan = _probe_plan(floodfills, args)
     source = _CombinedSource(snapshot, sim_source)
     report = classify_remote(subject, source, plan)
 
@@ -288,7 +295,10 @@ def cmd_xor_assoc(args) -> int:
         target = parse_hash_text(args.target)
     except EncodingError as exc:
         raise CliError(str(exc)) from exc
-    date = normalize_date(args.date)
+    try:
+        date = normalize_date(args.date)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     if not args.netdb:
         raise CliError(f"no netdb directory given (flag --netdb or ${NETDB_ENV})")
     snapshot = load_netdb_dir(args.netdb)
@@ -341,25 +351,18 @@ def cmd_xor_assoc(args) -> int:
 
 
 def _distance_table(target, eepsites, floodfills, date) -> list[dict]:
-    rows = []
-    others = [f for f in floodfills if f != target]
-    for addr in eepsites:
-        try:
-            service_hash = decode_b32(addr)
-        except EncodingError:
-            continue
-        rk = routing_key(service_hash, date)
-        own = xor_distance(target, rk)
-        best_other = min((xor_distance(f, rk) for f in others), default=None)
-        rows.append(
-            {
-                "b32": addr,
-                "target_distance": f"{own:064x}",
-                "nearest_other_distance": f"{best_other:064x}" if best_other is not None else None,
-                "responsible": best_other is None or own <= best_other,
-            }
-        )
-    return rows
+    rows, _ = association_rows(target, eepsites, floodfills, date)
+    return [
+        {
+            "b32": row.address,
+            "target_distance": f"{row.target_distance:064x}",
+            "nearest_other_distance": (
+                f"{row.other_distance:064x}" if row.other_distance is not None else None
+            ),
+            "responsible": row.responsible,
+        }
+        for row in rows
+    ]
 
 
 # -- b32 ----------------------------------------------------------------
@@ -441,7 +444,7 @@ def cmd_simulate(args) -> int:
         order = list(floodfills)
         random.Random(args.seed).shuffle(order)
         floodfills = tuple(order)
-    plan = ProbePlan(floodfills, batch_size=args.batch, max_probes=args.max_probes)
+    plan = _probe_plan(floodfills, args)
     curves = run_probe_experiment(
         model, targets, plan, failure_rate=args.fail_rate
     )

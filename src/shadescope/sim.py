@@ -5,7 +5,9 @@ identities, capability profiles, floodfill knowledge placement, and
 probe experiments all derive from one seeded RNG. Records for published
 routers are stored on the k floodfills XOR-nearest to their routing key
 for the generation date, so probe behavior mirrors the real placement
-rule.
+rule; the k nearest come from one batched query to
+:class:`~shadescope.dht.FloodfillTable`, the same kernel that answers
+association and responsibility.
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ from math import floor
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-import numpy as np
-
 from .classify import ShadeReport, classify
-from .dht import DateLike, normalize_date, routing_key
+from .dht import DateLike, FloodfillTable, normalize_date, routing_key
 from .encoding import hash_to_b64, hash_from_b64
 from .model import (
     Destination,
@@ -286,30 +286,15 @@ def _assign_knowledge(
     k: int,
     date: DateLike,
 ) -> dict[bytes, frozenset[bytes]]:
-    """Store each published record on the k floodfills nearest its routing key.
-
-    The scan prefilters on the top 8 distance bytes with numpy, then
-    resolves the boundary exactly with full 256-bit comparisons.
-    """
+    """Store each published record on the k floodfills nearest its routing key,
+    as answered in one batch by :class:`~shadescope.dht.FloodfillTable`."""
     stored: dict[bytes, set[bytes]] = {f: set() for f in floodfills}
     if floodfills and published:
-        kk = min(k, len(floodfills))
-        ff64 = np.array(
-            [int.from_bytes(f[:8], "big") for f in floodfills], dtype=np.uint64
-        )
-        ff_ints = [int.from_bytes(f, "big") for f in floodfills]
-        for record_hash in published:
-            rk = routing_key(record_hash, date)
-            prefix = np.uint64(int.from_bytes(rk[:8], "big"))
-            top8 = ff64 ^ prefix
-            boundary = np.partition(top8, kk - 1)[kk - 1]
-            candidates = np.nonzero(top8 <= boundary)[0]
-            rk_int = int.from_bytes(rk, "big")
-            nearest = sorted(
-                candidates, key=lambda i: (ff_ints[i] ^ rk_int, ff_ints[i])
-            )[:kk]
-            for i in nearest:
-                stored[floodfills[i]].add(record_hash)
+        keys = [routing_key(record_hash, date) for record_hash in published]
+        holders = FloodfillTable(floodfills).nearest(keys, k)
+        for record_hash, nearest in zip(published, holders):
+            for f in nearest:
+                stored[f].add(record_hash)
     return {f: frozenset(s) for f, s in stored.items()}
 
 

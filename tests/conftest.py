@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from shadescope.dht import responsible_floodfill
+from shadescope.encoding import hash_to_b32, hash_to_b64
 from shadescope.sim import write_fixture_corpus
 
 ACCEPTANCE_TITLES = {
@@ -23,6 +27,37 @@ def corpus_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("netdb-corpus")
     write_fixture_corpus(directory, n=100, floodfill_count=48, seed=7)
     return directory
+
+
+@pytest.fixture(scope="module")
+def assoc_fixture(tmp_path_factory):
+    """A snapshot + 172-address leaseset file where one floodfill is the
+    responsible node for exactly one address (seed found by scanning with
+    the brute-force responsibility rule)."""
+    directory = tmp_path_factory.mktemp("assoc-netdb")
+    records = write_fixture_corpus(directory, n=60, floodfill_count=25, seed=31)
+    floodfills = [r.hash for r in records if r.is_floodfill]
+    date = "20250101"
+    chosen_target = None
+    chosen_sites = None
+    for attempt in range(200):
+        rng = random.Random(1000 + attempt)
+        sites = [rng.randbytes(32) for _ in range(172)]
+        for target in floodfills:
+            wins = [
+                s for s in sites
+                if responsible_floodfill(s, date, floodfills) == target
+            ]
+            if len(wins) == 1:
+                chosen_target, chosen_sites, the_win = target, sites, wins[0]
+                break
+        if chosen_target:
+            break
+    assert chosen_target is not None
+    ls_file = tmp_path_factory.mktemp("assoc-ls") / "leasesets.txt"
+    lines = [f"{hash_to_b64(s)} {hash_to_b32(s)} -" for s in chosen_sites]
+    ls_file.write_text("\n".join(lines) + "\n")
+    return directory, ls_file, chosen_target, hash_to_b32(the_win) + ".b32.i2p", date
 
 
 def pytest_runtest_logreport(report):

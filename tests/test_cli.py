@@ -1,16 +1,19 @@
 import json
-import random
 
 import pytest
 
 from shadescope.cli import main
-from shadescope.dht import responsible_floodfill
 from shadescope.encoding import hash_to_b32, hash_to_b64
 from shadescope.netdb import load_netdb_dir
 from shadescope.sim import NetworkSpec, generate_network
 
 DEST_391 = b"A" * 384 + b"\x05" + b"\x00\x04" + b"A" * 4
 DEST_387 = b"A" * 384 + b"\x00\x00\x00"
+
+
+def assert_one_line_error(err: str) -> None:
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -161,38 +164,11 @@ class TestLookup:
     def test_bad_hash_is_input_error(self, corpus_dir):
         assert main(["lookup", "zzz", "--netdb", str(corpus_dir)]) == 2
 
-
-@pytest.fixture(scope="module")
-def assoc_fixture(tmp_path_factory):
-    """A snapshot + 172-address leaseset file where one floodfill is the
-    responsible node for exactly one address (seed found by scanning with
-    the brute-force responsibility rule)."""
-    from shadescope.sim import write_fixture_corpus
-
-    directory = tmp_path_factory.mktemp("assoc-netdb")
-    records = write_fixture_corpus(directory, n=60, floodfill_count=25, seed=31)
-    floodfills = [r.hash for r in records if r.is_floodfill]
-    date = "20250101"
-    chosen_target = None
-    chosen_sites = None
-    for attempt in range(200):
-        rng = random.Random(1000 + attempt)
-        sites = [rng.randbytes(32) for _ in range(172)]
-        for target in floodfills:
-            wins = [
-                s for s in sites
-                if responsible_floodfill(s, date, floodfills) == target
-            ]
-            if len(wins) == 1:
-                chosen_target, chosen_sites, the_win = target, sites, wins[0]
-                break
-        if chosen_target:
-            break
-    assert chosen_target is not None
-    ls_file = tmp_path_factory.mktemp("assoc-ls") / "leasesets.txt"
-    lines = [f"{hash_to_b64(s)} {hash_to_b32(s)} -" for s in chosen_sites]
-    ls_file.write_text("\n".join(lines) + "\n")
-    return directory, ls_file, chosen_target, hash_to_b32(the_win) + ".b32.i2p", date
+    @pytest.mark.parametrize("flags", [["--batch", "0"], ["--max-probes", "-1"]])
+    def test_bad_probe_plan_is_input_error(self, corpus_dir, flags, capsys):
+        code = main(["lookup", hash_to_b64(bytes(32)), "--netdb", str(corpus_dir), *flags])
+        assert code == 2
+        assert_one_line_error(capsys.readouterr().err)
 
 
 class TestXorAssoc:
@@ -254,6 +230,17 @@ class TestXorAssoc:
             "--date", date,
         ])
         assert code == 2
+
+    def test_impossible_date_is_input_error(self, assoc_fixture, capsys):
+        netdb, ls_file, target, _, _ = assoc_fixture
+        code = main([
+            "xor-assoc", target.hex(),
+            "--leasesets", str(ls_file),
+            "--netdb", str(netdb),
+            "--date", "20251399",
+        ])
+        assert code == 2
+        assert_one_line_error(capsys.readouterr().err)
 
 
 class TestB32:

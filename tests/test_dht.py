@@ -3,10 +3,12 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadescope.dht import (
+    FloodfillTable,
+    association_rows,
     daily_mod_key,
     decode_b32,
     derive_b32,
@@ -45,6 +47,12 @@ class TestDailyModKey:
 
     def test_adjacent_dates_differ(self):
         assert daily_mod_key("20250101") != daily_mod_key("20250102")
+
+    def test_bad_date_raises_on_every_call(self):
+        # The cache holds validated dates only; an error is raised afresh.
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                daily_mod_key("20251399")
 
     @pytest.mark.parametrize("bad", ["2025-01-01", "2025011", "20251301", "20250230"])
     def test_bad_dates_rejected(self, bad):
@@ -90,6 +98,111 @@ class TestXorDistance:
     def test_big_endian_interpretation(self):
         a = b"\x01" + bytes(31)
         assert xor_distance(a, bytes(32)) == 1 << 248
+
+
+def oracle_nearest(key, floodfills, k):
+    """Exhaustive sort of every floodfill by (XOR distance, hash)."""
+    key_int = int.from_bytes(key, "big")
+    ranked = sorted(
+        floodfills,
+        key=lambda f: (int.from_bytes(f, "big") ^ key_int, int.from_bytes(f, "big")),
+    )
+    return tuple(ranked[:k])
+
+
+# Corners of the 64-bit word space: all ones (where a prefix range ends at
+# 2**64), all zeros, and both sides of the top-bit split.
+_BASES = (b"\xff" * 32, bytes(32), b"\x80" + bytes(31), b"\x7f" + b"\xff" * 31)
+
+
+@st.composite
+def near_hashes(draw):
+    """A hash sharing 0-32 leading bytes with a corner base, so keys and
+    floodfills often agree on all of word 0 and differ only in words 1-3."""
+    base = draw(st.sampled_from(_BASES))
+    shared = draw(st.integers(0, 32))
+    return base[:shared] + draw(st.binary(min_size=32 - shared, max_size=32 - shared))
+
+
+HASHES = st.one_of(st.binary(min_size=32, max_size=32), near_hashes())
+
+
+@st.composite
+def floodfill_sets(draw):
+    """1-40 floodfill hashes, some of them repeated."""
+    distinct = draw(st.lists(HASHES, min_size=1, max_size=40))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=5))
+    return draw(st.permutations(distinct + repeats))
+
+
+class TestFloodfillTable:
+    @settings(max_examples=200)
+    @given(floodfill_sets(), st.lists(HASHES, max_size=12), st.integers(1, 45))
+    def test_nearest_equals_exhaustive_sort(self, floodfills, keys, k):
+        table = FloodfillTable(floodfills)
+        assert table.nearest(keys, k) == [oracle_nearest(key, floodfills, k) for key in keys]
+
+    def test_equal_word0_ranked_on_words_1_to_3(self):
+        rng = random.Random(41)
+        word0 = rng.randbytes(8)
+        floodfills = [word0 + rng.randbytes(24) for _ in range(50)]
+        floodfills += [rng.randbytes(32) for _ in range(50)]
+        keys = [word0 + rng.randbytes(24) for _ in range(30)]
+        for k in (1, 2, 4, 8):
+            assert FloodfillTable(floodfills).nearest(keys, k) == [
+                oracle_nearest(key, floodfills, k) for key in keys
+            ]
+
+    def test_all_ones_prefix(self):
+        # The prefix range of an all-ones word would end at 2**64, past uint64.
+        rng = random.Random(42)
+        ones = b"\xff" * 8
+        floodfills = [ones + rng.randbytes(24) for _ in range(6)]
+        floodfills += [b"\xff" * 7 + rng.randbytes(25) for _ in range(6)]
+        floodfills += [rng.randbytes(32) for _ in range(20)]
+        keys = [ones + rng.randbytes(24) for _ in range(10)] + [b"\xff" * 32]
+        for k in (1, 3, 6, 7, 13):
+            assert FloodfillTable(floodfills).nearest(keys, k) == [
+                oracle_nearest(key, floodfills, k) for key in keys
+            ]
+
+    def test_duplicates_fill_slots_and_order_is_free(self):
+        rng = random.Random(43)
+        distinct = [rng.randbytes(32) for _ in range(10)]
+        floodfills = distinct + distinct[:4] + distinct[:2]
+        key = rng.randbytes(32)
+        expected = oracle_nearest(key, floodfills, 5)
+        for _ in range(5):
+            rng.shuffle(floodfills)
+            assert FloodfillTable(floodfills).nearest([key], 5) == [expected]
+
+    def test_k_at_least_f_returns_every_floodfill_nearest_first(self):
+        rng = random.Random(44)
+        floodfills = [rng.randbytes(32) for _ in range(7)]
+        key = rng.randbytes(32)
+        for k in (7, 8, 100):
+            (got,) = FloodfillTable(floodfills).nearest([key], k)
+            assert got == oracle_nearest(key, floodfills, 7)
+
+    def test_single_floodfill(self):
+        f = b"\x42" * 32
+        keys = [bytes(32), b"\xff" * 32, f]
+        assert FloodfillTable([f]).nearest(keys, 1) == [(f,)] * 3
+        assert FloodfillTable([f]).nearest(keys, 4) == [(f,)] * 3
+
+    def test_empty_set_rejected(self):
+        table = FloodfillTable([])
+        assert len(table) == 0
+        with pytest.raises(ValueError):
+            table.nearest([bytes(32)], 1)
+
+    def test_bad_inputs_rejected(self):
+        with pytest.raises(EncodingError):
+            FloodfillTable([bytes(31)])
+        with pytest.raises(EncodingError):
+            FloodfillTable([bytes(32)]).nearest([bytes(33)], 1)
+        with pytest.raises(ValueError):
+            FloodfillTable([bytes(32)]).nearest([bytes(32)], 0)
 
 
 class TestResponsibleFloodfill:
@@ -214,6 +327,37 @@ class TestXorAssociation:
             for service in services:
                 responsible = responsible_floodfill(service, "20250101", pool)
                 assert (_b32_of(service) in matched) == (responsible == target)
+
+    @given(floodfill_sets(), st.lists(HASHES, max_size=10), st.booleans(), st.data())
+    def test_rows_equal_oracle_with_target_inside_or_outside(
+        self, floodfills, services, inside, data
+    ):
+        target = data.draw(st.sampled_from(floodfills) if inside else HASHES)
+        rows, warnings = association_rows(
+            target, [_b32_of(h) for h in services], floodfills, "20250101"
+        )
+        assert warnings == []
+        expected = brute_force_association(target, services, floodfills, "20250101")
+        assert [r.address for r in rows if r.responsible] == [_b32_of(h) for h in expected]
+        others = [f for f in floodfills if f != target]
+        for row, service in zip(rows, services):
+            rk = routing_key(service, "20250101")
+            assert row.target_distance == xor_distance(target, rk)
+            assert row.other_distance == min(
+                (xor_distance(f, rk) for f in others), default=None
+            )
+
+    def test_duplicated_target_does_not_hide_the_nearest_other(self):
+        rng = random.Random(45)
+        target = rng.randbytes(32)
+        floodfills = [target, target, rng.randbytes(32)]
+        services = [rng.randbytes(32) for _ in range(20)]
+        rows, _ = association_rows(target, [_b32_of(h) for h in services], floodfills, "20250101")
+        assert all(row.other_distance is not None for row in rows)
+
+    def test_bad_date_rejected_without_addresses(self):
+        with pytest.raises(ValueError):
+            xor_association(bytes(32), [], [bytes(32)], "20251399")
 
 
 class TestB32:
