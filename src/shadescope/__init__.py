@@ -1,98 +1,29 @@
-"""Directory-visibility analysis toolkit for I2P-style overlay networks."""
+"""Directory-visibility analysis toolkit for I2P-style overlays.
 
-from .classify import Evidence, EvidenceSource, ShadeReport, classify, f_cap
-from .dht import (
-    daily_mod_key,
-    decode_b32,
-    derive_b32,
-    responsible_floodfill,
-    routing_key,
-    xor_association,
-    xor_distance,
-)
-from .encoding import hash_from_b32, hash_from_b64, hash_to_b32, hash_to_b64
-from .model import (
-    CapabilityProfile,
-    Destination,
-    Lease,
-    LeaseSet,
-    RouterInfo,
-    SHADES,
-    Shade,
-    TransportAddress,
-    hash_identity,
-    parse_caps,
-)
-from .netdb import NetDbSnapshot, load_leasesets, load_netdb_dir
-from .protocol import (
-    GatewayMatch,
-    ProbePlan,
-    ProbeTransportError,
-    classify_remote,
-    gateway_scan,
-    shade8_certificate,
-)
-from .sim import (
-    HitCurve,
-    NetworkModel,
-    NetworkSpec,
-    SimulatedSource,
-    VisibilityMetrics,
-    completeness_metrics,
-    export_curves,
-    generate_network,
-    run_probe_experiment,
-)
-from .wire import decode_router_info, encode_router_info, lenient_extract
+The package root exports the names that the README's library example and
+the benchmark harness (``perfbench/``) use; everything else is imported
+from its module (``shadescope.dht``, ``shadescope.sim``, ...).
+"""
+
+from .encoding import hash_to_b32, hash_to_b64
+from .netdb import load_netdb_dir
+from .protocol import ProbePlan, SnapshotSource, classify_remote, shade8_certificate
+from .sim import NetworkSpec, export_curves, generate_network, run_probe_experiment
+from .wire import encode_router_info
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapabilityProfile",
-    "Destination",
-    "Evidence",
-    "EvidenceSource",
-    "GatewayMatch",
-    "HitCurve",
-    "Lease",
-    "LeaseSet",
-    "NetDbSnapshot",
-    "NetworkModel",
     "NetworkSpec",
     "ProbePlan",
-    "ProbeTransportError",
-    "RouterInfo",
-    "SHADES",
-    "Shade",
-    "ShadeReport",
-    "SimulatedSource",
-    "TransportAddress",
-    "VisibilityMetrics",
-    "classify",
+    "SnapshotSource",
     "classify_remote",
-    "completeness_metrics",
-    "daily_mod_key",
-    "decode_b32",
-    "decode_router_info",
-    "derive_b32",
     "encode_router_info",
     "export_curves",
-    "f_cap",
-    "gateway_scan",
     "generate_network",
-    "hash_from_b32",
-    "hash_from_b64",
-    "hash_identity",
     "hash_to_b32",
     "hash_to_b64",
-    "lenient_extract",
-    "load_leasesets",
     "load_netdb_dir",
-    "parse_caps",
-    "responsible_floodfill",
-    "routing_key",
     "run_probe_experiment",
     "shade8_certificate",
-    "xor_association",
-    "xor_distance",
 ]

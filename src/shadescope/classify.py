@@ -8,7 +8,6 @@ assigned only from absence, never from capability flags.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -136,6 +135,3 @@ class ShadeReport:
             "failed_probes": self.failed_probes,
             "diagnostics": list(self.diagnostics),
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)

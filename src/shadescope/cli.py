@@ -21,10 +21,10 @@ from .classify import ShadeReport, classify
 from .dht import association_rows, derive_b32, normalize_date, xor_association
 from .encoding import B32_SUFFIX, EncodingError, hash_to_b32, hash_to_b64, parse_hash_text
 from .model import Destination, DestinationError, SHADES
-from .netdb import NetDbError, NetDbSnapshot, load_leasesets, load_netdb_dir
+from .netdb import NetDbError, load_leasesets, load_netdb_dir
 from .protocol import (
     ProbePlan,
-    ProbeTransportError,
+    SnapshotSource,
     classify_remote,
     shade8_certificate,
     write_probe_log,
@@ -61,17 +61,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, formats=("table", "json")) -> None:
         p.add_argument(
             "--format",
-            choices=("table", "json", "csv"),
+            choices=formats,
             default="table",
             help="output format (default: table)",
         )
 
     p = sub.add_parser("scan", help="summarize a netdb directory snapshot")
     p.add_argument("--netdb", default=os.environ.get(NETDB_ENV), help="netdb directory")
-    add_common(p)
+    add_common(p, ("table", "json", "csv"))
 
     p = sub.add_parser("lookup", help="classify a router hash across sources")
     p.add_argument("hash", help="router hash (hex, base64 variant, or base32)")
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distances", action="store_true", help="print the per-service distance table")
     p.add_argument("--require-floodfill", action="store_true",
                    help="warn when the target lacks the floodfill flag in the snapshot")
-    add_common(p)
+    add_common(p, ("table", "json", "csv"))
 
     p = sub.add_parser("b32", help="derive the service address from a destination file")
     p.add_argument("dest_file", help="destination bytes, raw or base64")
@@ -138,12 +138,20 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _emit(args, facts: dict, table_lines: list[str], csv_rows: list[list] | None = None) -> None:
     if args.format == "json":
         print(json.dumps(facts, indent=2))
-    elif args.format == "csv" and csv_rows is not None:
+    elif args.format == "csv":  # offered only by commands that pass rows
         for row in csv_rows:
             print(",".join(str(c) for c in row))
     else:
         for line in table_lines:
             print(line)
+
+
+def _load_snapshot(directory):
+    """Load a netdb directory, reporting its warnings (duplicate records) on stderr."""
+    snapshot = load_netdb_dir(directory)
+    for warning in snapshot.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return snapshot
 
 
 # -- scan ---------------------------------------------------------------
@@ -152,7 +160,7 @@ def _emit(args, facts: dict, table_lines: list[str], csv_rows: list[list] | None
 def cmd_scan(args) -> int:
     if not args.netdb:
         raise CliError(f"no netdb directory given (flag --netdb or ${NETDB_ENV})")
-    snapshot = load_netdb_dir(args.netdb)
+    snapshot = _load_snapshot(args.netdb)
     stats = snapshot.stats
     histogram = {level: 0 for level in range(1, 8)}
     for record in snapshot.records.values():
@@ -185,30 +193,18 @@ def cmd_scan(args) -> int:
 # -- lookup -------------------------------------------------------------
 
 
-class _CombinedSource:
-    """Local lookups from a snapshot; console and probes from a simulated source."""
-
-    def __init__(self, snapshot: Optional[NetDbSnapshot], sim: Optional[SimulatedSource]):
-        self._snapshot = snapshot
-        self._sim = sim
-
-    def lookup_local(self, router_hash):
-        if self._snapshot is not None:
-            return self._snapshot.lookup(router_hash)
-        return self._sim.lookup_local(router_hash) if self._sim else None
-
-    def lookup_console(self, router_hash):
-        return self._sim.lookup_console(router_hash) if self._sim else None
-
-    def probe_floodfill(self, floodfill):
-        if self._sim is None:
-            raise ProbeTransportError("no probe transport configured")
-        self._sim.probe_floodfill(floodfill)
+def _check_fail_rate(args) -> None:
+    if not 0.0 <= args.fail_rate <= 1.0:
+        raise CliError(f"--fail-rate must lie in [0, 1], got {args.fail_rate}")
 
 
 def _probe_plan(floodfills, args) -> ProbePlan:
+    """The probe plan of ``--batch``/``--max-probes``, in ``--seed`` shuffled order."""
+    if args.seed is not None:
+        floodfills = list(floodfills)
+        random.Random(args.seed).shuffle(floodfills)
     try:
-        return ProbePlan(floodfills, batch_size=args.batch, max_probes=args.max_probes)
+        return ProbePlan(tuple(floodfills), batch_size=args.batch, max_probes=args.max_probes)
     except ValueError as exc:  # --batch or --max-probes out of range
         raise CliError(str(exc)) from exc
 
@@ -220,7 +216,8 @@ def cmd_lookup(args) -> int:
         raise CliError(str(exc)) from exc
     if not args.netdb and not args.simulate:
         raise CliError("need at least one source: --netdb and/or --simulate")
-    snapshot = load_netdb_dir(args.netdb) if args.netdb else None
+    _check_fail_rate(args)
+    snapshot = _load_snapshot(args.netdb) if args.netdb else None
 
     sim_source = None
     floodfills: tuple[bytes, ...] = ()
@@ -232,14 +229,9 @@ def cmd_lookup(args) -> int:
             rng=random.Random(args.seed if args.seed is not None else 0),
         )
         floodfills = model.floodfills
-        if args.seed is not None:
-            order = list(floodfills)
-            random.Random(args.seed).shuffle(order)
-            floodfills = tuple(order)
 
     plan = _probe_plan(floodfills, args)
-    source = _CombinedSource(snapshot, sim_source)
-    report = classify_remote(subject, source, plan)
+    report = classify_remote(subject, SnapshotSource(snapshot, sim_source), plan)
 
     if args.out:
         write_probe_log(report, args.out)
@@ -301,7 +293,7 @@ def cmd_xor_assoc(args) -> int:
         raise CliError(str(exc)) from exc
     if not args.netdb:
         raise CliError(f"no netdb directory given (flag --netdb or ${NETDB_ENV})")
-    snapshot = load_netdb_dir(args.netdb)
+    snapshot = _load_snapshot(args.netdb)
     leasesets, warnings = load_leasesets(args.leasesets)
     floodfills = snapshot.floodfill_hashes
 
@@ -432,6 +424,7 @@ def _select_targets(model, selector: str) -> list[bytes]:
 
 
 def cmd_simulate(args) -> int:
+    _check_fail_rate(args)
     spec = NetworkSpec.from_file(args.spec_file)
     model = generate_network(spec)
     metrics = completeness_metrics(model)
@@ -439,12 +432,7 @@ def cmd_simulate(args) -> int:
     if not targets:
         raise CliError(f"selector {args.targets!r} matches no routers")
 
-    floodfills = model.floodfills
-    if args.seed is not None:
-        order = list(floodfills)
-        random.Random(args.seed).shuffle(order)
-        floodfills = tuple(order)
-    plan = _probe_plan(floodfills, args)
+    plan = _probe_plan(model.floodfills, args)
     curves = run_probe_experiment(
         model, targets, plan, failure_rate=args.fail_rate
     )
@@ -497,10 +485,7 @@ def cmd_genconfig(args) -> int:
         ],
         "text": text,
     }
-    if args.format == "json":
-        print(json.dumps(facts, indent=2))
-    elif not args.out:
-        sys.stdout.write(text)
+    _emit(args, facts, [] if args.out else text.splitlines())
     return EXIT_OK
 
 

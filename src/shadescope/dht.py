@@ -148,20 +148,16 @@ def _top_words(hashes: Sequence[bytes]) -> np.ndarray:
     return raw.astype(np.uint64)
 
 
-def nearest_to_key(storage_key: bytes, floodfills: Iterable[bytes]) -> bytes:
-    """The floodfill XOR-nearest to an already-derived storage key.
+def responsible_floodfill(
+    key_hash: bytes, date: DateLike, floodfills: Iterable[bytes]
+) -> bytes:
+    """The floodfill XOR-nearest to the routing key of ``key_hash``.
 
     Ties (possible only with duplicate hashes) go to the smaller hash as
     a big-endian integer, making the result order-free.
     """
-    return FloodfillTable(floodfills).nearest([storage_key], 1)[0][0]
-
-
-def responsible_floodfill(
-    key_hash: bytes, date: DateLike, floodfills: Iterable[bytes]
-) -> bytes:
-    """The floodfill XOR-nearest to the routing key of ``key_hash``."""
-    return nearest_to_key(routing_key(key_hash, date), floodfills)
+    key = routing_key(key_hash, date)
+    return FloodfillTable(floodfills).nearest([key], 1)[0][0]
 
 
 class Association(NamedTuple):
@@ -195,7 +191,7 @@ def association_rows(
     warnings: list[str] = []
     for addr in eepsites:
         try:
-            service_hash = _service_hash_from_b32(addr)
+            service_hash = decode_b32(addr)
         except EncodingError as exc:
             warnings.append(f"skipping {addr!r}: {exc}")
             continue
@@ -230,7 +226,8 @@ def xor_association(
     return [row.address for row in rows if row.responsible], warnings
 
 
-def _service_hash_from_b32(addr: str) -> bytes:
+def decode_b32(addr: str) -> bytes:
+    """Recover the 32-byte destination hash from a service address."""
     text = addr.strip()
     if text.lower().endswith(B32_SUFFIX):
         text = text[: -len(B32_SUFFIX)]
@@ -240,8 +237,3 @@ def _service_hash_from_b32(addr: str) -> bytes:
 def derive_b32(dest: Destination) -> str:
     """The canonical service address for a destination."""
     return hash_to_b32(hash_identity(dest)) + B32_SUFFIX
-
-
-def decode_b32(addr: str) -> bytes:
-    """Recover the 32-byte destination hash from a service address."""
-    return _service_hash_from_b32(addr)

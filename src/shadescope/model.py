@@ -179,11 +179,11 @@ class RouterInfo:
 
     @property
     def known_routers(self) -> Optional[int]:
-        return _int_option(self.options, "netdb.knownRouters")
+        return int_option(self.options.get("netdb.knownRouters"))
 
     @property
     def known_leasesets(self) -> Optional[int]:
-        return _int_option(self.options, "netdb.knownLeaseSets")
+        return int_option(self.options.get("netdb.knownLeaseSets"))
 
     @property
     def is_floodfill(self) -> bool:
@@ -203,8 +203,8 @@ class RouterInfo:
         return CapabilityProfile.from_record(self)
 
 
-def _int_option(options: Mapping[str, str], key: str) -> Optional[int]:
-    raw = options.get(key)
+def int_option(raw: Optional[str]) -> Optional[int]:
+    """An option value of digits only as an int; anything else is None."""
     if raw is None or not raw.isdigit():
         return None
     return int(raw)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .encoding import B32_SUFFIX, EncodingError, hash_from_b32, hash_from_b64, hash_to_b64
+from .encoding import B32_SUFFIX, EncodingError, hash_from_b32, hash_from_b64
 from .model import Lease, LeaseSet, RouterInfo
 from .wire import DecodeError, LenientRecord, decode_router_info, lenient_extract
 
@@ -60,41 +59,6 @@ class NetDbSnapshot:
 
     def lookup(self, router_hash: bytes) -> Optional[RouterInfo]:
         return self.records.get(router_hash)
-
-    def to_dict(self) -> dict:
-        stats = self.stats
-        return {
-            "total": stats.total,
-            "floodfill_count": stats.floodfill_count,
-            "parse_failures": stats.parse_failures,
-            "records": [_record_dict(r) for r in self.records.values()],
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-
-def _record_dict(record: RouterInfo) -> dict:
-    addresses = []
-    for addr in record.addresses:
-        port = addr.options.get("port")
-        addresses.append(
-            {
-                "style": addr.style,
-                "host": addr.options.get("host"),
-                "port": int(port) if port and port.isdigit() else None,
-            }
-        )
-    return {
-        "hash": hash_to_b64(record.hash),
-        "caps": record.caps,
-        "alpha": record.alpha,
-        "iota": record.iota,
-        "version": record.version,
-        "knownRouters": record.known_routers,
-        "knownLeaseSets": record.known_leasesets,
-        "addresses": addresses,
-    }
 
 
 def load_netdb_dir(path: Union[str, Path]) -> NetDbSnapshot:
@@ -173,22 +137,3 @@ def _parse_leaseset_line(line: str) -> LeaseSet:
                 )
             )
     return LeaseSet(destination_hash=dest_hash, b32=b32, leases=tuple(leases))
-
-
-def write_leasesets(
-    leasesets: list[LeaseSet], path: Union[str, Path]
-) -> None:
-    """Write fixtures in the format :func:`load_leasesets` parses."""
-    lines = []
-    for ls in leasesets:
-        cols = [
-            hash_to_b64(ls.destination_hash),
-            ls.b32 if ls.b32 else "-",
-            ",".join(
-                f"{hash_to_b64(l.gateway)}:{l.tunnel_id}:{l.expiry_ms}"
-                for l in ls.leases
-            )
-            or "-",
-        ]
-        lines.append(" ".join(cols))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))

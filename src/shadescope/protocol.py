@@ -22,9 +22,6 @@ from .model import CapabilityProfile, LeaseSet, RouterInfo, SHADE_EXCLUSIVE
 # A gateway match is evidence of routing participation, not hosting.
 GATEWAY_SCAN_NOTE = "routing participation, not hosting"
 
-CONSOLE_HOST = "127.0.0.1"
-CONSOLE_PORT = 7657
-
 
 class ProbeTransportError(Exception):
     """A floodfill probe could not be delivered or answered."""
@@ -45,28 +42,30 @@ class NetDbSource(Protocol):
         ...
 
 
-def console_query_url(
-    router_hash: bytes, host: str = CONSOLE_HOST, port: int = CONSOLE_PORT
-) -> str:
-    """Request format used by a live console source."""
-    return f"http://{host}:{port}/netdb?r={hash_to_b64(router_hash)}"
-
-
 class SnapshotSource:
-    """Static source over loaded snapshots; it has no probe transport."""
+    """Local lookups from a loaded snapshot; console lookups and probes go
+    to an optional backing source, such as a simulated network.
 
-    def __init__(self, local, console=None):
+    Without a backing source, console lookups miss and probes raise
+    :class:`ProbeTransportError`. Without a snapshot, local lookups miss.
+    """
+
+    def __init__(self, local, backing: Optional[NetDbSource] = None):
         self._local = local
-        self._console = console
+        self._backing = backing
 
     def lookup_local(self, router_hash: bytes) -> Optional[RouterInfo]:
-        return self._local.lookup(router_hash) if self._local else None
+        return None if self._local is None else self._local.lookup(router_hash)
 
     def lookup_console(self, router_hash: bytes) -> Optional[RouterInfo]:
-        return self._console.lookup(router_hash) if self._console else None
+        if self._backing is None:
+            return None
+        return self._backing.lookup_console(router_hash)
 
     def probe_floodfill(self, floodfill: bytes) -> None:
-        raise ProbeTransportError("snapshot source has no probe transport")
+        if self._backing is None:
+            raise ProbeTransportError("no probe transport configured")
+        self._backing.probe_floodfill(floodfill)
 
 
 @dataclass(frozen=True)
@@ -251,11 +250,10 @@ def gateway_scan(
 
 def write_probe_log(report: ShadeReport, path: Union[str, Path]) -> None:
     """Write the per-probe CSV log: probe_index,floodfill_b64,result."""
-    entries = getattr(report, "probe_log", ())
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["probe_index", "floodfill_b64", "result"])
-        for entry in entries:
+        for entry in report.probe_log:
             writer.writerow(
                 [entry.index, hash_to_b64(entry.floodfill), entry.result.value]
             )

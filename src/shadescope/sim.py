@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .classify import ShadeReport, classify
 from .dht import DateLike, FloodfillTable, normalize_date, routing_key
-from .encoding import hash_to_b64, hash_from_b64
+from .encoding import hash_to_b64
 from .model import (
     Destination,
     RouterInfo,
@@ -32,7 +32,6 @@ from .model import (
     shade_for_level,
 )
 from .protocol import ProbePlan, ProbeTransportError, classify_remote
-from .wire import KNOWN_STYLES, encode_router_info
 
 EPOCH_2025_MS = 1_735_689_600_000
 _VERSIONS = ("0.9.67", "0.9.68", "2.12.0")
@@ -42,6 +41,11 @@ _LOW_BW = "KLM"
 
 class InfeasibleSpecError(ValueError):
     """The network spec cannot be realized (bad fractions, missing mass)."""
+
+
+# The JSON type of each spec-file key; true and false are not numbers here.
+_SPEC_TYPES = {"n_routers": int, "floodfill_fraction": (int, float),
+               "shade_distribution": dict, "k": int, "seed": int, "date": str}
 
 
 @dataclass(frozen=True)
@@ -60,17 +64,23 @@ class NetworkSpec:
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "NetworkSpec":
         raw = json.loads(Path(path).read_text())
-        known = {"n_routers", "floodfill_fraction", "shade_distribution", "k", "seed", "date"}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise InfeasibleSpecError("spec must be a JSON object")
+        unknown = set(raw) - set(_SPEC_TYPES)
         if unknown:
             raise InfeasibleSpecError(f"unknown spec keys: {sorted(unknown)}")
-        return cls(**raw)
+        for key, value in raw.items():
+            if isinstance(value, bool) or not isinstance(value, _SPEC_TYPES[key]):
+                raise InfeasibleSpecError(f"spec key {key!r} has the wrong type: {value!r}")
+        try:
+            return cls(**raw)
+        except TypeError as exc:  # a required key is missing
+            raise InfeasibleSpecError(f"incomplete spec: {exc}") from None
 
 
 @dataclass(frozen=True)
 class SimRouter:
     hash: bytes
-    identity: Destination
     shade: Shade
     record: Optional[RouterInfo]
 
@@ -85,18 +95,6 @@ class NetworkModel:
     floodfills: tuple[bytes, ...]
     exclusive: frozenset[bytes]
     knowledge: dict[bytes, frozenset[bytes]]
-
-    @property
-    def seed(self) -> int:
-        return self.spec.seed
-
-    @property
-    def k(self) -> int:
-        return self.spec.k
-
-    @property
-    def date(self) -> str:
-        return self.spec.date
 
 
 @dataclass(frozen=True)
@@ -123,6 +121,9 @@ def _allocate_counts(spec: NetworkSpec) -> dict[int, int]:
         raise InfeasibleSpecError("floodfill_fraction must lie in [0, 1]")
     fractions: dict[int, float] = {}
     for key, value in spec.shade_distribution.items():
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (str(key).isdecimal() and numeric):
+            raise InfeasibleSpecError(f"bad shade_distribution entry {key!r}: {value!r}")
         level = int(key)
         if not 1 <= level <= 8:
             raise InfeasibleSpecError(f"shade level out of range: {key}")
@@ -251,7 +252,6 @@ def generate_network(spec: NetworkSpec) -> NetworkModel:
             identity = _synth_identity(rng)
             router = SimRouter(
                 hash=hash_identity(identity),
-                identity=identity,
                 shade=shade_for_level(8),
                 record=None,
             )
@@ -260,7 +260,6 @@ def generate_network(spec: NetworkSpec) -> NetworkModel:
             record = synth_record(rng, level)
             router = SimRouter(
                 hash=record.hash,
-                identity=record.identity,
                 shade=shade_for_level(level),
                 record=record,
             )
@@ -314,22 +313,21 @@ def completeness_metrics(model: NetworkModel) -> VisibilityMetrics:
 class SimulatedSource:
     """Directory source backed by a generated model.
 
-    The console view starts from ``console_hashes`` and grows as probed
-    floodfills contribute their stored records, which is the only way an
-    initially unknown record can become visible.
+    The console view starts empty and grows as probed floodfills
+    contribute their stored records, which is the only way an initially
+    unknown record can become visible.
     """
 
     def __init__(
         self,
         model: NetworkModel,
         local_hashes: Iterable[bytes] = (),
-        console_hashes: Iterable[bytes] = (),
         failure_rate: float = 0.0,
         rng: Optional[random.Random] = None,
     ):
         self._model = model
         self._local = frozenset(local_hashes)
-        self._visible = set(console_hashes)
+        self._visible: set[bytes] = set()
         self._failure_rate = failure_rate
         self._rng = rng if rng is not None else random.Random(0)
 
@@ -399,98 +397,3 @@ def export_curves(curves: Sequence[HitCurve], path: Union[str, Path]) -> None:
         for curve in sorted(curves, key=lambda c: hash_to_b64(c.target)):
             for probes, hits in curve.points:
                 writer.writerow([hash_to_b64(curve.target), probes, hits])
-
-
-def load_curves(path: Union[str, Path]) -> list[HitCurve]:
-    """Inverse of :func:`export_curves` (reports are not persisted)."""
-    grouped: dict[bytes, list[tuple[int, int]]] = {}
-    with open(Path(path), newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            target = hash_from_b64(row["target"])
-            grouped.setdefault(target, []).append(
-                (int(row["cumulative_probes"]), int(row["hits"]))
-            )
-    return [HitCurve(target=t, points=tuple(p)) for t, p in grouped.items()]
-
-
-def write_fixture_corpus(
-    directory: Union[str, Path],
-    n: int = 100,
-    floodfill_count: int = 48,
-    seed: int = 7,
-) -> list[RouterInfo]:
-    """Write a deterministic record corpus as routerInfo-<b64>.dat files."""
-    if floodfill_count > n:
-        raise ValueError("floodfill_count exceeds corpus size")
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    rng = random.Random(seed)
-    records = []
-    for i in range(n):
-        level = 1 if i < floodfill_count else 2 + (i - floodfill_count) % 6
-        records.append(synth_record(rng, level))
-    for record in records:
-        name = f"routerInfo-{hash_to_b64(record.hash)}.dat"
-        (out / name).write_bytes(encode_router_info(record))
-    return records
-
-
-def random_record(rng: random.Random) -> RouterInfo:
-    """A layout-diverse random record for codec round-trip testing."""
-    if rng.random() < 0.3:
-        identity = Destination(
-            rng.randbytes(384) + b"\x05" + (4).to_bytes(2, "big") + rng.randbytes(4)
-        )
-    else:
-        identity = _synth_identity(rng)
-    addresses = []
-    for _ in range(rng.randint(0, 3)):
-        kind = rng.random()
-        if kind < 0.4:
-            addresses.append(_direct_address(rng))
-        elif kind < 0.7:
-            addresses.append(_introducer_address(rng))
-        else:
-            addresses.append(
-                TransportAddress(
-                    style=rng.choice(KNOWN_STYLES),
-                    cost=rng.randint(0, 255),
-                    expiration_ms=rng.choice((0, EPOCH_2025_MS)),
-                    options=_random_options(rng),
-                )
-            )
-    options: dict[str, str] = {}
-    if rng.random() < 0.9:
-        letters = "fHRU" + "KLMNOPX"
-        options["caps"] = "".join(
-            rng.sample(letters, rng.randint(0, min(4, len(letters))))
-        )
-    if rng.random() < 0.8:
-        options["router.version"] = rng.choice(_VERSIONS)
-    if rng.random() < 0.3:
-        options["netdb.knownRouters"] = str(rng.randint(0, 10_000))
-    if rng.random() < 0.3:
-        options["netdb.knownLeaseSets"] = str(rng.randint(0, 500))
-    options.update(_random_options(rng))
-    return RouterInfo(
-        hash=hash_identity(identity),
-        identity=identity,
-        published_ms=rng.randint(0, 2**48),
-        addresses=tuple(addresses),
-        options=options,
-        signature=rng.randbytes(rng.randint(0, 80)),
-    )
-
-
-_OPTION_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789.-_=;: "
-
-
-def _random_options(rng: random.Random) -> dict[str, str]:
-    # Keys stay clear of the option names the lenient extractor targets.
-    out = {}
-    for _ in range(rng.randint(0, 3)):
-        key = "x" + "".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(1, 8)))
-        value = "".join(rng.choices(_OPTION_CHARS, k=rng.randint(0, 20)))
-        out[key] = value
-    return out

@@ -33,6 +33,7 @@ from .model import (
     RouterInfo,
     TransportAddress,
     hash_identity,
+    int_option,
 )
 
 MAPPING_MAX = 0xFFFF
@@ -239,8 +240,8 @@ def lenient_extract(data: bytes) -> LenientRecord:
     return LenientRecord(
         caps=fields.get("caps"),
         version=fields.get("router.version"),
-        known_routers=_lenient_int(fields.get("netdb.knownRouters")),
-        known_leasesets=_lenient_int(fields.get("netdb.knownLeaseSets")),
+        known_routers=int_option(fields.get("netdb.knownRouters")),
+        known_leasesets=int_option(fields.get("netdb.knownLeaseSets")),
         styles=tuple(styles),
     )
 
@@ -266,9 +267,3 @@ def _last_value(data: bytes, needle: bytes) -> Optional[str]:
 
 def _is_printable(raw: bytes) -> bool:
     return all(0x20 <= b <= 0x7E for b in raw)
-
-
-def _lenient_int(value: Optional[str]) -> Optional[int]:
-    if value is None or not value.isdigit():
-        return None
-    return int(value)

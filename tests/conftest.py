@@ -4,7 +4,8 @@ import pytest
 
 from shadescope.dht import responsible_floodfill
 from shadescope.encoding import hash_to_b32, hash_to_b64
-from shadescope.sim import write_fixture_corpus
+
+from fixtures import write_fixture_corpus
 
 ACCEPTANCE_TITLES = {
     "test_criterion_1": "shade-8 zero-hit reproduction over 50 seeds",

@@ -20,10 +20,11 @@ from shadescope.sim import (
     NetworkSpec,
     completeness_metrics,
     generate_network,
-    random_record,
     run_probe_experiment,
 )
 from shadescope.wire import decode_router_info, encode_router_info, lenient_extract
+
+from fixtures import random_record, write_fixture_corpus
 
 CENSUS_DISTRIBUTION = {
     "2": 500 / 3242,
@@ -215,8 +216,6 @@ def test_criterion_5_codec_round_trip_and_lenient_agreement(tmp_path):
         assert extracted.version == record.version, f"record {i}"
 
     # Corrupt-file isolation: one bad file never poisons the snapshot.
-    from shadescope.sim import write_fixture_corpus
-
     write_fixture_corpus(tmp_path, n=20, floodfill_count=8, seed=5)
     (tmp_path / ("routerInfo-" + "q" * 44 + ".dat")).write_bytes(b"\xde\xad\xbe\xef")
     snapshot = load_netdb_dir(tmp_path)
@@ -266,7 +265,7 @@ def test_criterion_7_corpus_floodfill_fraction(corpus_dir):
 
 def test_criterion_8_curve_properties_and_mean_probes_to_hit():
     model = generate_network(census_spec(0))
-    assert model.k == 4 and len(model.floodfills) == 1556
+    assert model.spec.k == 4 and len(model.floodfills) == 1556
 
     # Monotonicity and flat-zero exclusivity on a mixed target set.
     mixed_targets = list(model.published[:5]) + sorted(model.exclusive)

@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import pytest
 
@@ -139,7 +138,7 @@ class TestShadeReport:
             ),
             probes_used=500,
         )
-        payload = json.loads(report.to_json())
+        payload = report.to_dict()
         assert payload["shade"] == {"level": 8, "name": "Exclusive", "layer": 2}
         assert payload["inconclusive"] is False
         assert [e["source"] for e in payload["evidence"]] == [

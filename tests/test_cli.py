@@ -7,6 +7,8 @@ from shadescope.encoding import hash_to_b32, hash_to_b64
 from shadescope.netdb import load_netdb_dir
 from shadescope.sim import NetworkSpec, generate_network
 
+from fixtures import write_fixture_corpus
+
 DEST_391 = b"A" * 384 + b"\x05" + b"\x00\x04" + b"A" * 4
 DEST_387 = b"A" * 384 + b"\x00\x00\x00"
 
@@ -61,12 +63,22 @@ class TestScan:
         assert "error" in capsys.readouterr().err
 
     def test_corrupt_file_counted(self, tmp_path, capsys):
-        from shadescope.sim import write_fixture_corpus
-
         write_fixture_corpus(tmp_path, n=5, floodfill_count=2, seed=4)
         (tmp_path / ("routerInfo-" + "y" * 44 + ".dat")).write_bytes(b"junk")
         main(["scan", "--netdb", str(tmp_path)])
         assert "parse failures: 1" in capsys.readouterr().out
+
+    def test_duplicate_record_warns(self, tmp_path, capsys):
+        (record,) = write_fixture_corpus(tmp_path, n=1, floodfill_count=1, seed=4)
+        (original,) = tmp_path.glob("routerInfo-*.dat")
+        (tmp_path / "routerInfo-copy.dat").write_bytes(original.read_bytes())
+        assert main(["scan", "--netdb", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "records: 1   parse failures: 0   total: 1" in captured.out
+        assert captured.err.startswith("warning: duplicate record replaced: routerInfo-")
+        assert captured.err.count("\n") == 1
+        main(["lookup", record.hash.hex(), "--netdb", str(tmp_path)])
+        assert capsys.readouterr().err == captured.err
 
     def test_env_var_default(self, corpus_dir, capsys, monkeypatch):
         monkeypatch.setenv("SHADESCOPE_NETDB", str(corpus_dir))
@@ -400,3 +412,39 @@ class TestGenConfig:
         assert len(payload["parameters"]) == 10
         assert payload["text"].endswith("\n")
         assert "\r" not in payload["text"]
+
+
+SMALL_SPEC = {"n_routers": 50, "floodfill_fraction": 0.5,
+              "shade_distribution": {"2": 0.4, "8": 0.1}}
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["lookup", "00" * 32, "--simulate"]],
+                         ids=["simulate", "lookup"])
+@pytest.mark.parametrize("spec, flags", [
+    pytest.param({**SMALL_SPEC, "n_routers": "x"}, [], id="n_routers-text"),
+    pytest.param({**SMALL_SPEC, "k": "4"}, [], id="k-text"),
+    pytest.param({**SMALL_SPEC, "date": 20250101}, [], id="date-number"),
+    pytest.param({**SMALL_SPEC, "seed": True}, [], id="seed-bool"),
+    pytest.param({**SMALL_SPEC, "shade_distribution": {"x": 0.5}}, [], id="level-text"),
+    pytest.param({**SMALL_SPEC, "shade_distribution": {"2": "0.5"}}, [], id="fraction-text"),
+    pytest.param({"n_routers": 50}, [], id="missing-keys"),
+    pytest.param([SMALL_SPEC], [], id="not-an-object"),
+    pytest.param(SMALL_SPEC, ["--fail-rate", "2"], id="fail-rate-2"),
+    pytest.param(SMALL_SPEC, ["--fail-rate", "-1"], id="fail-rate-negative"),
+    pytest.param(SMALL_SPEC, ["--fail-rate", "nan"], id="fail-rate-nan"),
+])
+def test_bad_spec_or_fail_rate_is_input_error(tmp_path, capsys, command, spec, flags):
+    spec_path = tmp_path / "net.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main([*command, str(spec_path), *flags, "--out", str(tmp_path / "out.csv")]) == 2
+    assert_one_line_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [["lookup", "00" * 32], ["simulate", "net.json"],
+                                  ["b32", "dest.dat"], ["genconfig", "exclusive"]],
+                         ids=lambda argv: argv[0])
+def test_csv_only_on_commands_with_rows(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadescope.model import Destination, RouterInfo, TransportAddress, hash_identity
-from shadescope.sim import random_record
 from shadescope.wire import (
     DecodeError,
     EncodeError,
@@ -13,6 +12,8 @@ from shadescope.wire import (
     encode_router_info,
     lenient_extract,
 )
+
+from fixtures import random_record
 
 
 def make_record(caps=None, addresses=(), version=None, extra=None, cert_len=0,

@@ -12,7 +12,6 @@ from shadescope.dht import (
     daily_mod_key,
     decode_b32,
     derive_b32,
-    nearest_to_key,
     normalize_date,
     responsible_floodfill,
     routing_key,
@@ -221,8 +220,8 @@ class TestResponsibleFloodfill:
         storage_key = b"\x01" + bytes(31)
         low = bytes(32)
         high = b"\x80" + bytes(31)
-        assert nearest_to_key(storage_key, [low, high]) == low
-        assert nearest_to_key(storage_key, [high, low]) == low
+        assert FloodfillTable([low, high]).nearest([storage_key], 1) == [(low,)]
+        assert FloodfillTable([high, low]).nearest([storage_key], 1) == [(low,)]
 
     def test_matches_exhaustive_scan_on_64_random(self):
         rng = random.Random(17)

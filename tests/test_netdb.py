@@ -1,18 +1,14 @@
-import json
 import random
 
 import pytest
 
 from shadescope.encoding import hash_to_b32, hash_to_b64
 from shadescope.model import Lease, LeaseSet
-from shadescope.netdb import (
-    NetDbError,
-    load_leasesets,
-    load_netdb_dir,
-    write_leasesets,
-)
-from shadescope.sim import synth_record, write_fixture_corpus
+from shadescope.netdb import NetDbError, load_leasesets, load_netdb_dir
+from shadescope.sim import synth_record
 from shadescope.wire import encode_router_info
+
+from fixtures import write_fixture_corpus, write_leasesets
 
 
 class TestLoadNetDbDir:
@@ -72,22 +68,6 @@ class TestLoadNetDbDir:
         recount = sum(1 for r in snapshot.records.values() if "f" in r.caps)
         assert recount == snapshot.stats.floodfill_count
         assert snapshot.stats.total == len(snapshot.records) + len(snapshot.failures)
-
-
-class TestSnapshotExport:
-    def test_record_schema(self, corpus_dir):
-        snapshot = load_netdb_dir(corpus_dir)
-        payload = json.loads(snapshot.to_json())
-        assert payload["total"] == 100
-        assert payload["floodfill_count"] == 48
-        assert payload["parse_failures"] == 0
-        row = payload["records"][0]
-        assert set(row) == {
-            "hash", "caps", "alpha", "iota", "version",
-            "knownRouters", "knownLeaseSets", "addresses",
-        }
-        for addr in row["addresses"]:
-            assert set(addr) == {"style", "host", "port"}
 
 
 def _hashes(n, seed=0):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from shadescope.classify import EvidenceSource
-from shadescope.encoding import hash_to_b64
 from shadescope.model import Lease, LeaseSet
+from shadescope.netdb import NetDbSnapshot
 from shadescope.protocol import (
     GatewayMatch,
     MatchKind,
@@ -12,7 +12,6 @@ from shadescope.protocol import (
     ProbeTransportError,
     SnapshotSource,
     classify_remote,
-    console_query_url,
     gateway_scan,
     shade8_certificate,
     write_probe_log,
@@ -244,13 +243,21 @@ class TestGatewayScan:
 class TestSnapshotSourceAndLog:
     def test_snapshot_source_has_no_probe_transport(self):
         source = SnapshotSource(None)
+        assert source.lookup_console(bytes(32)) is None
         with pytest.raises(ProbeTransportError):
             source.probe_floodfill(bytes(32))
 
-    def test_console_url_format(self):
-        h = bytes(range(32))
-        url = console_query_url(h)
-        assert url == f"http://127.0.0.1:7657/netdb?r={hash_to_b64(h)}"
+    def test_snapshot_source_with_backing(self):
+        local, remote = record_for(1, seed=1), record_for(2, seed=2)
+        floodfill = _hashes(1, seed=10)[0]
+        backing = ScriptedSource(
+            local={remote.hash: remote}, knowledge={floodfill: {remote.hash: remote}}
+        )
+        source = SnapshotSource(NetDbSnapshot(records={local.hash: local}), backing)
+        assert source.lookup_local(local.hash) is local
+        assert source.lookup_local(remote.hash) is None  # the backing's local view is unused
+        source.probe_floodfill(floodfill)
+        assert source.lookup_console(remote.hash) is remote
 
     def test_probe_log_csv(self, tmp_path):
         floodfills = _hashes(4, seed=9)

@@ -14,12 +14,11 @@ from shadescope.sim import (
     completeness_metrics,
     export_curves,
     generate_network,
-    load_curves,
-    random_record,
     run_probe_experiment,
     synth_record,
-    write_fixture_corpus,
 )
+
+from fixtures import load_curves, random_record, write_fixture_corpus
 
 
 def small_spec(seed=0, n=60, k=2):
@@ -126,7 +125,7 @@ class TestGenerateNetwork:
     def test_knowledge_placement_matches_exact_nearest(self):
         model = generate_network(small_spec(seed=6, n=40, k=2))
         for h in model.published:
-            rk = routing_key(h, model.date)
+            rk = routing_key(h, model.spec.date)
             nearest = sorted(
                 model.floodfills,
                 key=lambda f: (xor_distance(f, rk), int.from_bytes(f, "big")),

@@ -1,0 +1,44 @@
+"""The public surface: the package root's exports, the README library
+example, and the module boundaries the benchmark harness traces."""
+
+import importlib
+import re
+from pathlib import Path
+
+import shadescope
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PUBLIC_NAMES = {
+    "NetworkSpec", "ProbePlan", "SnapshotSource", "classify_remote",
+    "encode_router_info", "export_curves", "generate_network", "hash_to_b32",
+    "hash_to_b64", "load_netdb_dir", "run_probe_experiment", "shade8_certificate",
+}
+
+
+def test_all_is_the_used_surface():
+    assert set(shadescope.__all__) == PUBLIC_NAMES
+    for name in shadescope.__all__:
+        assert getattr(shadescope, name) is not None
+
+
+def test_readme_library_example_runs(corpus_dir, tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    library = readme[readme.index("## Library"):]
+    snippet = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    (tmp_path / ".i2p").mkdir()
+    (tmp_path / ".i2p" / "netDb").symlink_to(corpus_dir)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    exec(snippet, {})
+    assert "Beacon" in capsys.readouterr().out
+
+
+def test_traced_boundaries_resolve(monkeypatch):
+    # A boundary that no longer resolves is only reported by a traced run.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    for boundary in spans.BOUNDARIES:
+        owner = importlib.import_module(boundary.module)
+        for part in boundary.attr.split("."):
+            owner = getattr(owner, part, None)
+        assert owner is not None, f"{boundary.module}:{boundary.attr} ({boundary.layer})"
