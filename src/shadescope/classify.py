@@ -92,6 +92,7 @@ class ShadeReport:
 
     ``shade`` is None when the run was inconclusive (every attempted
     probe failed), which is deliberately distinct from level 8.
+    ``failed_at`` holds the 1-based plan indices of the failed probes.
     """
 
     subject: bytes
@@ -102,7 +103,7 @@ class ShadeReport:
     probes_used: int = 0
     failed_probes: int = 0
     diagnostics: tuple[str, ...] = ()
-    probe_log: tuple = ()
+    failed_at: tuple[int, ...] = ()
 
     @property
     def inconclusive(self) -> bool:

@@ -234,7 +234,7 @@ def cmd_lookup(args) -> int:
     report = classify_remote(subject, SnapshotSource(snapshot, sim_source), plan)
 
     if args.out:
-        write_probe_log(report, args.out)
+        write_probe_log(report, plan, args.out)
     _emit(args, report.to_dict(), _report_lines(report, plan))
     return EXIT_INCONCLUSIVE if report.inconclusive else EXIT_OK
 

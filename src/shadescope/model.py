@@ -204,8 +204,8 @@ class RouterInfo:
 
 
 def int_option(raw: Optional[str]) -> Optional[int]:
-    """An option value of digits only as an int; anything else is None."""
-    if raw is None or not raw.isdigit():
+    """An option value of decimal digits only as an int; anything else is None."""
+    if raw is None or not raw.isdecimal():
         return None
     return int(raw)
 

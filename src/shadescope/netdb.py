@@ -8,7 +8,7 @@ from typing import Optional, Union
 
 from .encoding import B32_SUFFIX, EncodingError, hash_from_b32, hash_from_b64
 from .model import Lease, LeaseSet, RouterInfo
-from .wire import DecodeError, LenientRecord, decode_router_info, lenient_extract
+from .wire import DecodeError, decode_router_info
 
 RECORD_GLOB = "routerInfo-*.dat"
 
@@ -28,14 +28,13 @@ class SnapshotStats:
 class ParseFailure:
     filename: str
     error: str
-    lenient: LenientRecord
 
 
 @dataclass
 class NetDbSnapshot:
     """All records decoded from one directory view.
 
-    Failures are counted and carried with their lenient extraction so a
+    Failures are counted and carried with their file name and error so a
     snapshot never silently drops a file.
     """
 
@@ -64,8 +63,10 @@ class NetDbSnapshot:
 def load_netdb_dir(path: Union[str, Path]) -> NetDbSnapshot:
     """Decode every routerInfo-*.dat file under ``path``.
 
-    Strict decoding is attempted first; a failing file is counted and its
-    lenient extraction retained. One bad file never affects the others.
+    A file that cannot be read or strictly decoded is counted as a
+    :class:`ParseFailure` with its error; one bad file never affects the
+    others. :func:`~shadescope.wire.lenient_extract` can recover option
+    values from such bytes on request.
     """
     directory = Path(path)
     if not directory.is_dir():
@@ -75,16 +76,12 @@ def load_netdb_dir(path: Union[str, Path]) -> NetDbSnapshot:
         try:
             data = entry.read_bytes()
         except OSError as exc:
-            snapshot.failures.append(
-                ParseFailure(entry.name, f"unreadable: {exc}", LenientRecord())
-            )
+            snapshot.failures.append(ParseFailure(entry.name, f"unreadable: {exc}"))
             continue
         try:
             record = decode_router_info(data)
         except DecodeError as exc:
-            snapshot.failures.append(
-                ParseFailure(entry.name, str(exc), lenient_extract(data))
-            )
+            snapshot.failures.append(ParseFailure(entry.name, str(exc)))
             continue
         if record.hash in snapshot.records:
             snapshot.warnings.append(f"duplicate record replaced: {entry.name}")

@@ -13,7 +13,7 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Protocol, Sequence, Union
+from typing import Iterator, Optional, Protocol, Sequence, Union
 
 from .classify import Evidence, EvidenceSource, ShadeReport, classify, profile_diagnostics
 from .encoding import check_hash, hash_to_b64
@@ -96,70 +96,50 @@ class ProbePlan:
             yield self.floodfills[start : min(start + self.batch_size, limit)]
 
 
-class ProbeResult(Enum):
-    OK = "ok"
-    FAILED = "failed"
-
-
-@dataclass(frozen=True)
-class ProbeLogEntry:
-    index: int
-    floodfill: bytes
-    result: ProbeResult
-
-
-def classify_remote(
-    subject: bytes,
-    source: NetDbSource,
-    plan: ProbePlan,
-    checkpoint: Optional[Callable[[int, int], None]] = None,
-) -> ShadeReport:
+def classify_remote(subject: bytes, source: NetDbSource, plan: ProbePlan) -> ShadeReport:
     """Run the full multi-source classification of one router hash.
 
-    ``checkpoint`` is called after each probe batch with
-    (cumulative probes, hits so far); experiment drivers use it to sample
-    hit curves. The returned report carries per-probe log entries in
-    ``report.probe_log``.
+    The console view is re-checked after each batch of ``plan.batches()``,
+    and the run stops at the first hit, so the probed floodfills are always
+    ``plan.floodfills[:report.probes_used]``. The 1-based plan indices of
+    probes that raised :class:`ProbeTransportError` are kept in
+    ``report.failed_at``; together with the plan they are the whole probe
+    record (see :func:`write_probe_log`).
 
     A run whose every attempted probe failed is inconclusive (shade None)
     rather than level 8: absence cannot be certified from missing evidence.
     """
     check_hash(subject, "subject hash")
     evidence: list[Evidence] = []
-    log: list[ProbeLogEntry] = []
 
     record = source.lookup_local(subject)
     evidence.append(Evidence(EvidenceSource.LOCAL_NETDB, record is not None))
     if record is not None:
-        return _hit_report(subject, record, evidence, log, 0, 0)
+        return _hit_report(subject, record, evidence, 0, ())
 
     record = source.lookup_console(subject)
     evidence.append(Evidence(EvidenceSource.CONSOLE_CACHE, record is not None))
     if record is not None:
-        return _hit_report(subject, record, evidence, log, 0, 0)
+        return _hit_report(subject, record, evidence, 0, ())
 
     probes_used = 0
-    failed = 0
+    failed_at: list[int] = []
     for batch in plan.batches():
         for floodfill in batch:
             probes_used += 1
             try:
                 source.probe_floodfill(floodfill)
-                log.append(ProbeLogEntry(probes_used, floodfill, ProbeResult.OK))
             except ProbeTransportError:
-                failed += 1
-                log.append(ProbeLogEntry(probes_used, floodfill, ProbeResult.FAILED))
+                failed_at.append(probes_used)
         record = source.lookup_console(subject)
-        if checkpoint is not None:
-            checkpoint(probes_used, 1 if record is not None else 0)
         if record is not None:
             evidence.append(
                 Evidence(EvidenceSource.FLOODFILL_PROBE, True, probes_used)
             )
-            return _hit_report(subject, record, evidence, log, probes_used, failed)
+            return _hit_report(subject, record, evidence, probes_used, tuple(failed_at))
 
     evidence.append(Evidence(EvidenceSource.FLOODFILL_PROBE, False, probes_used))
-    if probes_used > 0 and failed == probes_used:
+    if probes_used > 0 and len(failed_at) == probes_used:
         shade = None  # inconclusive: no probe ever answered
     else:
         shade = SHADE_EXCLUSIVE
@@ -168,8 +148,8 @@ def classify_remote(
         shade=shade,
         evidence=tuple(evidence),
         probes_used=probes_used,
-        failed_probes=failed,
-        probe_log=tuple(log),
+        failed_probes=len(failed_at),
+        failed_at=tuple(failed_at),
     )
 
 
@@ -177,9 +157,8 @@ def _hit_report(
     subject: bytes,
     record: RouterInfo,
     evidence: list[Evidence],
-    log: list[ProbeLogEntry],
     probes_used: int,
-    failed: int,
+    failed_at: tuple[int, ...],
 ) -> ShadeReport:
     profile = CapabilityProfile.from_record(record)
     return ShadeReport(
@@ -189,9 +168,9 @@ def _hit_report(
         profile=profile,
         caps=record.caps,
         probes_used=probes_used,
-        failed_probes=failed,
+        failed_probes=len(failed_at),
         diagnostics=tuple(profile_diagnostics(profile)),
-        probe_log=tuple(log),
+        failed_at=failed_at,
     )
 
 
@@ -248,12 +227,18 @@ def gateway_scan(
     return matches
 
 
-def write_probe_log(report: ShadeReport, path: Union[str, Path]) -> None:
-    """Write the per-probe CSV log: probe_index,floodfill_b64,result."""
+def write_probe_log(report: ShadeReport, plan: ProbePlan, path: Union[str, Path]) -> None:
+    """Write the per-probe CSV log of a run of ``plan``: probe_index,floodfill_b64,result.
+
+    The probed floodfills are the first ``report.probes_used`` of the plan;
+    a row's result is ``failed`` when its index is in ``report.failed_at``
+    and ``ok`` otherwise.
+    """
+    failed = set(report.failed_at)
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["probe_index", "floodfill_b64", "result"])
-        for entry in report.probe_log:
+        for index, floodfill in enumerate(plan.floodfills[: report.probes_used], 1):
             writer.writerow(
-                [entry.index, hash_to_b64(entry.floodfill), entry.result.value]
+                [index, hash_to_b64(floodfill), "failed" if index in failed else "ok"]
             )

@@ -16,9 +16,10 @@ import csv
 import json
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from math import floor
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .classify import ShadeReport, classify
 from .dht import DateLike, FloodfillTable, normalize_date, routing_key
@@ -105,7 +106,12 @@ class VisibilityMetrics:
 
 @dataclass(frozen=True)
 class HitCurve:
-    """Cumulative directory hits per probe checkpoint for one target."""
+    """Cumulative directory hits per probe batch for one target.
+
+    ``points`` are (cumulative probes, hits) at the end of each plan batch
+    the run reached, derived from the plan's batch ends and the report's
+    ``probes_used`` and verdict.
+    """
 
     target: bytes
     points: tuple[tuple[int, int], ...]
@@ -127,8 +133,8 @@ def _allocate_counts(spec: NetworkSpec) -> dict[int, int]:
         level = int(key)
         if not 1 <= level <= 8:
             raise InfeasibleSpecError(f"shade level out of range: {key}")
-        if value < 0:
-            raise InfeasibleSpecError(f"negative fraction for shade {key}")
+        if not 0 <= value <= 1:  # also rejects NaN
+            raise InfeasibleSpecError(f"fraction for shade {key} must lie in [0, 1]: {value!r}")
         fractions[level] = float(value)
     if 1 not in fractions:
         fractions[1] = spec.floodfill_fraction
@@ -313,33 +319,30 @@ def completeness_metrics(model: NetworkModel) -> VisibilityMetrics:
 class SimulatedSource:
     """Directory source backed by a generated model.
 
-    The console view starts empty and grows as probed floodfills
-    contribute their stored records, which is the only way an initially
-    unknown record can become visible.
+    The local view is empty. The console view starts empty and grows as
+    probed floodfills contribute their stored records, which is the only
+    way an initially unknown record can become visible.
     """
 
     def __init__(
         self,
         model: NetworkModel,
-        local_hashes: Iterable[bytes] = (),
         failure_rate: float = 0.0,
         rng: Optional[random.Random] = None,
     ):
         self._model = model
-        self._local = frozenset(local_hashes)
         self._visible: set[bytes] = set()
         self._failure_rate = failure_rate
         self._rng = rng if rng is not None else random.Random(0)
 
-    def _record(self, router_hash: bytes) -> Optional[RouterInfo]:
-        router = self._model.routers.get(router_hash)
-        return router.record if router else None
-
     def lookup_local(self, router_hash: bytes) -> Optional[RouterInfo]:
-        return self._record(router_hash) if router_hash in self._local else None
+        return None
 
     def lookup_console(self, router_hash: bytes) -> Optional[RouterInfo]:
-        return self._record(router_hash) if router_hash in self._visible else None
+        if router_hash not in self._visible:
+            return None
+        router = self._model.routers.get(router_hash)
+        return router.record if router else None
 
     def probe_floodfill(self, floodfill: bytes) -> None:
         stored = self._model.knowledge.get(floodfill)
@@ -354,36 +357,32 @@ def run_probe_experiment(
     model: NetworkModel,
     targets: Sequence[bytes],
     plan: ProbePlan,
-    local_hashes: Iterable[bytes] = (),
     failure_rate: float = 0.0,
     failure_seed: int = 0,
 ) -> list[HitCurve]:
     """Classify each target against a fresh simulated source.
 
-    Every batch boundary contributes one curve point; a run that ends
-    before any probe ran contributes the single point (0, hits).
+    A curve has one point per plan batch the run reached: (batch end, 0)
+    for each batch before the last, then (probes used, 1 for a hit or 0).
+    A run that ends before any probe ran gives the single point (0, 0).
     """
     floodfill_set = set(model.floodfills)
     for f in plan.floodfills:
         if f not in floodfill_set:
             raise ValueError("plan includes a hash outside the model's floodfills")
+    ends = tuple(accumulate(len(batch) for batch in plan.batches()))
     curves: list[HitCurve] = []
     for target in targets:
         if target not in model.routers:
             raise ValueError(f"target not in model: {hash_to_b64(target)}")
         source = SimulatedSource(
-            model,
-            local_hashes=local_hashes,
-            failure_rate=failure_rate,
-            rng=random.Random(failure_seed),
+            model, failure_rate=failure_rate, rng=random.Random(failure_seed)
         )
-        points: list[tuple[int, int]] = []
-        report = classify_remote(
-            target, source, plan, checkpoint=lambda used, hits: points.append((used, hits))
-        )
-        if not points:
-            points = [(0, 0 if report.shade is None or report.shade.level == 8 else 1)]
-        curves.append(HitCurve(target=target, points=tuple(points), report=report))
+        report = classify_remote(target, source, plan)
+        used = report.probes_used
+        hit = int(report.shade is not None and report.shade.level != 8)
+        points = tuple((end, 0) for end in ends if end < used) + ((used, hit),)
+        curves.append(HitCurve(target=target, points=points, report=report))
     return curves
 
 

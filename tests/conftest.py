@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 
 from shadescope.dht import responsible_floodfill
 from shadescope.encoding import hash_to_b32, hash_to_b64
+from shadescope.sim import NetworkSpec, generate_network
 
 from fixtures import write_fixture_corpus
 
@@ -28,6 +30,26 @@ def corpus_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("netdb-corpus")
     write_fixture_corpus(directory, n=100, floodfill_count=48, seed=7)
     return directory
+
+
+@pytest.fixture(scope="module")
+def sim_spec_file(tmp_path_factory):
+    payload = {
+        "n_routers": 400,
+        "floodfill_fraction": 0.4,
+        "shade_distribution": {"2": 0.3, "3": 0.2, "7": 0.0975, "8": 0.0025},
+        "k": 3,
+        "seed": 20,
+        "date": "20250101",
+    }
+    path = tmp_path_factory.mktemp("spec") / "net.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.fixture(scope="module")
+def sim_model(sim_spec_file):
+    return generate_network(NetworkSpec.from_file(sim_spec_file))
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,6 @@ import pytest
 from shadescope.cli import main
 from shadescope.encoding import hash_to_b32, hash_to_b64
 from shadescope.netdb import load_netdb_dir
-from shadescope.sim import NetworkSpec, generate_network
 
 from fixtures import write_fixture_corpus
 
@@ -16,26 +15,6 @@ DEST_387 = b"A" * 384 + b"\x00\x00\x00"
 def assert_one_line_error(err: str) -> None:
     assert err.startswith("error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
-
-
-@pytest.fixture(scope="module")
-def sim_spec_file(tmp_path_factory):
-    payload = {
-        "n_routers": 400,
-        "floodfill_fraction": 0.4,
-        "shade_distribution": {"2": 0.3, "3": 0.2, "7": 0.0975, "8": 0.0025},
-        "k": 3,
-        "seed": 20,
-        "date": "20250101",
-    }
-    path = tmp_path_factory.mktemp("spec") / "net.json"
-    path.write_text(json.dumps(payload))
-    return path
-
-
-@pytest.fixture(scope="module")
-def sim_model(sim_spec_file):
-    return generate_network(NetworkSpec.from_file(sim_spec_file))
 
 
 class TestScan:
@@ -427,6 +406,10 @@ SMALL_SPEC = {"n_routers": 50, "floodfill_fraction": 0.5,
     pytest.param({**SMALL_SPEC, "seed": True}, [], id="seed-bool"),
     pytest.param({**SMALL_SPEC, "shade_distribution": {"x": 0.5}}, [], id="level-text"),
     pytest.param({**SMALL_SPEC, "shade_distribution": {"2": "0.5"}}, [], id="fraction-text"),
+    pytest.param({**SMALL_SPEC, "shade_distribution": {"2": float("nan"), "8": 0.1}}, [],
+                 id="fraction-nan"),
+    pytest.param({**SMALL_SPEC, "shade_distribution": {"2": 10**400, "8": 0.1}}, [],
+                 id="fraction-huge-int"),
     pytest.param({"n_routers": 50}, [], id="missing-keys"),
     pytest.param([SMALL_SPEC], [], id="not-an-object"),
     pytest.param(SMALL_SPEC, ["--fail-rate", "2"], id="fail-rate-2"),

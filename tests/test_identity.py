@@ -1,8 +1,12 @@
-"""Byte-identity gate for XOR-nearest selection.
+"""Byte-identity gates for placement, association and probe replay.
 
-The digests below were recorded from the per-call scans that preceded
-``dht.FloodfillTable``; placement, association and the distance table
-must keep producing exactly these bytes.
+The curve and distance digests were recorded from the per-call scans
+that preceded ``dht.FloodfillTable``; placement, association and the
+distance table must keep producing exactly these bytes. The probe-CSV
+and ``simulate --targets all`` digests were recorded from the replay
+that kept one log object per probe and sampled curves through a
+per-batch callback; the probe CSV and the hit curves must keep these
+bytes under injected probe failures.
 """
 
 import hashlib
@@ -26,6 +30,12 @@ CURVE_SHA256 = {
 }
 XOR_ASSOC_DISTANCES_SHA256 = (
     "8ac3083c8a885dede739668e1611be5192f4de90f39482d8374b9ef1ad4d9c4b"
+)
+LOOKUP_PROBE_CSV_SHA256 = (
+    "a08b4519e3d9b5123bb3b513120d18bf6e093bd2dc23154e0a864fa248cbf7ee"
+)
+SIMULATE_ALL_CURVES_SHA256 = (
+    "70081cc4f6f8b6089837278b8be57bbbe16b3e73f2b36662e8e626824b7ed1c6"
 )
 
 
@@ -57,3 +67,33 @@ def test_xor_assoc_distances_json_unchanged(assoc_fixture, capsys):
     assert code == 0
     assert len(json.loads(out)["distances"]) == 172
     assert _sha256(out.encode()) == XOR_ASSOC_DISTANCES_SHA256
+
+
+def test_lookup_probe_csv_unchanged(sim_spec_file, sim_model, tmp_path, capsys):
+    # An exclusive target probes the whole budget; 30% of probes fail.
+    target = sorted(sim_model.exclusive)[0]
+    out = tmp_path / "probes.csv"
+    code = main([
+        "lookup", hash_to_b64(target),
+        "--simulate", str(sim_spec_file),
+        "--seed", "3", "--fail-rate", "0.3", "--max-probes", "60",
+        "--out", str(out),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 61
+    assert _sha256(out.read_bytes()) == LOOKUP_PROBE_CSV_SHA256
+
+
+def test_simulate_all_curves_unchanged(sim_spec_file, tmp_path, capsys):
+    # Every router is a target: published targets hit after one of the
+    # eight batches or run out of budget, under 20% failed probes.
+    out = tmp_path / "curves.csv"
+    code = main([
+        "simulate", str(sim_spec_file),
+        "--targets", "all", "--seed", "5", "--fail-rate", "0.2",
+        "--max-probes", "40", "--out", str(out),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    assert _sha256(out.read_bytes()) == SIMULATE_ALL_CURVES_SHA256

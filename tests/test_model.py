@@ -23,6 +23,7 @@ from shadescope.model import (
     parse_caps,
     shade_for_level,
 )
+from shadescope.wire import decode_router_info, encode_router_info
 
 # Frozen from an independent hashlib/base64 run before the build.
 DEST_387 = b"A" * 384 + b"\x00\x00\x00"
@@ -244,6 +245,14 @@ class TestRouterInfo:
         record = _record(options={"caps": "LR"})
         assert record.known_routers is None
         assert record.known_leasesets is None
+
+    def test_non_decimal_digit_count_reported_absent(self):
+        # "²" is a digit to str.isdigit but not an int() literal.
+        record = decode_router_info(encode_router_info(
+            _record(options={"caps": "LR", "netdb.knownRouters": "²"})
+        ))
+        assert record.options["netdb.knownRouters"] == "²"
+        assert record.known_routers is None
 
     def test_profile_extraction(self):
         direct = TransportAddress("NTCP2", options={"host": "10.0.0.1", "port": "1"})

@@ -40,11 +40,10 @@ class TestLoadNetDbDir:
         assert stats.total == 11
         assert snapshot.failures[0].filename == bad.name
 
-    def test_failure_retains_lenient_extraction(self, tmp_path):
+    def test_truncated_record_counts_as_parse_failure(self, tmp_path):
         record = synth_record(random.Random(5), 1)
         data = encode_router_info(record)
-        # Drop the final byte of a record with a signature so strict parse
-        # still succeeds; instead corrupt the publish area to force failure.
+        # Cut inside the 387-byte identity, so strict decoding fails.
         broken = data[:386]
         (tmp_path / "routerInfo-broken.dat").write_bytes(broken)
         snapshot = load_netdb_dir(tmp_path)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from shadescope.classify import EvidenceSource
+from shadescope.encoding import hash_to_b64
 from shadescope.model import Lease, LeaseSet
 from shadescope.netdb import NetDbSnapshot
 from shadescope.protocol import (
@@ -16,7 +17,7 @@ from shadescope.protocol import (
     shade8_certificate,
     write_probe_log,
 )
-from shadescope.sim import synth_record
+from shadescope.sim import NetworkSpec, generate_network, run_probe_experiment, synth_record
 
 
 def record_for(level, seed=0):
@@ -164,15 +165,13 @@ class TestClassifyRemote:
         ]
 
     def test_checkpoint_callback_sees_every_batch(self):
-        floodfills = _hashes(12, seed=7)
-        seen = []
-        classify_remote(
-            bytes(32),
-            ScriptedSource(),
-            ProbePlan(tuple(floodfills), batch_size=5),
-            checkpoint=lambda used, hits: seen.append((used, hits)),
-        )
-        assert seen == [(5, 0), (10, 0), (12, 0)]
+        # Hit-curve points are the plan's batch ends up to the probes used.
+        spec = NetworkSpec(n_routers=40, floodfill_fraction=0.5,
+                           shade_distribution={"2": 0.25, "8": 0.25}, k=2, seed=1)
+        model = generate_network(spec)
+        plan = ProbePlan(model.floodfills[:12], batch_size=5)
+        (curve,) = run_probe_experiment(model, [sorted(model.exclusive)[0]], plan)
+        assert curve.points == ((5, 0), (10, 0), (12, 0))
 
     def test_probe_count_bound(self):
         floodfills = _hashes(9, seed=8)
@@ -264,11 +263,31 @@ class TestSnapshotSourceAndLog:
         source = ScriptedSource(fail=frozenset(floodfills[2:3]))
         plan = ProbePlan(tuple(floodfills), batch_size=2)
         report = classify_remote(bytes(32), source, plan)
+        assert report.failed_at == (3,)
         out = tmp_path / "probes.csv"
-        write_probe_log(report, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "probe_index,floodfill_b64,result"
-        assert len(lines) == 5
-        assert lines[1].startswith("1,")
-        assert lines[3].endswith(",failed")
-        assert lines[1].endswith(",ok")
+        write_probe_log(report, plan, out)
+        assert out.read_text().splitlines() == [
+            "probe_index,floodfill_b64,result",
+            f"1,{hash_to_b64(floodfills[0])},ok",
+            f"2,{hash_to_b64(floodfills[1])},ok",
+            f"3,{hash_to_b64(floodfills[2])},failed",
+            f"4,{hash_to_b64(floodfills[3])},ok",
+        ]
+
+    def test_probe_log_stops_at_the_hit(self, tmp_path):
+        record = record_for(2, seed=3)
+        floodfills = _hashes(6, seed=11)
+        source = ScriptedSource(fail=frozenset(floodfills[:1]),
+                                knowledge={floodfills[3]: {record.hash: record}})
+        plan = ProbePlan(tuple(floodfills), batch_size=2)
+        report = classify_remote(record.hash, source, plan)
+        assert (report.probes_used, report.failed_at) == (4, (1,))
+        out = tmp_path / "probes.csv"
+        write_probe_log(report, plan, out)
+        assert out.read_text().splitlines() == [
+            "probe_index,floodfill_b64,result",
+            f"1,{hash_to_b64(floodfills[0])},failed",
+            f"2,{hash_to_b64(floodfills[1])},ok",
+            f"3,{hash_to_b64(floodfills[2])},ok",
+            f"4,{hash_to_b64(floodfills[3])},ok",
+        ]

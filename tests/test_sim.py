@@ -252,12 +252,6 @@ class TestSimulatedSource:
         source.probe_floodfill(holders[0])
         assert source.lookup_console(target) is model.routers[target].record
 
-    def test_local_hashes(self):
-        model = generate_network(small_spec(seed=3))
-        target = model.published[0]
-        source = SimulatedSource(model, local_hashes=[target])
-        assert source.lookup_local(target) is not None
-
     def test_probing_non_floodfill_fails(self):
         from shadescope.protocol import ProbeTransportError
 
@@ -289,12 +283,12 @@ class TestProbeExperiment:
         assert curve.points == ((5, 1),)
         assert curve.report.probes_used == 5
 
-    def test_local_hit_yields_single_zero_probe_point(self):
+    def test_empty_plan_yields_single_zero_probe_point(self):
         model = generate_network(small_spec(seed=8))
         target = model.published[0]
-        plan = ProbePlan(model.floodfills, batch_size=5)
-        curve = run_probe_experiment(model, [target], plan, local_hashes=[target])[0]
-        assert curve.points == ((0, 1),)
+        plan = ProbePlan(model.floodfills, batch_size=5, max_probes=0)
+        curve = run_probe_experiment(model, [target], plan)[0]
+        assert curve.points == ((0, 0),)
         assert curve.report.probes_used == 0
 
     def test_monotone_hits(self):
