@@ -101,9 +101,12 @@ class ShadeReport:
     profile: Optional[CapabilityProfile] = None
     caps: Optional[str] = None
     probes_used: int = 0
-    failed_probes: int = 0
     diagnostics: tuple[str, ...] = ()
     failed_at: tuple[int, ...] = ()
+
+    @property
+    def failed_probes(self) -> int:
+        return len(self.failed_at)
 
     @property
     def inconclusive(self) -> bool:

@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import profiles
 from .classify import ShadeReport, classify
-from .dht import association_rows, derive_b32, normalize_date, xor_association
+from .dht import association_rows, derive_b32, normalize_date
 from .encoding import B32_SUFFIX, EncodingError, hash_to_b32, hash_to_b64, parse_hash_text
 from .model import Destination, DestinationError, SHADES
 from .netdb import NetDbError, load_leasesets, load_netdb_dir
@@ -309,7 +309,8 @@ def cmd_xor_assoc(args) -> int:
         ls.b32 if ls.b32 else hash_to_b32(ls.destination_hash) + B32_SUFFIX
         for ls in leasesets
     ]
-    matched, assoc_warnings = xor_association(target, eepsites, floodfills, date)
+    rows, assoc_warnings = association_rows(target, eepsites, floodfills, date)
+    matched = [row.address for row in rows if row.responsible]
     warnings.extend(assoc_warnings)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -329,7 +330,7 @@ def cmd_xor_assoc(args) -> int:
     lines.extend(f"  {addr}" for addr in matched)
     csv_rows = [["b32", "matched"]] + [[a, a in matched] for a in eepsites]
     if args.distances:
-        table = _distance_table(target, eepsites, floodfills, date)
+        table = _distance_table(rows)
         facts["distances"] = table
         lines.append("distance table (top-16 hex digits):")
         for row in table:
@@ -342,8 +343,7 @@ def cmd_xor_assoc(args) -> int:
     return EXIT_OK
 
 
-def _distance_table(target, eepsites, floodfills, date) -> list[dict]:
-    rows, _ = association_rows(target, eepsites, floodfills, date)
+def _distance_table(rows) -> list[dict]:
     return [
         {
             "b32": row.address,

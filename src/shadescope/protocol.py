@@ -4,7 +4,8 @@ The classification run checks a local directory view, then a console
 cache, then expands the console view by probing floodfills in batches,
 re-checking the target after each batch. The first retrieval
 short-circuits to capability classification; full exhaustion with no
-retrieval yields level 8.
+retrieval yields level 8. A sweep runs many targets through one pass
+over the probe plan, probing each floodfill once.
 """
 
 from __future__ import annotations
@@ -109,54 +110,96 @@ def classify_remote(subject: bytes, source: NetDbSource, plan: ProbePlan) -> Sha
     A run whose every attempted probe failed is inconclusive (shade None)
     rather than level 8: absence cannot be certified from missing evidence.
     """
-    check_hash(subject, "subject hash")
-    evidence: list[Evidence] = []
+    return classify_sweep((subject,), source, plan)[0]
 
-    record = source.lookup_local(subject)
-    evidence.append(Evidence(EvidenceSource.LOCAL_NETDB, record is not None))
-    if record is not None:
-        return _hit_report(subject, record, evidence, 0, ())
 
-    record = source.lookup_console(subject)
-    evidence.append(Evidence(EvidenceSource.CONSOLE_CACHE, record is not None))
-    if record is not None:
-        return _hit_report(subject, record, evidence, 0, ())
+def classify_sweep(
+    subjects: Sequence[bytes], source: NetDbSource, plan: ProbePlan
+) -> list[ShadeReport]:
+    """Classify several router hashes against one shared pass over ``plan``.
+
+    Each subject gets the local and then the console lookup. The plan's
+    floodfills are then probed once each, in order, and after each batch
+    the console view is re-checked for the subjects still unseen. A subject
+    seen after a batch gets the report :func:`classify_remote` gives when
+    it stops at that batch: ``probes_used`` is the batch's end and
+    ``failed_at`` the failures so far. The sweep stops once every subject
+    is seen; the rest share the level-8 (or inconclusive) report of the
+    whole plan. Reports come back in the order of ``subjects``.
+
+    The reports equal one :func:`classify_remote` run per subject on a
+    fresh source whenever a probe's outcome depends only on its place in
+    the plan and the console view is the union of what the probes
+    returned, as with :class:`~shadescope.sim.SimulatedSource` under one
+    seed.
+    """
+    for subject in subjects:
+        check_hash(subject, "subject hash")
+    reports: list[Optional[ShadeReport]] = [None] * len(subjects)
+    misses = (
+        Evidence(EvidenceSource.LOCAL_NETDB, False),
+        Evidence(EvidenceSource.CONSOLE_CACHE, False),
+    )
+    pending: list[int] = []
+    for i, subject in enumerate(subjects):
+        record = source.lookup_local(subject)
+        if record is not None:
+            evidence = (Evidence(EvidenceSource.LOCAL_NETDB, True),)
+            reports[i] = _hit_report(subject, record, evidence, 0, ())
+            continue
+        record = source.lookup_console(subject)
+        if record is not None:
+            evidence = (misses[0], Evidence(EvidenceSource.CONSOLE_CACHE, True))
+            reports[i] = _hit_report(subject, record, evidence, 0, ())
+        else:
+            pending.append(i)
 
     probes_used = 0
     failed_at: list[int] = []
     for batch in plan.batches():
+        if not pending:
+            break
         for floodfill in batch:
             probes_used += 1
             try:
                 source.probe_floodfill(floodfill)
             except ProbeTransportError:
                 failed_at.append(probes_used)
-        record = source.lookup_console(subject)
-        if record is not None:
-            evidence.append(
-                Evidence(EvidenceSource.FLOODFILL_PROBE, True, probes_used)
-            )
-            return _hit_report(subject, record, evidence, probes_used, tuple(failed_at))
+        seen = False
+        for i in pending:
+            record = source.lookup_console(subjects[i])
+            if record is not None:
+                evidence = misses + (
+                    Evidence(EvidenceSource.FLOODFILL_PROBE, True, probes_used),
+                )
+                reports[i] = _hit_report(
+                    subjects[i], record, evidence, probes_used, tuple(failed_at)
+                )
+                seen = True
+        if seen:
+            pending = [i for i in pending if reports[i] is None]
 
-    evidence.append(Evidence(EvidenceSource.FLOODFILL_PROBE, False, probes_used))
-    if probes_used > 0 and len(failed_at) == probes_used:
-        shade = None  # inconclusive: no probe ever answered
-    else:
-        shade = SHADE_EXCLUSIVE
-    return ShadeReport(
-        subject=subject,
-        shade=shade,
-        evidence=tuple(evidence),
-        probes_used=probes_used,
-        failed_probes=len(failed_at),
-        failed_at=tuple(failed_at),
-    )
+    if pending:
+        if probes_used > 0 and len(failed_at) == probes_used:
+            shade = None  # inconclusive: no probe ever answered
+        else:
+            shade = SHADE_EXCLUSIVE
+        evidence = misses + (Evidence(EvidenceSource.FLOODFILL_PROBE, False, probes_used),)
+        for i in pending:
+            reports[i] = ShadeReport(
+                subject=subjects[i],
+                shade=shade,
+                evidence=evidence,
+                probes_used=probes_used,
+                failed_at=tuple(failed_at),
+            )
+    return reports
 
 
 def _hit_report(
     subject: bytes,
     record: RouterInfo,
-    evidence: list[Evidence],
+    evidence: tuple[Evidence, ...],
     probes_used: int,
     failed_at: tuple[int, ...],
 ) -> ShadeReport:
@@ -164,11 +207,10 @@ def _hit_report(
     return ShadeReport(
         subject=subject,
         shade=classify(profile),
-        evidence=tuple(evidence),
+        evidence=evidence,
         profile=profile,
         caps=record.caps,
         probes_used=probes_used,
-        failed_probes=len(failed_at),
         diagnostics=tuple(profile_diagnostics(profile)),
         failed_at=failed_at,
     )

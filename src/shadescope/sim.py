@@ -12,12 +12,13 @@ association and responsibility.
 
 from __future__ import annotations
 
-import csv
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from math import floor
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -32,7 +33,7 @@ from .model import (
     hash_identity,
     shade_for_level,
 )
-from .protocol import ProbePlan, ProbeTransportError, classify_remote
+from .protocol import ProbePlan, ProbeTransportError, classify_sweep
 
 EPOCH_2025_MS = 1_735_689_600_000
 _VERSIONS = ("0.9.67", "0.9.68", "2.12.0")
@@ -321,7 +322,10 @@ class SimulatedSource:
 
     The local view is empty. The console view starts empty and grows as
     probed floodfills contribute their stored records, which is the only
-    way an initially unknown record can become visible.
+    way an initially unknown record can become visible. With a nonzero
+    ``failure_rate``, each probe draws once from ``rng`` and fails when the
+    draw falls below the rate, so which probes fail depends only on the
+    seed and on each probe's place in the sequence of probes.
     """
 
     def __init__(
@@ -360,28 +364,33 @@ def run_probe_experiment(
     failure_rate: float = 0.0,
     failure_seed: int = 0,
 ) -> list[HitCurve]:
-    """Classify each target against a fresh simulated source.
+    """Replay every target against one simulated pass over the plan.
+
+    One :class:`SimulatedSource` seeded with ``failure_seed`` serves every
+    target, and :func:`~shadescope.protocol.classify_sweep` probes each
+    planned floodfill once. So there is one failure pattern, and every
+    target sees it, as in one pass over the probing pool: probe *i* fails
+    for every target or for none. Each report is the one a fresh source
+    seeded alike would give that target alone.
 
     A curve has one point per plan batch the run reached: (batch end, 0)
     for each batch before the last, then (probes used, 1 for a hit or 0).
     A run that ends before any probe ran gives the single point (0, 0).
     """
-    floodfill_set = set(model.floodfills)
-    for f in plan.floodfills:
-        if f not in floodfill_set:
-            raise ValueError("plan includes a hash outside the model's floodfills")
-    ends = tuple(accumulate(len(batch) for batch in plan.batches()))
-    curves: list[HitCurve] = []
+    if not set(model.floodfills).issuperset(plan.floodfills):
+        raise ValueError("plan includes a hash outside the model's floodfills")
     for target in targets:
         if target not in model.routers:
             raise ValueError(f"target not in model: {hash_to_b64(target)}")
-        source = SimulatedSource(
-            model, failure_rate=failure_rate, rng=random.Random(failure_seed)
-        )
-        report = classify_remote(target, source, plan)
+    source = SimulatedSource(model, failure_rate, random.Random(failure_seed))
+    reports = classify_sweep(targets, source, plan)
+    ends = tuple(accumulate(len(batch) for batch in plan.batches()))
+    misses = tuple((end, 0) for end in ends)
+    curves: list[HitCurve] = []
+    for target, report in zip(targets, reports):
         used = report.probes_used
         hit = int(report.shade is not None and report.shade.level != 8)
-        points = tuple((end, 0) for end in ends if end < used) + ((used, hit),)
+        points = misses[: bisect_left(ends, used)] + ((used, hit),)
         curves.append(HitCurve(target=target, points=points, report=report))
     return curves
 
@@ -390,9 +399,10 @@ def export_curves(curves: Sequence[HitCurve], path: Union[str, Path]) -> None:
     """CSV rows target,cumulative_probes,hits ordered by target then probes."""
     if not curves:
         raise ValueError("no curves to export")
+    keyed = sorted(((hash_to_b64(c.target), c.points) for c in curves), key=itemgetter(0))
+    # Base64 hashes and integers never need quoting, so the lines are
+    # formatted directly: the bytes are csv.writer's, at a third of its cost.
     with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target", "cumulative_probes", "hits"])
-        for curve in sorted(curves, key=lambda c: hash_to_b64(c.target)):
-            for probes, hits in curve.points:
-                writer.writerow([hash_to_b64(curve.target), probes, hits])
+        fh.write("target,cumulative_probes,hits\r\n")
+        for target, points in keyed:
+            fh.write("".join(f"{target},{probes},{hits}\r\n" for probes, hits in points))

@@ -167,10 +167,21 @@ class TestShadeReport:
             shade=None,
             evidence=(),
             probes_used=10,
-            failed_probes=10,
+            failed_at=tuple(range(1, 11)),
         )
         assert report.inconclusive is True
         assert report.to_dict()["shade"] is None
+
+    def test_failed_probes_counts_failed_at(self):
+        report = ShadeReport(
+            subject=bytes(32),
+            shade=SHADES[8],
+            evidence=(),
+            probes_used=9,
+            failed_at=(2, 5, 9),
+        )
+        assert report.failed_probes == len(report.failed_at) == 3
+        assert report.to_dict()["failed_probes"] == 3
 
     def test_level8_iff_all_miss_and_no_profile(self):
         report = ShadeReport(

@@ -6,11 +6,14 @@ distance table must keep producing exactly these bytes. The probe-CSV
 and ``simulate --targets all`` digests were recorded from the replay
 that kept one log object per probe and sampled curves through a
 per-batch callback; the probe CSV and the hit curves must keep these
-bytes under injected probe failures.
+bytes under injected probe failures. The duplicate-target digest was
+recorded from the replay that ran each target on its own source; the
+single shared probe sweep must give the same curves.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -36,6 +39,9 @@ LOOKUP_PROBE_CSV_SHA256 = (
 )
 SIMULATE_ALL_CURVES_SHA256 = (
     "70081cc4f6f8b6089837278b8be57bbbe16b3e73f2b36662e8e626824b7ed1c6"
+)
+DUPLICATE_TARGETS_CURVES_SHA256 = (
+    "66b355af673788643fd5a5013f1f61aed5e7c5de7e6dc6823d87d23aa2e69310"
 )
 
 
@@ -97,3 +103,20 @@ def test_simulate_all_curves_unchanged(sim_spec_file, tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert _sha256(out.read_bytes()) == SIMULATE_ALL_CURVES_SHA256
+
+
+def test_duplicate_targets_curves_unchanged(sim_model, tmp_path):
+    # Repeated targets under 30% probe failures and a shuffled plan in
+    # batches of 3: some published targets hit, some run out of budget.
+    floodfills = list(sim_model.floodfills)
+    random.Random(9).shuffle(floodfills)
+    plan = ProbePlan(tuple(floodfills), batch_size=3, max_probes=45)
+    published = list(sim_model.published)
+    targets = published[:60] + sorted(sim_model.exclusive) + published[10:30]
+    curves = run_probe_experiment(
+        sim_model, targets, plan, failure_rate=0.3, failure_seed=4
+    )
+    assert len(curves) == 81
+    path = tmp_path / "curves.csv"
+    export_curves(curves, path)
+    assert _sha256(path.read_bytes()) == DUPLICATE_TARGETS_CURVES_SHA256

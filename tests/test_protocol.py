@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shadescope.classify import EvidenceSource
+from shadescope.classify import Evidence, EvidenceSource, classify
 from shadescope.encoding import hash_to_b64
-from shadescope.model import Lease, LeaseSet
+from shadescope.model import SHADE_EXCLUSIVE, Lease, LeaseSet
 from shadescope.netdb import NetDbSnapshot
 from shadescope.protocol import (
     GatewayMatch,
@@ -13,11 +15,18 @@ from shadescope.protocol import (
     ProbeTransportError,
     SnapshotSource,
     classify_remote,
+    classify_sweep,
     gateway_scan,
     shade8_certificate,
     write_probe_log,
 )
-from shadescope.sim import NetworkSpec, generate_network, run_probe_experiment, synth_record
+from shadescope.sim import (
+    NetworkSpec,
+    SimulatedSource,
+    generate_network,
+    run_probe_experiment,
+    synth_record,
+)
 
 
 def record_for(level, seed=0):
@@ -178,6 +187,106 @@ class TestClassifyRemote:
         plan = ProbePlan(tuple(floodfills), batch_size=4, max_probes=50)
         report = classify_remote(bytes(32), ScriptedSource(), plan)
         assert report.probes_used == min(50, len(floodfills)) == plan.probe_limit
+
+
+def per_subject_replay(subject, source, plan):
+    """Reference: one run for one subject on its own source, probing the
+    plan in order until the first batch after which the subject is seen."""
+    evidence = []
+    record = source.lookup_local(subject)
+    evidence.append(Evidence(EvidenceSource.LOCAL_NETDB, record is not None))
+    if record is None:
+        record = source.lookup_console(subject)
+        evidence.append(Evidence(EvidenceSource.CONSOLE_CACHE, record is not None))
+    probes_used, failed_at = 0, []
+    if record is None:
+        for batch in plan.batches():
+            for floodfill in batch:
+                probes_used += 1
+                try:
+                    source.probe_floodfill(floodfill)
+                except ProbeTransportError:
+                    failed_at.append(probes_used)
+            record = source.lookup_console(subject)
+            if record is not None:
+                break
+        evidence.append(
+            Evidence(EvidenceSource.FLOODFILL_PROBE, record is not None, probes_used)
+        )
+    if record is not None:
+        shade = classify(record.profile())
+    elif probes_used and len(failed_at) == probes_used:
+        shade = None
+    else:
+        shade = SHADE_EXCLUSIVE
+    return shade, tuple(evidence), probes_used, tuple(failed_at)
+
+
+@st.composite
+def sweep_cases(draw):
+    spec = NetworkSpec(
+        n_routers=draw(st.integers(12, 60)),
+        floodfill_fraction=0.3,
+        shade_distribution={"2": 0.25, "3": 0.2, "7": 0.1, "8": 0.15},
+        k=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    model = generate_network(spec)
+    floodfills = list(model.floodfills)
+    random.Random(draw(st.integers(0, 2**16))).shuffle(floodfills)
+    floodfills = floodfills[: draw(st.integers(0, len(floodfills)))]
+    plan = ProbePlan(
+        tuple(floodfills),
+        batch_size=draw(st.integers(1, 7)),
+        max_probes=draw(st.one_of(st.none(), st.integers(0, len(floodfills) + 3))),
+    )
+    routers = sorted(model.routers)
+    targets = draw(st.lists(st.sampled_from(routers), min_size=1, max_size=12))
+    targets += sorted(model.exclusive)[:1] + targets[:1]  # an exclusive and a repeat
+    local = draw(st.sets(st.sampled_from(sorted(model.published)), max_size=4))
+    return model, plan, targets, local
+
+
+class TestClassifySweep:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=sweep_cases(),
+        failure_rate=st.sampled_from([0.0, 0.3, 1.0]),
+        failure_seed=st.integers(0, 2**16),
+        snapshot=st.booleans(),
+    )
+    def test_sweep_equals_one_run_per_subject(self, case, failure_rate, failure_seed, snapshot):
+        model, plan, targets, local = case
+
+        def fresh_source():
+            simulated = SimulatedSource(model, failure_rate, random.Random(failure_seed))
+            if not snapshot:
+                return simulated
+            records = {h: model.routers[h].record for h in local}
+            return SnapshotSource(NetDbSnapshot(records=records), simulated)
+
+        reports = classify_sweep(targets, fresh_source(), plan)
+        assert [r.subject for r in reports] == targets
+        for target, report in zip(targets, reports):
+            expected = per_subject_replay(target, fresh_source(), plan)
+            got = (report.shade, report.evidence, report.probes_used, report.failed_at)
+            assert got == expected
+
+    def test_sweep_probes_each_floodfill_once_until_all_seen(self):
+        record, other = record_for(2, seed=1), record_for(3, seed=2)
+        floodfills = _hashes(9, seed=12)
+        source = ScriptedSource(knowledge={floodfills[1]: {record.hash: record},
+                                           floodfills[4]: {other.hash: other}})
+        plan = ProbePlan(tuple(floodfills), batch_size=3)
+        reports = classify_sweep([other.hash, record.hash, other.hash], source, plan)
+        assert [r.probes_used for r in reports] == [6, 3, 6]
+        assert source.probe_calls == floodfills[:6]
+
+    def test_unknown_target_listed_last_is_rejected(self, sim_model):
+        plan = ProbePlan(sim_model.floodfills[:10], batch_size=5)
+        targets = list(sim_model.published[:3]) + [bytes(32)]
+        with pytest.raises(ValueError, match="target not in model"):
+            run_probe_experiment(sim_model, targets, plan)
 
 
 class TestCertificate:
