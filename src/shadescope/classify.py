@@ -13,11 +13,7 @@ from enum import Enum
 from typing import Optional
 
 from .encoding import hash_to_b64
-from .model import CapabilityProfile, Shade, SHADES, SHADE_EXCLUSIVE
-
-# Bandwidth letters treated as high capacity; K/L/M and an absent letter
-# count as low capacity.
-HIGH_CAP = frozenset("NOPX")
+from .model import HIGH_BANDWIDTH, CapabilityProfile, Shade, SHADES, SHADE_EXCLUSIVE
 
 
 class ProfileAbsentError(ValueError):
@@ -38,7 +34,7 @@ def f_cap(profile: Optional[CapabilityProfile]) -> Shade:
             return SHADES[1]
         if profile.kappa_U:
             return SHADES[4]
-        if profile.bandwidth_class in HIGH_CAP:
+        if profile.bandwidth_class and profile.bandwidth_class in HIGH_BANDWIDTH:
             return SHADES[2]
         return SHADES[3]
     if profile.iota:

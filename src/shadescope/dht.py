@@ -32,7 +32,10 @@ def normalize_date(date: DateLike) -> str:
         return date.strftime("%Y%m%d")
     if not _DATE_RE.fullmatch(date):
         raise ValueError(f"date must be yyyyMMdd, got {date!r}")
-    dt.datetime.strptime(date, "%Y%m%d")  # reject impossible calendar dates
+    try:
+        dt.datetime.strptime(date, "%Y%m%d")
+    except ValueError:
+        raise ValueError(f"not a calendar date: {date!r}") from None
     return date
 
 
@@ -58,13 +61,6 @@ def routing_key(key_hash: bytes, date: DateLike) -> bytes:
     """The date-salted storage key for a 32-byte record hash."""
     check_hash(key_hash, "record hash")
     return hashlib.sha256(_combine(key_hash, daily_mod_key(date))).digest()
-
-
-def xor_distance(a: bytes, b: bytes) -> int:
-    """Unsigned big-endian integer value of the byte-wise XOR."""
-    check_hash(a)
-    check_hash(b)
-    return int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
 
 
 # _PREFIX_MASKS[d] covers the 64 - d low bits of a word, so that
@@ -146,18 +142,6 @@ def _top_words(hashes: Sequence[bytes]) -> np.ndarray:
     """Word 0 (the top 64 bits) of each 32-byte hash as native ``uint64``."""
     raw = np.frombuffer(b"".join(h[:8] for h in hashes), dtype=">u8")
     return raw.astype(np.uint64)
-
-
-def responsible_floodfill(
-    key_hash: bytes, date: DateLike, floodfills: Iterable[bytes]
-) -> bytes:
-    """The floodfill XOR-nearest to the routing key of ``key_hash``.
-
-    Ties (possible only with duplicate hashes) go to the smaller hash as
-    a big-endian integer, making the result order-free.
-    """
-    key = routing_key(key_hash, date)
-    return FloodfillTable(floodfills).nearest([key], 1)[0][0]
 
 
 class Association(NamedTuple):

@@ -19,12 +19,11 @@ DEST_MIN_LEN = 387
 CERT_TYPE_OFFSET = 384
 CERT_LEN_OFFSET = 385
 
-BANDWIDTH_LETTERS = "KLMNOPX"
-FLAG_LETTERS = "fHRU"
-# Congestion letters published by current router builds; recognized so
-# they do not show up as unknown caps.
-CONGESTION_LETTERS = "DEG"
-KNOWN_CAPS = frozenset(BANDWIDTH_LETTERS + FLAG_LETTERS + CONGESTION_LETTERS)
+# Bandwidth tiers: a record is high capacity when its first bandwidth
+# letter is one of HIGH_BANDWIDTH; K/L/M and an absent letter are low.
+LOW_BANDWIDTH = "KLM"
+HIGH_BANDWIDTH = "NOPX"
+BANDWIDTH_LETTERS = LOW_BANDWIDTH + HIGH_BANDWIDTH
 
 _INTRODUCER_KEY_RE = re.compile(r"(ih|itag)\d+$")
 
@@ -78,40 +77,11 @@ def hash_identity(dest: Destination) -> bytes:
 
 
 @dataclass(frozen=True)
-class CapsFlags:
-    """Flags parsed from a capabilities string."""
-
-    kappa_f: bool = False
-    kappa_H: bool = False
-    kappa_U: bool = False
-    bandwidth_class: Optional[str] = None
-    diagnostics: tuple[str, ...] = ()
-
-
-def parse_caps(caps: str) -> CapsFlags:
-    """Parse a caps string; unknown letters are kept as diagnostics, never errors."""
-    bandwidth: Optional[str] = None
-    diagnostics: list[str] = []
-    for ch in caps:
-        if ch in BANDWIDTH_LETTERS:
-            if bandwidth is None:
-                bandwidth = ch
-            elif ch != bandwidth:
-                diagnostics.append(f"surplus bandwidth letter {ch!r}")
-        elif ch not in KNOWN_CAPS:
-            diagnostics.append(f"unknown capability {ch!r}")
-    return CapsFlags(
-        kappa_f="f" in caps,
-        kappa_H="H" in caps,
-        kappa_U="U" in caps,
-        bandwidth_class=bandwidth,
-        diagnostics=tuple(diagnostics),
-    )
-
-
-@dataclass(frozen=True)
 class CapabilityProfile:
-    """Classifier inputs extracted from a directory record.
+    """Classifier inputs read from a directory record by
+    :meth:`RouterInfo.profile`: the f/H/U flags by letter membership in the
+    caps string, alpha and iota from the addresses, and the first bandwidth
+    letter. Letters outside those sets are ignored.
 
     A profile always wraps an existing record; "no record in the queried
     view" is represented by None wherever a profile is expected.
@@ -123,18 +93,6 @@ class CapabilityProfile:
     alpha: bool
     iota: bool
     bandwidth_class: Optional[str] = None
-
-    @classmethod
-    def from_record(cls, record: "RouterInfo") -> "CapabilityProfile":
-        flags = parse_caps(record.caps)
-        return cls(
-            kappa_f=flags.kappa_f,
-            kappa_H=flags.kappa_H,
-            kappa_U=flags.kappa_U,
-            alpha=record.alpha,
-            iota=record.iota,
-            bandwidth_class=flags.bandwidth_class,
-        )
 
 
 @dataclass(frozen=True)
@@ -155,9 +113,13 @@ class TransportAddress:
 
 @dataclass(frozen=True)
 class RouterInfo:
-    """A parsed directory record. The signature is carried but never verified."""
+    """A parsed directory record. The signature is carried but never verified.
 
-    hash: bytes
+    ``hash`` is not an argument: it is derived once, on construction, as
+    :func:`hash_identity` of ``identity``, so it always names the record.
+    """
+
+    hash: bytes = field(init=False)
     identity: Destination
     published_ms: int
     addresses: tuple[TransportAddress, ...] = ()
@@ -165,9 +127,7 @@ class RouterInfo:
     signature: bytes = b""
 
     def __post_init__(self) -> None:
-        check_hash(self.hash, "router hash")
-        if self.hash != hash_identity(self.identity):
-            raise ValueError("router hash does not match identity digest")
+        object.__setattr__(self, "hash", hash_identity(self.identity))
 
     @property
     def caps(self) -> str:
@@ -200,7 +160,15 @@ class RouterInfo:
         return any(a.has_introducers for a in self.addresses)
 
     def profile(self) -> CapabilityProfile:
-        return CapabilityProfile.from_record(self)
+        caps = self.caps
+        return CapabilityProfile(
+            kappa_f="f" in caps,
+            kappa_H="H" in caps,
+            kappa_U="U" in caps,
+            alpha=self.alpha,
+            iota=self.iota,
+            bandwidth_class=next((ch for ch in caps if ch in BANDWIDTH_LETTERS), None),
+        )
 
 
 def int_option(raw: Optional[str]) -> Optional[int]:

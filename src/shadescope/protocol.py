@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Protocol, Sequence, Union
 
 from .classify import Evidence, EvidenceSource, ShadeReport, classify, profile_diagnostics
 from .encoding import check_hash, hash_to_b64
-from .model import CapabilityProfile, LeaseSet, RouterInfo, SHADE_EXCLUSIVE
+from .model import LeaseSet, RouterInfo, SHADE_EXCLUSIVE
 
 # A gateway match is evidence of routing participation, not hosting.
 GATEWAY_SCAN_NOTE = "routing participation, not hosting"
@@ -203,7 +203,7 @@ def _hit_report(
     probes_used: int,
     failed_at: tuple[int, ...],
 ) -> ShadeReport:
-    profile = CapabilityProfile.from_record(record)
+    profile = record.profile()
     return ShadeReport(
         subject=subject,
         shade=classify(profile),

@@ -26,6 +26,9 @@ from .classify import ShadeReport, classify
 from .dht import DateLike, FloodfillTable, normalize_date, routing_key
 from .encoding import hash_to_b64
 from .model import (
+    BANDWIDTH_LETTERS,
+    HIGH_BANDWIDTH,
+    LOW_BANDWIDTH,
     Destination,
     RouterInfo,
     Shade,
@@ -37,8 +40,6 @@ from .protocol import ProbePlan, ProbeTransportError, classify_sweep
 
 EPOCH_2025_MS = 1_735_689_600_000
 _VERSIONS = ("0.9.67", "0.9.68", "2.12.0")
-_HIGH_BW = "NOPX"
-_LOW_BW = "KLM"
 
 
 class InfeasibleSpecError(ValueError):
@@ -195,51 +196,54 @@ def _introducer_address(rng: random.Random) -> TransportAddress:
     )
 
 
+# How each publishing shade's record is made: the bandwidth letters one is
+# drawn from, the flag letters after it, and the address maker (None: the
+# record publishes no address).
+_RECIPES = {
+    1: (HIGH_BANDWIDTH, "fR", _direct_address),
+    2: (HIGH_BANDWIDTH, "R", _direct_address),
+    3: (LOW_BANDWIDTH, "R", _direct_address),
+    4: (BANDWIDTH_LETTERS, "U", _direct_address),
+    5: (LOW_BANDWIDTH, "U", _introducer_address),
+    6: (LOW_BANDWIDTH, "H", None),
+    7: (LOW_BANDWIDTH, "", None),
+}
+
+
 def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
-    """A record whose capability profile classifies exactly to ``shade_level``."""
-    if not 1 <= shade_level <= 7:
+    """A record whose capability profile classifies exactly to ``shade_level``.
+
+    Raises :class:`RuntimeError` if the record made does not classify to
+    ``shade_level``; the check holds under ``python -O`` too.
+    """
+    if shade_level not in _RECIPES:
         raise ValueError("only shades 1-7 publish records")
-    if shade_level == 1:
-        caps = rng.choice(_HIGH_BW) + "fR"
-        addresses = [_direct_address(rng)]
-    elif shade_level == 2:
-        caps = rng.choice(_HIGH_BW) + "R"
-        addresses = [_direct_address(rng)]
-    elif shade_level == 3:
-        caps = rng.choice(_LOW_BW) + "R"
-        addresses = [_direct_address(rng)]
-    elif shade_level == 4:
-        caps = rng.choice(_LOW_BW + _HIGH_BW) + "U"
-        addresses = [_direct_address(rng)]
-    elif shade_level == 5:
-        caps = rng.choice(_LOW_BW) + "U"
-        addresses = [_introducer_address(rng)]
-    elif shade_level == 6:
-        caps = rng.choice(_LOW_BW) + "H"
-        addresses = []
-    else:
-        caps = rng.choice(_LOW_BW)
-        addresses = []
+    letters, flags, make_address = _RECIPES[shade_level]
+    caps = rng.choice(letters) + flags
+    addresses = (make_address(rng),) if make_address else ()
     options = {"caps": caps, "router.version": rng.choice(_VERSIONS)}
     if shade_level == 1:
         options["netdb.knownRouters"] = str(rng.randint(500, 9000))
         options["netdb.knownLeaseSets"] = str(rng.randint(0, 400))
-    identity = _synth_identity(rng)
     record = RouterInfo(
-        hash=hash_identity(identity),
-        identity=identity,
+        identity=_synth_identity(rng),
         published_ms=EPOCH_2025_MS + rng.randint(0, 86_400_000),
-        addresses=tuple(addresses),
+        addresses=addresses,
         options=options,
         signature=rng.randbytes(64),
     )
-    assert classify(record.profile()).level == shade_level
+    level = classify(record.profile()).level
+    if level != shade_level:
+        raise RuntimeError(f"record made for shade {shade_level} classifies as {level}")
     return record
 
 
 def generate_network(spec: NetworkSpec) -> NetworkModel:
     """Build the full ground-truth model for a spec, deterministically."""
-    normalize_date(spec.date)
+    try:
+        normalize_date(spec.date)
+    except ValueError as exc:
+        raise InfeasibleSpecError(str(exc)) from None
     if spec.k < 1:
         raise InfeasibleSpecError("replication k must be >= 1")
     counts = _allocate_counts(spec)

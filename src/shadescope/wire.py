@@ -32,7 +32,6 @@ from .model import (
     DEST_MIN_LEN,
     RouterInfo,
     TransportAddress,
-    hash_identity,
     int_option,
 )
 
@@ -93,7 +92,6 @@ def decode_router_info(data: bytes) -> RouterInfo:
     options = _read_mapping(r, "router options")
     signature = data[r.offset :]
     return RouterInfo(
-        hash=hash_identity(identity),
         identity=identity,
         published_ms=published_ms,
         addresses=addresses,

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from shadescope.dht import responsible_floodfill
+from shadescope.dht import routing_key
 from shadescope.encoding import hash_to_b32, hash_to_b64
 from shadescope.sim import NetworkSpec, generate_network
 
-from fixtures import write_fixture_corpus
+from fixtures import oracle_nearest, write_fixture_corpus
 
 ACCEPTANCE_TITLES = {
     "test_criterion_1": "shade-8 zero-hit reproduction over 50 seeds",
@@ -66,11 +66,9 @@ def assoc_fixture(tmp_path_factory):
     for attempt in range(200):
         rng = random.Random(1000 + attempt)
         sites = [rng.randbytes(32) for _ in range(172)]
+        nearest = [oracle_nearest(routing_key(s, date), floodfills, 1) for s in sites]
         for target in floodfills:
-            wins = [
-                s for s in sites
-                if responsible_floodfill(s, date, floodfills) == target
-            ]
+            wins = [s for s, n in zip(sites, nearest) if n == (target,)]
             if len(wins) == 1:
                 chosen_target, chosen_sites, the_win = target, sites, wins[0]
                 break

@@ -1,5 +1,6 @@
 """Deterministic fixtures shared by the tests: record corpora,
-layout-diverse random records, curve CSV reading and leaseset writing."""
+layout-diverse random records, curve CSV reading, leaseset writing, and
+brute-force XOR oracles over ints."""
 
 import csv
 import random
@@ -7,7 +8,7 @@ from pathlib import Path
 from typing import Union
 
 from shadescope.encoding import hash_from_b64, hash_to_b64
-from shadescope.model import Destination, LeaseSet, RouterInfo, TransportAddress, hash_identity
+from shadescope.model import Destination, LeaseSet, RouterInfo, TransportAddress
 from shadescope.sim import (EPOCH_2025_MS, HitCurve, _VERSIONS, _direct_address,
                             _introducer_address, _synth_identity, synth_record)
 from shadescope.wire import KNOWN_STYLES, encode_router_info
@@ -86,7 +87,6 @@ def random_record(rng: random.Random) -> RouterInfo:
         options["netdb.knownLeaseSets"] = str(rng.randint(0, 500))
     options.update(_random_options(rng))
     return RouterInfo(
-        hash=hash_identity(identity),
         identity=identity,
         published_ms=rng.randint(0, 2**48),
         addresses=tuple(addresses),
@@ -125,3 +125,18 @@ def write_leasesets(
         ]
         lines.append(" ".join(cols))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+def xor_distance(a: bytes, b: bytes) -> int:
+    """Unsigned big-endian integer value of the byte-wise XOR."""
+    return int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+
+
+def oracle_nearest(key: bytes, floodfills, k: int) -> tuple[bytes, ...]:
+    """Exhaustive sort of every floodfill by (XOR distance, hash)."""
+    key_int = int.from_bytes(key, "big")
+    ranked = sorted(
+        floodfills,
+        key=lambda f: (int.from_bytes(f, "big") ^ key_int, int.from_bytes(f, "big")),
+    )
+    return tuple(ranked[:k])

@@ -403,6 +403,8 @@ SMALL_SPEC = {"n_routers": 50, "floodfill_fraction": 0.5,
     pytest.param({**SMALL_SPEC, "n_routers": "x"}, [], id="n_routers-text"),
     pytest.param({**SMALL_SPEC, "k": "4"}, [], id="k-text"),
     pytest.param({**SMALL_SPEC, "date": 20250101}, [], id="date-number"),
+    pytest.param({**SMALL_SPEC, "date": "20251340"}, [], id="date-impossible"),
+    pytest.param({**SMALL_SPEC, "date": "2025-01-01"}, [], id="date-dashed"),
     pytest.param({**SMALL_SPEC, "seed": True}, [], id="seed-bool"),
     pytest.param({**SMALL_SPEC, "shade_distribution": {"x": 0.5}}, [], id="level-text"),
     pytest.param({**SMALL_SPEC, "shade_distribution": {"2": "0.5"}}, [], id="fraction-text"),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadescope.model import Destination, RouterInfo, TransportAddress, hash_identity
+from shadescope.model import Destination, RouterInfo, TransportAddress
 from shadescope.wire import (
     DecodeError,
     EncodeError,
@@ -31,7 +31,6 @@ def make_record(caps=None, addresses=(), version=None, extra=None, cert_len=0,
         options["router.version"] = version
     options.update(extra or {})
     return RouterInfo(
-        hash=hash_identity(identity),
         identity=identity,
         published_ms=published_ms,
         addresses=tuple(addresses),

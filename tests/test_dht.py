@@ -13,13 +13,13 @@ from shadescope.dht import (
     decode_b32,
     derive_b32,
     normalize_date,
-    responsible_floodfill,
     routing_key,
     xor_association,
-    xor_distance,
 )
 from shadescope.encoding import EncodingError, hash_to_b32
 from shadescope.model import Destination
+
+from fixtures import oracle_nearest, xor_distance
 
 # Frozen from an independent hashlib/base32 oracle run before the build.
 MK_20250101 = "15ccdd9f6056a69f2eab97206923d1d8027d8af36c7febf694b928b1d82b70f3"
@@ -84,6 +84,8 @@ class TestRoutingKey:
 
 
 class TestXorDistance:
+    """``fixtures.xor_distance``, the distance oracle of the association-row test."""
+
     def test_identical_is_zero(self):
         assert xor_distance(b"\x07" * 32, b"\x07" * 32) == 0
 
@@ -97,16 +99,6 @@ class TestXorDistance:
     def test_big_endian_interpretation(self):
         a = b"\x01" + bytes(31)
         assert xor_distance(a, bytes(32)) == 1 << 248
-
-
-def oracle_nearest(key, floodfills, k):
-    """Exhaustive sort of every floodfill by (XOR distance, hash)."""
-    key_int = int.from_bytes(key, "big")
-    ranked = sorted(
-        floodfills,
-        key=lambda f: (int.from_bytes(f, "big") ^ key_int, int.from_bytes(f, "big")),
-    )
-    return tuple(ranked[:k])
 
 
 # Corners of the 64-bit word space: all ones (where a prefix range ends at
@@ -204,15 +196,21 @@ class TestFloodfillTable:
             FloodfillTable([bytes(32)]).nearest([bytes(32)], 0)
 
 
+def responsible(key_hash, floodfills):
+    """The floodfill responsible for ``key_hash`` on 2025-01-01, from the table."""
+    (nearest,) = FloodfillTable(floodfills).nearest([routing_key(key_hash, "20250101")], 1)
+    return nearest[0]
+
+
 class TestResponsibleFloodfill:
     def test_singleton(self):
         rng = random.Random(0)
         f = rng.randbytes(32)
-        assert responsible_floodfill(rng.randbytes(32), "20250101", [f]) == f
+        assert responsible(rng.randbytes(32), [f]) == f
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            responsible_floodfill(bytes(32), "20250101", [])
+            responsible(bytes(32), [])
 
     def test_analytically_forced_argmin(self):
         # Storage key 0x01 then zeros: distance to 0x00... is 0x01...,
@@ -228,21 +226,17 @@ class TestResponsibleFloodfill:
         floodfills = [rng.randbytes(32) for _ in range(64)]
         for _ in range(20):
             target = rng.randbytes(32)
-            rk = routing_key(target, "20250101")
-            expected = min(
-                floodfills,
-                key=lambda f: int.from_bytes(f, "big") ^ int.from_bytes(rk, "big"),
-            )
-            assert responsible_floodfill(target, "20250101", floodfills) == expected
+            (expected,) = oracle_nearest(routing_key(target, "20250101"), floodfills, 1)
+            assert responsible(target, floodfills) == expected
 
     def test_permutation_invariant(self):
         rng = random.Random(3)
         floodfills = [rng.randbytes(32) for _ in range(16)]
         target = rng.randbytes(32)
-        baseline = responsible_floodfill(target, "20250101", floodfills)
+        baseline = responsible(target, floodfills)
         for _ in range(10):
             rng.shuffle(floodfills)
-            assert responsible_floodfill(target, "20250101", floodfills) == baseline
+            assert responsible(target, floodfills) == baseline
 
 
 def _b32_of(h: bytes) -> str:
@@ -324,8 +318,8 @@ class TestXorAssociation:
             )
             pool = set(floodfills) | {target}
             for service in services:
-                responsible = responsible_floodfill(service, "20250101", pool)
-                assert (_b32_of(service) in matched) == (responsible == target)
+                nearest = oracle_nearest(routing_key(service, "20250101"), pool, 1)
+                assert (_b32_of(service) in matched) == (nearest == (target,))
 
     @given(floodfill_sets(), st.lists(HASHES, max_size=10), st.booleans(), st.data())
     def test_rows_equal_oracle_with_target_inside_or_outside(

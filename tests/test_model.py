@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given
@@ -20,9 +21,9 @@ from shadescope.model import (
     SHADES,
     TransportAddress,
     hash_identity,
-    parse_caps,
     shade_for_level,
 )
+from shadescope.sim import synth_record
 from shadescope.wire import decode_router_info, encode_router_info
 
 # Frozen from an independent hashlib/base64 run before the build.
@@ -129,43 +130,6 @@ class TestHashIdentity:
         assert hash_identity(dest) == hashlib.sha256(DEST_387).digest()
 
 
-class TestParseCaps:
-    def test_floodfill_high_bandwidth(self):
-        flags = parse_caps("XfR")
-        assert flags.kappa_f is True
-        assert flags.bandwidth_class == "X"
-        assert flags.kappa_H is False and flags.kappa_U is False
-        assert flags.diagnostics == ()
-
-    def test_empty(self):
-        flags = parse_caps("")
-        assert flags == parse_caps("")
-        assert not flags.kappa_f and not flags.kappa_H and not flags.kappa_U
-        assert flags.bandwidth_class is None
-
-    def test_relay_caps(self):
-        flags = parse_caps("XR")
-        assert flags.kappa_f is False
-        assert flags.bandwidth_class == "X"
-
-    def test_hidden_and_firewalled(self):
-        flags = parse_caps("LUH")
-        assert flags.kappa_U and flags.kappa_H
-        assert flags.bandwidth_class == "L"
-
-    def test_unknown_letters_diagnosed(self):
-        flags = parse_caps("Xz")
-        assert flags.diagnostics == ("unknown capability 'z'",)
-
-    def test_surplus_bandwidth_diagnosed(self):
-        flags = parse_caps("XK")
-        assert flags.bandwidth_class == "X"
-        assert "surplus bandwidth letter 'K'" in flags.diagnostics
-
-    def test_congestion_letters_are_known(self):
-        assert parse_caps("LRD").diagnostics == ()
-
-
 class TestShade:
     def test_level_name_bijection(self):
         names = {shade.name for shade in SHADES.values()}
@@ -192,7 +156,6 @@ class TestShade:
 def _record(addresses=(), options=None):
     dest = Destination(DEST_387)
     return RouterInfo(
-        hash=hash_identity(dest),
         identity=dest,
         published_ms=0,
         addresses=tuple(addresses),
@@ -201,13 +164,13 @@ def _record(addresses=(), options=None):
 
 
 class TestRouterInfo:
-    def test_hash_must_match_identity(self):
-        with pytest.raises(ValueError):
-            RouterInfo(
-                hash=bytes(32),
-                identity=Destination(DEST_387),
-                published_ms=0,
-            )
+    def test_hash_is_derived_from_identity(self):
+        with pytest.raises(TypeError):
+            RouterInfo(hash=bytes(32), identity=Destination(DEST_387), published_ms=0)
+        decoded = decode_router_info(encode_router_info(_record()))
+        synthesized = synth_record(random.Random(0), 2)
+        for record in (decoded, synthesized):
+            assert record.hash == hash_identity(record.identity)
 
     def test_alpha_requires_host_and_port(self):
         direct = TransportAddress("NTCP2", options={"host": "10.0.0.1", "port": "1234"})
@@ -261,4 +224,22 @@ class TestRouterInfo:
         assert profile == CapabilityProfile(
             kappa_f=True, kappa_H=False, kappa_U=False,
             alpha=True, iota=False, bandwidth_class="X",
+        )
+
+    # Flags by letter membership, the first bandwidth letter as the class,
+    # and every other letter ignored.
+    @pytest.mark.parametrize("caps, flags, bandwidth", [
+        ("XfR", "f", "X"),
+        ("", "", None),
+        ("XR", "", "X"),
+        ("LUH", "HU", "L"),
+        ("Xz", "", "X"),
+        ("XK", "", "X"),
+        ("LRD", "", "L"),
+    ], ids=["XfR", "empty", "XR", "LUH", "Xz", "XK", "LRD"])
+    def test_profile_reads_caps(self, caps, flags, bandwidth):
+        profile = _record(options={"caps": caps}).profile()
+        assert profile == CapabilityProfile(
+            kappa_f="f" in flags, kappa_H="H" in flags, kappa_U="U" in flags,
+            alpha=False, iota=False, bandwidth_class=bandwidth,
         )

@@ -1,10 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import shadescope
 from shadescope.classify import classify
-from shadescope.dht import routing_key, xor_distance
+from shadescope.dht import routing_key
 from shadescope.protocol import ProbePlan
 from shadescope.sim import (
     HitCurve,
@@ -18,7 +23,7 @@ from shadescope.sim import (
     synth_record,
 )
 
-from fixtures import load_curves, random_record, write_fixture_corpus
+from fixtures import load_curves, oracle_nearest, random_record, write_fixture_corpus
 
 
 def small_spec(seed=0, n=60, k=2):
@@ -41,6 +46,22 @@ class TestSynthRecord:
     def test_rejects_level_8(self):
         with pytest.raises(ValueError):
             synth_record(random.Random(0), 8)
+
+    def test_self_check_holds_under_optimize(self):
+        # A classifier that disagrees with the recipe must stop synthesis
+        # even with assertions stripped.
+        code = (
+            "import random, shadescope.sim as sim\n"
+            "from shadescope.model import SHADES\n"
+            "sim.classify = lambda profile: SHADES[8]\n"
+            "sim.synth_record(random.Random(0), 2)\n"
+        )
+        src = str(Path(shadescope.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-O", "-c", code],
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode != 0
+        assert "record made for shade 2 classifies as 8" in result.stderr
 
     def test_floodfills_carry_counts(self):
         record = synth_record(random.Random(1), 1)
@@ -125,11 +146,7 @@ class TestGenerateNetwork:
     def test_knowledge_placement_matches_exact_nearest(self):
         model = generate_network(small_spec(seed=6, n=40, k=2))
         for h in model.published:
-            rk = routing_key(h, model.spec.date)
-            nearest = sorted(
-                model.floodfills,
-                key=lambda f: (xor_distance(f, rk), int.from_bytes(f, "big")),
-            )[:2]
+            nearest = oracle_nearest(routing_key(h, model.spec.date), model.floodfills, 2)
             holders = [f for f in model.floodfills if h in model.knowledge[f]]
             assert sorted(nearest) == sorted(holders)
 
