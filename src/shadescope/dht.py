@@ -66,6 +66,9 @@ def routing_key(key_hash: bytes, date: DateLike) -> bytes:
 # _PREFIX_MASKS[d] covers the 64 - d low bits of a word, so that
 # ``word & ~mask`` and ``word | mask`` bound the words sharing its top d bits.
 _PREFIX_MASKS = np.array([(1 << (64 - d)) - 1 for d in range(65)], dtype=np.uint64)
+_WORD_MAX = _PREFIX_MASKS[0]
+# Candidates ranked per numpy block: 256 KiB per uint64 temporary.
+_BLOCK = 1 << 15
 
 
 class FloodfillTable:
@@ -76,26 +79,31 @@ class FloodfillTable:
     share its top d bits form one contiguous run of that array, and every
     floodfill outside the run is farther than every floodfill inside it.
     So the k nearest lie in the run of the deepest prefix still holding k
-    floodfills, found by vectorised binary search over d; the few
-    candidates there are ranked exactly on 256-bit ints. For hash-like
-    (uniform) floodfills the cost is O(N log F) for N keys, with no (N, F)
-    intermediate; a skewed set can leave a long run, which stays exact but
-    costs its length.
+    floodfills, found by vectorised binary search over d. The runs are
+    then ranked in numpy by word-0 distance, padded per power-of-two
+    length class and taken in bounded blocks; a key whose selection has a
+    word-0 tie is ranked again exactly, on 256-bit ints. Queries answer with indices into
+    :attr:`hashes`. For hash-like (uniform) floodfills the cost is
+    O(N log F) for N keys, with no (N, F) intermediate; a skewed set can
+    leave a long run, which stays exact but costs its length.
     """
 
     def __init__(self, floodfills: Iterable[bytes]):
         self.hashes = tuple(sorted(check_hash(f, "floodfill hash") for f in floodfills))
-        self._ints = [int.from_bytes(f, "big") for f in self.hashes]
         self._words = _top_words(self.hashes)
 
     def __len__(self) -> int:
         return len(self.hashes)
 
-    def nearest(self, keys: Sequence[bytes], k: int) -> list[tuple[bytes, ...]]:
-        """Per key, the min(k, F) floodfills nearest it, nearest first.
+    def nearest(self, keys: Sequence[bytes], k: int) -> np.ndarray:
+        """Per key, the indices into :attr:`hashes` of the min(k, F) floodfills
+        nearest it, nearest first, as an (N, min(k, F)) ``intp`` array.
 
-        Ties (possible only with duplicate hashes) go to the smaller hash,
-        so the result does not depend on input order.
+        Each key's run is ranked vectorised on word 0; a key with a word-0
+        tie among its selected floodfills is ranked exactly on the full
+        hashes. Ties of the full distance (possible only with duplicate
+        hashes) go to the smaller hash, so the result does not depend on
+        input order.
         """
         if not self.hashes:
             raise ValueError("floodfill set is empty")
@@ -108,15 +116,44 @@ class FloodfillTable:
         order = np.argsort(words)
         starts, ends = np.empty_like(order), np.empty_like(order)
         starts[order], ends[order] = self._prefix_runs(words[order], k)
-        ints, hashes = self._ints, self.hashes
-        out = []
-        for key, start, end in zip(keys, starts.tolist(), ends.tolist()):
-            key_int = int.from_bytes(key, "big")
+        lengths = ends - starts
+        out = np.empty((len(keys), k), dtype=np.intp)
+        tied = np.zeros(len(keys), dtype=bool)
+        # Runs are padded per power-of-two length class, so a long run
+        # widens only the rows of its class, and ranked in blocks of at
+        # most _BLOCK candidates, so no temporary grows with the batch.
+        widths = np.left_shift(1, np.ceil(np.log2(lengths)).astype(np.intp))
+        for width in np.unique(widths).tolist():
+            same = np.flatnonzero(widths == width)
+            for rows in np.array_split(same, -(-len(same) * width // _BLOCK)):
+                out[rows], tied[rows] = self._rank_runs(
+                    words[rows], starts[rows], lengths[rows], width, k)
+        hashes = self.hashes
+        for row in np.flatnonzero(tied).tolist():
+            key_int = int.from_bytes(keys[row], "big")
             # ``sorted`` is stable over ascending indices, and the hashes are
             # sorted, so equal distances resolve to the smaller hash.
-            best = sorted(range(start, end), key=lambda i: ints[i] ^ key_int)[:k]
-            out.append(tuple(hashes[i] for i in best))
+            out[row] = sorted(range(starts[row], ends[row]),
+                              key=lambda i: int.from_bytes(hashes[i], "big") ^ key_int)[:k]
         return out
+
+    def _rank_runs(self, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                   width: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per run of at most ``width`` candidates, the indices of the k
+        nearest by word-0 distance, and whether a word-0 tie among the
+        first k + 1 leaves their order, or which one is k-th, to words 1-3."""
+        cols = np.arange(width)
+        real = cols < lengths[:, None]
+        index = np.minimum(starts[:, None] + cols, (starts + lengths - 1)[:, None])
+        distance = self._words[index]
+        distance ^= words[:, None]
+        distance[~real] = _WORD_MAX
+        # A stable sort keeps real candidates ahead of padding that equals
+        # their distance, and equal words in index order.
+        ranked = np.argsort(distance, axis=1, kind="stable")[:, : k + 1]
+        best = np.take_along_axis(distance, ranked, axis=1)
+        ties = (best[:, 1:] == best[:, :-1]) & (cols[1 : k + 1] < lengths[:, None])
+        return np.take_along_axis(index, ranked[:, :k], axis=1), ties.any(axis=1)
 
     def _prefix_runs(self, words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Index bounds of the deepest shared-prefix run holding >= k words."""
@@ -184,12 +221,14 @@ def association_rows(
 
     # A set: a target listed twice must not fill both nearest slots.
     table = FloodfillTable(set(floodfills))
-    pairs = table.nearest(keys, 2) if table else [()] * len(keys)
+    hashes = table.hashes
+    pairs = table.nearest(keys, 2).tolist() if table else [()] * len(keys)
     target_int = int.from_bytes(target, "big")
     rows = []
     for addr, key, pair in zip(addresses, keys, pairs):
         key_int = int.from_bytes(key, "big")
-        other = next((int.from_bytes(f, "big") ^ key_int for f in pair if f != target), None)
+        others = (hashes[i] for i in pair if hashes[i] != target)
+        other = next((int.from_bytes(f, "big") ^ key_int for f in others), None)
         own = target_int ^ key_int
         rows.append(Association(addr, own, other, other is None or own <= other))
     return rows, warnings

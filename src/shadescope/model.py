@@ -7,7 +7,6 @@ threads; the operations on them are pure.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -25,8 +24,6 @@ LOW_BANDWIDTH = "KLM"
 HIGH_BANDWIDTH = "NOPX"
 BANDWIDTH_LETTERS = LOW_BANDWIDTH + HIGH_BANDWIDTH
 
-_INTRODUCER_KEY_RE = re.compile(r"(ih|itag)\d+$")
-
 
 class DestinationError(ValueError):
     """Raised when destination bytes cannot be parsed."""
@@ -34,20 +31,29 @@ class DestinationError(ValueError):
 
 @dataclass(frozen=True)
 class Destination:
-    """A service destination key blob; total size is 387 + certificate length."""
+    """A service destination key blob; total size is 387 + certificate length.
+
+    ``size`` is not an argument: it is read once, on construction, from the
+    certificate's 2-byte length.
+    """
 
     data: bytes
+    size: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.data) < DEST_MIN_LEN:
+        data = self.data
+        if len(data) < DEST_MIN_LEN:
             raise DestinationError(
-                f"destination too short: {len(self.data)} bytes, need {DEST_MIN_LEN}"
+                f"destination too short: {len(data)} bytes, need {DEST_MIN_LEN}"
             )
-        if len(self.data) < self.size:
+        cert_len = int.from_bytes(data[CERT_LEN_OFFSET : CERT_LEN_OFFSET + 2], "big")
+        size = DEST_MIN_LEN + cert_len
+        if len(data) < size:
             raise DestinationError(
-                f"destination truncated: certificate declares {self.cert_len} "
-                f"payload bytes, total {self.size}, have {len(self.data)}"
+                f"destination truncated: certificate declares {cert_len} "
+                f"payload bytes, total {size}, have {len(data)}"
             )
+        object.__setattr__(self, "size", size)
 
     @property
     def cert_type(self) -> int:
@@ -55,16 +61,11 @@ class Destination:
 
     @property
     def cert_len(self) -> int:
-        return int.from_bytes(self.data[CERT_LEN_OFFSET : CERT_LEN_OFFSET + 2], "big")
-
-    @property
-    def size(self) -> int:
-        """Length of the canonical key material (387 + certificate length)."""
-        return DEST_MIN_LEN + self.cert_len
+        return self.size - DEST_MIN_LEN
 
     @property
     def key_bytes(self) -> bytes:
-        """The canonical bytes that identify this destination."""
+        """The canonical bytes that identify this destination: the first ``size``."""
         return self.data[: self.size]
 
 
@@ -108,7 +109,14 @@ class TransportAddress:
 
     @property
     def has_introducers(self) -> bool:
-        return any(_INTRODUCER_KEY_RE.fullmatch(key) for key in self.options)
+        """True when some option key is ih<n> or itag<n>, n decimal digits."""
+        for key in self.options:
+            if key.startswith("ih"):
+                if key[2:].isdecimal():
+                    return True
+            elif key.startswith("itag") and key[4:].isdecimal():
+                return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -161,14 +169,16 @@ class RouterInfo:
 
     def profile(self) -> CapabilityProfile:
         caps = self.caps
-        return CapabilityProfile(
-            kappa_f="f" in caps,
-            kappa_H="H" in caps,
-            kappa_U="U" in caps,
-            alpha=self.alpha,
-            iota=self.iota,
-            bandwidth_class=next((ch for ch in caps if ch in BANDWIDTH_LETTERS), None),
-        )
+        bandwidth = None
+        for ch in caps:
+            if ch in BANDWIDTH_LETTERS:
+                bandwidth = ch
+                break
+        alpha = iota = False
+        for address in self.addresses:
+            alpha = alpha or address.has_host_port
+            iota = iota or address.has_introducers
+        return CapabilityProfile("f" in caps, "H" in caps, "U" in caps, alpha, iota, bandwidth)
 
 
 def int_option(raw: Optional[str]) -> Optional[int]:

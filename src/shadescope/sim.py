@@ -7,7 +7,9 @@ routers are stored on the k floodfills XOR-nearest to their routing key
 for the generation date, so probe behavior mirrors the real placement
 rule; the k nearest come from one batched query to
 :class:`~shadescope.dht.FloodfillTable`, the same kernel that answers
-association and responsibility.
+association and responsibility, as holder indices that one stable sort
+groups into each floodfill's stored set. Every synthesized record is
+checked against :func:`~shadescope.classify.classify` before use.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from math import floor
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .classify import ShadeReport, classify
 from .dht import DateLike, FloodfillTable, normalize_date, routing_key
@@ -177,11 +181,11 @@ def _synth_identity(rng: random.Random) -> Destination:
 
 
 def _direct_address(rng: random.Random) -> TransportAddress:
-    host = f"10.{rng.randint(0, 255)}.{rng.randint(0, 255)}.{rng.randint(1, 254)}"
+    host = f"10.{rng.randrange(0, 256)}.{rng.randrange(0, 256)}.{rng.randrange(1, 255)}"
     return TransportAddress(
         style=rng.choice(("NTCP2", "SSU2")),
-        cost=rng.randint(5, 14),
-        options={"host": host, "port": str(rng.randint(9000, 30999))},
+        cost=rng.randrange(5, 15),
+        options={"host": host, "port": str(rng.randrange(9000, 31000))},
     )
 
 
@@ -191,7 +195,7 @@ def _introducer_address(rng: random.Random) -> TransportAddress:
         cost=5,
         options={
             "ih0": hash_to_b64(rng.randbytes(32)),
-            "itag0": str(rng.randint(1, 2**31)),
+            "itag0": str(rng.randrange(1, 2**31 + 1)),
         },
     )
 
@@ -223,11 +227,11 @@ def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
     addresses = (make_address(rng),) if make_address else ()
     options = {"caps": caps, "router.version": rng.choice(_VERSIONS)}
     if shade_level == 1:
-        options["netdb.knownRouters"] = str(rng.randint(500, 9000))
-        options["netdb.knownLeaseSets"] = str(rng.randint(0, 400))
+        options["netdb.knownRouters"] = str(rng.randrange(500, 9001))
+        options["netdb.knownLeaseSets"] = str(rng.randrange(0, 401))
     record = RouterInfo(
         identity=_synth_identity(rng),
-        published_ms=EPOCH_2025_MS + rng.randint(0, 86_400_000),
+        published_ms=EPOCH_2025_MS + rng.randrange(0, 86_400_001),
         addresses=addresses,
         options=options,
         signature=rng.randbytes(64),
@@ -298,14 +302,30 @@ def _assign_knowledge(
 ) -> dict[bytes, frozenset[bytes]]:
     """Store each published record on the k floodfills nearest its routing key,
     as answered in one batch by :class:`~shadescope.dht.FloodfillTable`."""
-    stored: dict[bytes, set[bytes]] = {f: set() for f in floodfills}
-    if floodfills and published:
-        keys = [routing_key(record_hash, date) for record_hash in published]
-        holders = FloodfillTable(floodfills).nearest(keys, k)
-        for record_hash, nearest in zip(published, holders):
-            for f in nearest:
-                stored[f].add(record_hash)
-    return {f: frozenset(s) for f, s in stored.items()}
+    groups = _records_by_holder(published, floodfills, k, date) if floodfills and published else {}
+    # The frozensets are made after the grouping's arrays are freed, so they
+    # do not fragment the heap around them, and copied from a set, which
+    # sizes each table to its contents (grown from a list, the table for 5-7
+    # records is twice as large).
+    return {f: frozenset(set(groups.get(f, ()))) for f in floodfills}
+
+
+def _records_by_holder(
+    published: Sequence[bytes],
+    floodfills: Sequence[bytes],
+    k: int,
+    date: DateLike,
+) -> dict[bytes, list[bytes]]:
+    """The published records each floodfill holds, in published order."""
+    keys = [routing_key(record_hash, date) for record_hash in published]
+    table = FloodfillTable(floodfills)
+    holders = table.nearest(keys, k)
+    # One stable sort of the flat holder indices groups the records by holder.
+    flat = holders.ravel()
+    order = np.argsort(flat, kind="stable")
+    by_holder = np.array(published, dtype=object)[order // holders.shape[1]].tolist()
+    bounds = np.searchsorted(flat[order], np.arange(len(table) + 1)).tolist()
+    return dict(zip(table.hashes, (by_holder[a:b] for a, b in zip(bounds, bounds[1:]))))
 
 
 def completeness_metrics(model: NetworkModel) -> VisibilityMetrics:

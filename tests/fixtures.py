@@ -1,14 +1,17 @@
 """Deterministic fixtures shared by the tests: record corpora,
-layout-diverse random records, curve CSV reading, leaseset writing, and
-brute-force XOR oracles over ints."""
+layout-diverse random records, curve CSV reading, leaseset writing,
+brute-force XOR oracles over ints, and the earlier definitions of the
+record predicates as oracles."""
 
 import csv
 import random
+import re
 from pathlib import Path
 from typing import Union
 
 from shadescope.encoding import hash_from_b64, hash_to_b64
-from shadescope.model import Destination, LeaseSet, RouterInfo, TransportAddress
+from shadescope.model import (BANDWIDTH_LETTERS, CapabilityProfile, Destination, LeaseSet,
+                              RouterInfo, TransportAddress)
 from shadescope.sim import (EPOCH_2025_MS, HitCurve, _VERSIONS, _direct_address,
                             _introducer_address, _synth_identity, synth_record)
 from shadescope.wire import KNOWN_STYLES, encode_router_info
@@ -140,3 +143,24 @@ def oracle_nearest(key: bytes, floodfills, k: int) -> tuple[bytes, ...]:
         key=lambda f: (int.from_bytes(f, "big") ^ key_int, int.from_bytes(f, "big")),
     )
     return tuple(ranked[:k])
+
+
+_INTRODUCER_KEY_RE = re.compile(r"(ih|itag)\d+$")
+
+
+def oracle_has_introducers(address: TransportAddress) -> bool:
+    """The regex definition of :attr:`TransportAddress.has_introducers`."""
+    return any(_INTRODUCER_KEY_RE.fullmatch(key) for key in address.options)
+
+
+def oracle_profile(record: RouterInfo) -> CapabilityProfile:
+    """The field-by-field definition of :meth:`RouterInfo.profile`."""
+    caps = record.options.get("caps", "")
+    return CapabilityProfile(
+        kappa_f="f" in caps,
+        kappa_H="H" in caps,
+        kappa_U="U" in caps,
+        alpha=any("host" in a.options and "port" in a.options for a in record.addresses),
+        iota=any(oracle_has_introducers(a) for a in record.addresses),
+        bandwidth_class=next((ch for ch in caps if ch in BANDWIDTH_LETTERS), None),
+    )

@@ -2,6 +2,7 @@ import datetime as dt
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,12 +127,18 @@ def floodfill_sets(draw):
     return draw(st.permutations(distinct + repeats))
 
 
+def nearest_hashes(table, keys, k):
+    """The table's nearest floodfills per key as hash tuples, nearest first."""
+    return [tuple(table.hashes[i] for i in row) for row in table.nearest(keys, k)]
+
+
 class TestFloodfillTable:
     @settings(max_examples=200)
     @given(floodfill_sets(), st.lists(HASHES, max_size=12), st.integers(1, 45))
     def test_nearest_equals_exhaustive_sort(self, floodfills, keys, k):
         table = FloodfillTable(floodfills)
-        assert table.nearest(keys, k) == [oracle_nearest(key, floodfills, k) for key in keys]
+        expected = [oracle_nearest(key, floodfills, k) for key in keys]
+        assert nearest_hashes(table, keys, k) == expected
 
     def test_equal_word0_ranked_on_words_1_to_3(self):
         rng = random.Random(41)
@@ -140,7 +147,7 @@ class TestFloodfillTable:
         floodfills += [rng.randbytes(32) for _ in range(50)]
         keys = [word0 + rng.randbytes(24) for _ in range(30)]
         for k in (1, 2, 4, 8):
-            assert FloodfillTable(floodfills).nearest(keys, k) == [
+            assert nearest_hashes(FloodfillTable(floodfills), keys, k) == [
                 oracle_nearest(key, floodfills, k) for key in keys
             ]
 
@@ -153,7 +160,7 @@ class TestFloodfillTable:
         floodfills += [rng.randbytes(32) for _ in range(20)]
         keys = [ones + rng.randbytes(24) for _ in range(10)] + [b"\xff" * 32]
         for k in (1, 3, 6, 7, 13):
-            assert FloodfillTable(floodfills).nearest(keys, k) == [
+            assert nearest_hashes(FloodfillTable(floodfills), keys, k) == [
                 oracle_nearest(key, floodfills, k) for key in keys
             ]
 
@@ -165,21 +172,53 @@ class TestFloodfillTable:
         expected = oracle_nearest(key, floodfills, 5)
         for _ in range(5):
             rng.shuffle(floodfills)
-            assert FloodfillTable(floodfills).nearest([key], 5) == [expected]
+            assert nearest_hashes(FloodfillTable(floodfills), [key], 5) == [expected]
 
     def test_k_at_least_f_returns_every_floodfill_nearest_first(self):
         rng = random.Random(44)
         floodfills = [rng.randbytes(32) for _ in range(7)]
         key = rng.randbytes(32)
         for k in (7, 8, 100):
-            (got,) = FloodfillTable(floodfills).nearest([key], k)
+            (got,) = nearest_hashes(FloodfillTable(floodfills), [key], k)
             assert got == oracle_nearest(key, floodfills, 7)
 
     def test_single_floodfill(self):
         f = b"\x42" * 32
         keys = [bytes(32), b"\xff" * 32, f]
-        assert FloodfillTable([f]).nearest(keys, 1) == [(f,)] * 3
-        assert FloodfillTable([f]).nearest(keys, 4) == [(f,)] * 3
+        assert nearest_hashes(FloodfillTable([f]), keys, 1) == [(f,)] * 3
+        assert nearest_hashes(FloodfillTable([f]), keys, 4) == [(f,)] * 3
+
+    def test_mixed_run_lengths_in_one_batch(self):
+        # Short runs of random floodfills, one long run of 40 floodfills
+        # with equal word 0 (ranked on words 1-3), and hand-placed word-0
+        # distances around a base word: a tie beyond the top k, a tie at
+        # the k-th place, and a tie inside the top k.
+        rng = random.Random(45)
+
+        def with_word0(word):
+            return word.to_bytes(8, "big") + rng.randbytes(24)
+
+        shared = rng.getrandbits(64)
+        floodfills = [rng.randbytes(32) for _ in range(200)]
+        floodfills += [with_word0(shared) for _ in range(40)]
+        keys = [rng.randbytes(32) for _ in range(20)]
+        keys += [with_word0(shared) for _ in range(10)]
+        for distances in ((1, 2, 4, 5, 6, 6), (1, 2, 4, 6, 6), (1, 1, 2, 4, 5)):
+            base = rng.getrandbits(60) << 4
+            floodfills += [with_word0(base ^ d) for d in distances]
+            keys.append(with_word0(base))
+        rng.shuffle(floodfills)
+        table = FloodfillTable(floodfills)
+        for k in (1, 3, 4, 6):
+            got = table.nearest(keys, k)
+            assert got.shape == (len(keys), k) and got.dtype == np.intp
+            assert nearest_hashes(table, keys, k) == [
+                oracle_nearest(key, floodfills, k) for key in keys
+            ]
+
+    def test_empty_key_batch(self):
+        got = FloodfillTable([bytes(32), b"\x01" * 32]).nearest([], 4)
+        assert got.shape == (0, 2)
 
     def test_empty_set_rejected(self):
         table = FloodfillTable([])
@@ -198,7 +237,7 @@ class TestFloodfillTable:
 
 def responsible(key_hash, floodfills):
     """The floodfill responsible for ``key_hash`` on 2025-01-01, from the table."""
-    (nearest,) = FloodfillTable(floodfills).nearest([routing_key(key_hash, "20250101")], 1)
+    (nearest,) = nearest_hashes(FloodfillTable(floodfills), [routing_key(key_hash, "20250101")], 1)
     return nearest[0]
 
 
@@ -218,8 +257,8 @@ class TestResponsibleFloodfill:
         storage_key = b"\x01" + bytes(31)
         low = bytes(32)
         high = b"\x80" + bytes(31)
-        assert FloodfillTable([low, high]).nearest([storage_key], 1) == [(low,)]
-        assert FloodfillTable([high, low]).nearest([storage_key], 1) == [(low,)]
+        assert nearest_hashes(FloodfillTable([low, high]), [storage_key], 1) == [(low,)]
+        assert nearest_hashes(FloodfillTable([high, low]), [storage_key], 1) == [(low,)]
 
     def test_matches_exhaustive_scan_on_64_random(self):
         rng = random.Random(17)

@@ -8,7 +8,11 @@ that kept one log object per probe and sampled curves through a
 per-batch callback; the probe CSV and the hit curves must keep these
 bytes under injected probe failures. The duplicate-target digest was
 recorded from the replay that ran each target on its own source; the
-single shared probe sweep must give the same curves.
+single shared probe sweep must give the same curves. The 12,968-router
+model digest was recorded from the generator whose placement ranked each
+key's candidates with a per-key ``sorted`` and whose records were
+profiled through a regex; the cheaper synthesis and the vectorised
+ranking must give the same routers, records, shades and placement.
 """
 
 import hashlib
@@ -20,9 +24,10 @@ import pytest
 from shadescope.cli import main
 from shadescope.encoding import hash_to_b64
 from shadescope.protocol import ProbePlan
-from shadescope.sim import export_curves, generate_network, run_probe_experiment
+from shadescope.sim import NetworkSpec, export_curves, generate_network, run_probe_experiment
+from shadescope.wire import encode_router_info
 
-from test_acceptance import census_spec
+from test_acceptance import CENSUS_DISTRIBUTION, census_spec
 
 CURVE_SHA256 = {
     0: "3a225635957685eb125e04fc9f76ef1afb376f3511363752e1cb4f0914347a42",
@@ -42,6 +47,9 @@ SIMULATE_ALL_CURVES_SHA256 = (
 )
 DUPLICATE_TARGETS_CURVES_SHA256 = (
     "66b355af673788643fd5a5013f1f61aed5e7c5de7e6dc6823d87d23aa2e69310"
+)
+MODEL_12968_SHA256 = (
+    "a6503987bd82763a230e9482700a103a9e23233d8769dfb3402f6fab069e1eea"
 )
 
 
@@ -120,3 +128,21 @@ def test_duplicate_targets_curves_unchanged(sim_model, tmp_path):
     path = tmp_path / "curves.csv"
     export_curves(curves, path)
     assert _sha256(path.read_bytes()) == DUPLICATE_TARGETS_CURVES_SHA256
+
+
+def test_census_x4_model_unchanged():
+    # Four times the census: longer shared-prefix runs and more word-0
+    # neighbours for the placement kernel than census size reaches.
+    spec = NetworkSpec(n_routers=12968, floodfill_fraction=1556 / 3242,
+                       shade_distribution=CENSUS_DISTRIBUTION, k=4, seed=0)
+    model = generate_network(spec)
+    digest = hashlib.sha256()
+    for router_hash, router in model.routers.items():
+        digest.update(router_hash + bytes([router.shade.level]))
+        if router.record is not None:
+            blob = encode_router_info(router.record)
+            digest.update(len(blob).to_bytes(4, "big") + blob)
+    for floodfill in sorted(model.knowledge):
+        holders = sorted(model.knowledge[floodfill])
+        digest.update(floodfill + len(holders).to_bytes(4, "big") + b"".join(holders))
+    assert digest.hexdigest() == MODEL_12968_SHA256

@@ -26,6 +26,8 @@ from shadescope.model import (
 from shadescope.sim import synth_record
 from shadescope.wire import decode_router_info, encode_router_info
 
+from fixtures import oracle_has_introducers, oracle_profile, random_record
+
 # Frozen from an independent hashlib/base64 run before the build.
 DEST_387 = b"A" * 384 + b"\x00\x00\x00"
 DEST_387_SHA = "db26b4fc1aaed5dbb90f1e9f306d43d537379862901a21c7d5dbebba53ab31e3"
@@ -111,6 +113,20 @@ class TestDestination:
         dest = Destination(DEST_387 + b"private key material")
         assert dest.size == 387
         assert dest.key_bytes == DEST_387
+
+    def test_size_is_derived_not_an_argument(self):
+        with pytest.raises(TypeError):
+            Destination(DEST_391, 387)
+
+    def test_error_messages(self):
+        with pytest.raises(DestinationError) as short:
+            Destination(b"A" * 386)
+        assert str(short.value) == "destination too short: 386 bytes, need 387"
+        with pytest.raises(DestinationError) as truncated:
+            Destination(b"A" * 384 + b"\x05" + b"\x00\x10" + b"A" * 4)
+        assert str(truncated.value) == (
+            "destination truncated: certificate declares 16 payload bytes, total 403, have 391"
+        )
 
 
 class TestHashIdentity:
@@ -243,3 +259,38 @@ class TestRouterInfo:
             kappa_f="f" in flags, kappa_H="H" in flags, kappa_U="U" in flags,
             alpha=False, iota=False, bandwidth_class=bandwidth,
         )
+
+
+# Introducer-like option keys: a prefix, a tail of decimal digits (ASCII
+# and Arabic-Indic "٣", category Nd), a superscript "²" (a digit, not Nd)
+# or letters, and sometimes a trailing newline, which fullmatch rejects.
+INTRODUCER_KEYS = st.builds(
+    lambda prefix, tail, end: prefix + tail + end,
+    st.sampled_from(["ih", "itag", "IH", "i", "tag", ""]),
+    st.text(alphabet=st.sampled_from("0123456789٣²ab"), max_size=4),
+    st.sampled_from(["", "\n"]),
+)
+
+
+class TestRecordPredicateOracles:
+    @given(st.lists(INTRODUCER_KEYS, max_size=4))
+    def test_has_introducers_matches_regex(self, keys):
+        address = TransportAddress("SSU2", options={key: "x" for key in keys})
+        assert address.has_introducers == oracle_has_introducers(address)
+
+    @pytest.mark.parametrize("key, expected", [
+        ("ih0", True), ("itag12", True), ("ih٣", True), ("ih", False),
+        ("itag", False), ("ih²", False), ("ih1\n", False), ("IH1", False),
+        ("ihtag1", False), ("i1", False),
+    ])
+    def test_has_introducers_examples(self, key, expected):
+        address = TransportAddress("SSU2", options={key: "x"})
+        assert address.has_introducers is expected
+        assert oracle_has_introducers(address) is expected
+
+    def test_profile_matches_field_by_field_definition(self):
+        rng = random.Random(11)
+        records = [random_record(rng) for _ in range(400)]
+        records += [synth_record(rng, level) for level in range(1, 8) for _ in range(20)]
+        for record in records:
+            assert record.profile() == oracle_profile(record)

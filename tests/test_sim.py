@@ -63,6 +63,19 @@ class TestSynthRecord:
         assert result.returncode != 0
         assert "record made for shade 2 classifies as 8" in result.stderr
 
+    def test_generation_checks_every_published_record(self, monkeypatch):
+        # The self-check classifies each synthesized record exactly once.
+        calls = []
+
+        def counting_classify(profile):
+            calls.append(profile)
+            return classify(profile)
+
+        monkeypatch.setattr(shadescope.sim, "classify", counting_classify)
+        model = generate_network(small_spec(seed=3, n=120))
+        assert len(model.published) > 0
+        assert len(calls) == len(model.published)
+
     def test_floodfills_carry_counts(self):
         record = synth_record(random.Random(1), 1)
         assert record.known_routers is not None
