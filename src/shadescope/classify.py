@@ -8,12 +8,12 @@ assigned only from absence, never from capability flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from .encoding import hash_to_b64
-from .model import HIGH_BANDWIDTH, CapabilityProfile, Shade, SHADES, SHADE_EXCLUSIVE
+from .model import HIGH_BANDWIDTH, CapabilityProfile, RouterInfo, Shade, SHADES, SHADE_EXCLUSIVE
 
 
 class ProfileAbsentError(ValueError):
@@ -70,6 +70,8 @@ def profile_diagnostics(profile: Optional[CapabilityProfile]) -> list[str]:
 
 
 class EvidenceSource(Enum):
+    """The record sources, declared in the order a run consults them."""
+
     LOCAL_NETDB = "LocalNetDb"
     CONSOLE_CACHE = "ConsoleCache"
     FLOODFILL_PROBE = "FloodfillProbe"
@@ -84,21 +86,44 @@ class Evidence:
 
 @dataclass(frozen=True)
 class ShadeReport:
-    """Outcome of a multi-source classification run.
+    """Outcome of a multi-source classification run, built from its facts.
 
-    ``shade`` is None when the run was inconclusive (every attempted
-    probe failed), which is deliberately distinct from level 8.
-    ``failed_at`` holds the 1-based plan indices of the failed probes.
+    The facts are ``found_by``, the source that found the subject's
+    ``record`` (both None when no source did), ``probes_used``, and
+    ``failed_at``, the 1-based plan indices of the failed probes. The
+    verdict is derived from them, once, on construction: a found record
+    gets its capability shade; otherwise ``shade`` is None (inconclusive)
+    when probes ran and every one failed, since absence cannot be
+    certified from missing evidence, and level 8 in every other case.
     """
 
     subject: bytes
-    shade: Optional[Shade]
-    evidence: tuple[Evidence, ...]
-    profile: Optional[CapabilityProfile] = None
-    caps: Optional[str] = None
+    found_by: Optional[EvidenceSource] = None
+    record: Optional[RouterInfo] = None
     probes_used: int = 0
-    diagnostics: tuple[str, ...] = ()
     failed_at: tuple[int, ...] = ()
+    profile: Optional[CapabilityProfile] = field(init=False)
+    shade: Optional[Shade] = field(init=False)
+
+    def __post_init__(self) -> None:
+        if (self.found_by is None) != (self.record is None):
+            raise ValueError("found_by and record must be given together")
+        profile = shade = None
+        if self.record is not None:
+            profile = self.record.profile()
+            shade = classify(profile)
+        elif self.probes_used == 0 or self.failed_probes < self.probes_used:
+            shade = SHADE_EXCLUSIVE
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "shade", shade)
+
+    @property
+    def caps(self) -> Optional[str]:
+        return None if self.record is None else self.record.caps
+
+    @property
+    def diagnostics(self) -> tuple[str, ...]:
+        return tuple(profile_diagnostics(self.profile))
 
     @property
     def failed_probes(self) -> int:
@@ -107,6 +132,19 @@ class ShadeReport:
     @property
     def inconclusive(self) -> bool:
         return self.shade is None
+
+    @property
+    def evidence(self) -> tuple[Evidence, ...]:
+        """The lookups in source order, cut off at ``found_by``; the probe
+        entry carries ``probes_used``."""
+        chain = []
+        for source in EvidenceSource:
+            hit = source is self.found_by
+            probes = self.probes_used if source is EvidenceSource.FLOODFILL_PROBE else 0
+            chain.append(Evidence(source, hit, probes))
+            if hit:
+                break
+        return tuple(chain)
 
     def to_dict(self) -> dict:
         shade = None

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import profiles
-from .classify import ShadeReport, classify
+from .classify import EvidenceSource, ShadeReport, classify
 from .dht import association_rows, derive_b32, normalize_date
 from .encoding import B32_SUFFIX, EncodingError, hash_to_b32, hash_to_b64, parse_hash_text
 from .model import Destination, DestinationError, SHADES
@@ -210,10 +210,7 @@ def _probe_plan(floodfills, args) -> ProbePlan:
 
 
 def cmd_lookup(args) -> int:
-    try:
-        subject = parse_hash_text(args.hash)
-    except EncodingError as exc:
-        raise CliError(str(exc)) from exc
+    subject = parse_hash_text(args.hash)
     if not args.netdb and not args.simulate:
         raise CliError("need at least one source: --netdb and/or --simulate")
     _check_fail_rate(args)
@@ -242,13 +239,13 @@ def cmd_lookup(args) -> int:
 def _report_lines(report: ShadeReport, plan: ProbePlan) -> list[str]:
     lines = [f"target: {hash_to_b64(report.subject)}"]
     labels = {
-        "LocalNetDb": "local netdb",
-        "ConsoleCache": "console cache",
-        "FloodfillProbe": "floodfill probes",
+        EvidenceSource.LOCAL_NETDB: "local netdb",
+        EvidenceSource.CONSOLE_CACHE: "console cache",
+        EvidenceSource.FLOODFILL_PROBE: "floodfill probes",
     }
     for ev in report.evidence:
-        name = labels[ev.source.value]
-        if ev.source.value == "FloodfillProbe":
+        name = labels[ev.source]
+        if ev.source is EvidenceSource.FLOODFILL_PROBE:
             detail = f"{'HIT' if ev.hit else 'no hit'} ({ev.probes_used} probes"
             if report.failed_probes:
                 detail += f", {report.failed_probes} failed"
@@ -283,10 +280,7 @@ def _report_lines(report: ShadeReport, plan: ProbePlan) -> list[str]:
 
 
 def cmd_xor_assoc(args) -> int:
-    try:
-        target = parse_hash_text(args.target)
-    except EncodingError as exc:
-        raise CliError(str(exc)) from exc
+    target = parse_hash_text(args.target)
     try:
         date = normalize_date(args.date)
     except ValueError as exc:

@@ -157,16 +157,6 @@ class RouterInfo:
     def is_floodfill(self) -> bool:
         return "f" in self.caps
 
-    @property
-    def alpha(self) -> bool:
-        """True when some address publishes an explicit host+port pair."""
-        return any(a.has_host_port for a in self.addresses)
-
-    @property
-    def iota(self) -> bool:
-        """True when some address declares introducers (ih<n>/itag<n> keys)."""
-        return any(a.has_introducers for a in self.addresses)
-
     def profile(self) -> CapabilityProfile:
         caps = self.caps
         bandwidth = None

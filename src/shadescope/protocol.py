@@ -16,9 +16,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, Optional, Protocol, Sequence, Union
 
-from .classify import Evidence, EvidenceSource, ShadeReport, classify, profile_diagnostics
+from .classify import EvidenceSource, ShadeReport
 from .encoding import check_hash, hash_to_b64
-from .model import LeaseSet, RouterInfo, SHADE_EXCLUSIVE
+from .model import LeaseSet, RouterInfo
 
 # A gateway match is evidence of routing participation, not hosting.
 GATEWAY_SCAN_NOTE = "routing participation, not hosting"
@@ -100,15 +100,10 @@ class ProbePlan:
 def classify_remote(subject: bytes, source: NetDbSource, plan: ProbePlan) -> ShadeReport:
     """Run the full multi-source classification of one router hash.
 
-    The console view is re-checked after each batch of ``plan.batches()``,
-    and the run stops at the first hit, so the probed floodfills are always
-    ``plan.floodfills[:report.probes_used]``. The 1-based plan indices of
-    probes that raised :class:`ProbeTransportError` are kept in
-    ``report.failed_at``; together with the plan they are the whole probe
-    record (see :func:`write_probe_log`).
-
-    A run whose every attempted probe failed is inconclusive (shade None)
-    rather than level 8: absence cannot be certified from missing evidence.
+    The run stops at the first batch after which the subject is seen, so
+    the probed floodfills are ``plan.floodfills[:report.probes_used]``;
+    with ``report.failed_at`` they are the whole probe record (see
+    :func:`write_probe_log`). :class:`ShadeReport` derives the verdict.
     """
     return classify_sweep((subject,), source, plan)[0]
 
@@ -120,37 +115,28 @@ def classify_sweep(
 
     Each subject gets the local and then the console lookup. The plan's
     floodfills are then probed once each, in order, and after each batch
-    the console view is re-checked for the subjects still unseen. A subject
-    seen after a batch gets the report :func:`classify_remote` gives when
-    it stops at that batch: ``probes_used`` is the batch's end and
-    ``failed_at`` the failures so far. The sweep stops once every subject
-    is seen; the rest share the level-8 (or inconclusive) report of the
-    whole plan. Reports come back in the order of ``subjects``.
+    the console view is re-checked for the subjects still unseen, until
+    every subject is seen. A subject's :class:`ShadeReport` holds the facts
+    at the batch that revealed it, or at the end of the sweep. Reports come
+    back in the order of ``subjects``.
 
-    The reports equal one :func:`classify_remote` run per subject on a
-    fresh source whenever a probe's outcome depends only on its place in
-    the plan and the console view is the union of what the probes
-    returned, as with :class:`~shadescope.sim.SimulatedSource` under one
-    seed.
+    Each report equals :func:`classify_remote` on a fresh source whenever a
+    probe's outcome depends only on its place in the plan and the console
+    view is the union of what the probes returned, as with
+    :class:`~shadescope.sim.SimulatedSource` under one seed.
     """
     for subject in subjects:
         check_hash(subject, "subject hash")
     reports: list[Optional[ShadeReport]] = [None] * len(subjects)
-    misses = (
-        Evidence(EvidenceSource.LOCAL_NETDB, False),
-        Evidence(EvidenceSource.CONSOLE_CACHE, False),
-    )
     pending: list[int] = []
     for i, subject in enumerate(subjects):
         record = source.lookup_local(subject)
         if record is not None:
-            evidence = (Evidence(EvidenceSource.LOCAL_NETDB, True),)
-            reports[i] = _hit_report(subject, record, evidence, 0, ())
+            reports[i] = ShadeReport(subject, EvidenceSource.LOCAL_NETDB, record)
             continue
         record = source.lookup_console(subject)
         if record is not None:
-            evidence = (misses[0], Evidence(EvidenceSource.CONSOLE_CACHE, True))
-            reports[i] = _hit_report(subject, record, evidence, 0, ())
+            reports[i] = ShadeReport(subject, EvidenceSource.CONSOLE_CACHE, record)
         else:
             pending.append(i)
 
@@ -169,63 +155,33 @@ def classify_sweep(
         for i in pending:
             record = source.lookup_console(subjects[i])
             if record is not None:
-                evidence = misses + (
-                    Evidence(EvidenceSource.FLOODFILL_PROBE, True, probes_used),
-                )
-                reports[i] = _hit_report(
-                    subjects[i], record, evidence, probes_used, tuple(failed_at)
+                reports[i] = ShadeReport(
+                    subjects[i], EvidenceSource.FLOODFILL_PROBE, record,
+                    probes_used, tuple(failed_at),
                 )
                 seen = True
         if seen:
             pending = [i for i in pending if reports[i] is None]
 
-    if pending:
-        if probes_used > 0 and len(failed_at) == probes_used:
-            shade = None  # inconclusive: no probe ever answered
-        else:
-            shade = SHADE_EXCLUSIVE
-        evidence = misses + (Evidence(EvidenceSource.FLOODFILL_PROBE, False, probes_used),)
-        for i in pending:
-            reports[i] = ShadeReport(
-                subject=subjects[i],
-                shade=shade,
-                evidence=evidence,
-                probes_used=probes_used,
-                failed_at=tuple(failed_at),
-            )
+    failed = tuple(failed_at)
+    for i in pending:
+        reports[i] = ShadeReport(subjects[i], probes_used=probes_used, failed_at=failed)
     return reports
 
 
-def _hit_report(
-    subject: bytes,
-    record: RouterInfo,
-    evidence: tuple[Evidence, ...],
-    probes_used: int,
-    failed_at: tuple[int, ...],
-) -> ShadeReport:
-    profile = record.profile()
-    return ShadeReport(
-        subject=subject,
-        shade=classify(profile),
-        evidence=evidence,
-        profile=profile,
-        caps=record.caps,
-        probes_used=probes_used,
-        diagnostics=tuple(profile_diagnostics(profile)),
-        failed_at=failed_at,
-    )
-
-
 def shade8_certificate(report: ShadeReport) -> bool:
-    """True only for a conclusive level-8 report with zero failed probes.
+    """True only for a conclusive level-8 report over at least one probe,
+    none of which failed.
 
     The certificate is the full conjunction: local miss, console miss,
-    and a miss from every probed floodfill. Any failed probe leaves the
-    evidence incomplete, so no certificate is issued.
+    and a miss from every probed floodfill. A run that probed nothing,
+    or any failed probe, leaves the evidence incomplete, so no
+    certificate is issued.
     """
     return (
         report.shade is not None
         and report.shade.level == 8
+        and report.probes_used > 0
         and report.failed_probes == 0
     )
 

@@ -115,8 +115,8 @@ class HitCurve:
     """Cumulative directory hits per probe batch for one target.
 
     ``points`` are (cumulative probes, hits) at the end of each plan batch
-    the run reached, derived from the plan's batch ends and the report's
-    ``probes_used`` and verdict.
+    the run reached, derived from the plan's batch ends, the report's
+    ``probes_used`` and whether it found the record.
     """
 
     target: bytes
@@ -413,7 +413,7 @@ def run_probe_experiment(
     curves: list[HitCurve] = []
     for target, report in zip(targets, reports):
         used = report.probes_used
-        hit = int(report.shade is not None and report.shade.level != 8)
+        hit = int(report.record is not None)
         points = misses[: bisect_left(ends, used)] + ((used, hit),)
         curves.append(HitCurve(target=target, points=points, report=report))
     return curves

@@ -11,7 +11,8 @@ from shadescope.classify import (
     f_cap,
     profile_diagnostics,
 )
-from shadescope.model import CapabilityProfile, SHADES
+from shadescope.model import CapabilityProfile, Destination, RouterInfo, SHADES, TransportAddress
+from shadescope.protocol import shade8_certificate
 
 BANDWIDTHS = [None, "K", "L", "M", "N", "O", "P", "X"]
 
@@ -126,18 +127,22 @@ class TestDiagnostics:
         assert profile_diagnostics(None) == []
 
 
+def make_record(caps, addresses=()):
+    return RouterInfo(
+        identity=Destination(b"A" * 384 + b"\x00\x00\x00"),
+        published_ms=0,
+        addresses=tuple(addresses),
+        options={"caps": caps},
+    )
+
+
+DIRECT = TransportAddress("NTCP2", options={"host": "10.0.0.1", "port": "1234"})
+INTRODUCER = TransportAddress("SSU2", options={"ih0": "x" * 44, "itag0": "7"})
+
+
 class TestShadeReport:
     def test_exclusive_report_dict(self):
-        report = ShadeReport(
-            subject=bytes(32),
-            shade=SHADES[8],
-            evidence=(
-                Evidence(EvidenceSource.LOCAL_NETDB, False),
-                Evidence(EvidenceSource.CONSOLE_CACHE, False),
-                Evidence(EvidenceSource.FLOODFILL_PROBE, False, 500),
-            ),
-            probes_used=500,
-        )
+        report = ShadeReport(subject=bytes(32), probes_used=500)
         payload = report.to_dict()
         assert payload["shade"] == {"level": 8, "name": "Exclusive", "layer": 2}
         assert payload["inconclusive"] is False
@@ -148,13 +153,9 @@ class TestShadeReport:
         assert payload["alpha"] is None and payload["iota"] is None
 
     def test_hit_report_dict(self):
-        profile = make_profile(kappa_f=True, alpha=True, bandwidth="X")
+        record = make_record("XfR", [DIRECT])
         report = ShadeReport(
-            subject=bytes(32),
-            shade=classify(profile),
-            evidence=(Evidence(EvidenceSource.LOCAL_NETDB, True),),
-            profile=profile,
-            caps="XfR",
+            subject=record.hash, found_by=EvidenceSource.LOCAL_NETDB, record=record
         )
         payload = report.to_dict()
         assert payload["shade"]["level"] == 1
@@ -164,8 +165,6 @@ class TestShadeReport:
     def test_inconclusive_report(self):
         report = ShadeReport(
             subject=bytes(32),
-            shade=None,
-            evidence=(),
             probes_used=10,
             failed_at=tuple(range(1, 11)),
         )
@@ -175,8 +174,6 @@ class TestShadeReport:
     def test_failed_probes_counts_failed_at(self):
         report = ShadeReport(
             subject=bytes(32),
-            shade=SHADES[8],
-            evidence=(),
             probes_used=9,
             failed_at=(2, 5, 9),
         )
@@ -184,14 +181,58 @@ class TestShadeReport:
         assert report.to_dict()["failed_probes"] == 3
 
     def test_level8_iff_all_miss_and_no_profile(self):
-        report = ShadeReport(
-            subject=bytes(32),
-            shade=SHADES[8],
-            evidence=(
-                Evidence(EvidenceSource.LOCAL_NETDB, False),
-                Evidence(EvidenceSource.CONSOLE_CACHE, False),
-                Evidence(EvidenceSource.FLOODFILL_PROBE, False, 3),
-            ),
-        )
+        report = ShadeReport(subject=bytes(32), probes_used=3)
+        assert report.shade == SHADES[8]
         assert all(not e.hit for e in report.evidence)
         assert report.profile is None
+        assert report.caps is None and report.diagnostics == ()
+
+    @pytest.mark.parametrize("found_by", list(EvidenceSource))
+    @pytest.mark.parametrize(
+        "caps, addresses, level",
+        [("XfR", [DIRECT], 1), ("OR", [DIRECT], 2), ("HR", [INTRODUCER], 5), ("HR", [], 6)],
+    )
+    def test_shade_is_derived_from_the_found_record(self, found_by, caps, addresses, level):
+        record = make_record(caps, addresses)
+        report = ShadeReport(record.hash, found_by, record, probes_used=15, failed_at=(3,))
+        assert report.shade == SHADES[level] == classify(record.profile())
+        assert report.profile == record.profile()
+        assert report.caps == caps
+        assert report.diagnostics == tuple(profile_diagnostics(record.profile()))
+        chain = list(EvidenceSource)[: list(EvidenceSource).index(found_by) + 1]
+        assert [e.source for e in report.evidence] == chain
+        assert [e.hit for e in report.evidence] == [False] * (len(chain) - 1) + [True]
+        probes = [15 if e.source is EvidenceSource.FLOODFILL_PROBE else 0 for e in report.evidence]
+        assert [e.probes_used for e in report.evidence] == probes
+
+    def test_every_probe_failed_is_inconclusive(self):
+        report = ShadeReport(bytes(32), probes_used=4, failed_at=(1, 2, 3, 4))
+        assert report.shade is None and report.inconclusive is True
+        assert report.evidence == (
+            Evidence(EvidenceSource.LOCAL_NETDB, False),
+            Evidence(EvidenceSource.CONSOLE_CACHE, False),
+            Evidence(EvidenceSource.FLOODFILL_PROBE, False, 4),
+        )
+        assert shade8_certificate(report) is False
+        partial = ShadeReport(bytes(32), probes_used=4, failed_at=(1, 2, 3))
+        assert partial.shade == SHADES[8]
+        assert shade8_certificate(partial) is False
+
+    def test_zero_probes_is_level8_without_certificate(self):
+        report = ShadeReport(bytes(32))
+        assert report.shade == SHADES[8] and report.inconclusive is False
+        assert report.evidence[-1] == Evidence(EvidenceSource.FLOODFILL_PROBE, False, 0)
+        assert shade8_certificate(report) is False
+        assert shade8_certificate(ShadeReport(bytes(32), probes_used=1)) is True
+
+    def test_found_by_and_record_go_together(self):
+        record = make_record("XfR", [DIRECT])
+        with pytest.raises(ValueError):
+            ShadeReport(record.hash, EvidenceSource.LOCAL_NETDB)
+        with pytest.raises(ValueError):
+            ShadeReport(record.hash, record=record)
+
+    @pytest.mark.parametrize("name", ["shade", "evidence", "profile", "caps", "diagnostics"])
+    def test_derived_fields_are_not_arguments(self, name):
+        with pytest.raises(TypeError):
+            ShadeReport(bytes(32), **{name: None})

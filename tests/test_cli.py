@@ -121,7 +121,9 @@ class TestLookup:
         snapshot = load_netdb_dir(corpus_dir)
         relay = next(
             h for h, r in snapshot.records.items()
-            if not r.is_floodfill and r.alpha and r.caps.rstrip("R").endswith(("N", "O", "P", "X"))
+            if not r.is_floodfill
+            and r.profile().alpha
+            and r.caps.rstrip("R").endswith(("N", "O", "P", "X"))
         )
         main(["lookup", hash_to_b64(relay), "--netdb", str(corpus_dir)])
         assert "Shade 2: Relay" in capsys.readouterr().out
@@ -152,8 +154,27 @@ class TestLookup:
         monkeypatch.delenv("SHADESCOPE_NETDB", raising=False)
         assert main(["lookup", hash_to_b64(bytes(32))]) == 2
 
-    def test_bad_hash_is_input_error(self, corpus_dir):
+    def test_bad_hash_is_input_error(self, corpus_dir, capsys):
         assert main(["lookup", "zzz", "--netdb", str(corpus_dir)]) == 2
+        assert_one_line_error(capsys.readouterr().err)
+
+    def test_bad_xor_assoc_target_is_input_error(self, assoc_fixture, capsys):
+        netdb, ls_file, _, _, date = assoc_fixture
+        code = main([
+            "xor-assoc", "zzz",
+            "--leasesets", str(ls_file),
+            "--netdb", str(netdb),
+            "--date", date,
+        ])
+        assert code == 2
+        assert_one_line_error(capsys.readouterr().err)
+
+    def test_snapshot_only_absent_hash_gets_no_certificate(self, corpus_dir, capsys):
+        # Without --simulate there is nothing to probe: level 8, but uncertified.
+        assert main(["lookup", hash_to_b64(bytes(32)), "--netdb", str(corpus_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: Shade 8: Exclusive" in out
+        assert "certificate: not issued" in out
 
     @pytest.mark.parametrize("flags", [["--batch", "0"], ["--max-probes", "-1"]])
     def test_bad_probe_plan_is_input_error(self, corpus_dir, flags, capsys):

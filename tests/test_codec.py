@@ -94,8 +94,8 @@ class TestManifestCorpus:
             record = record_from_manifest(row, index)
             decoded = decode_router_info(encode_router_info(record))
             assert decoded.caps == row["caps"]
-            assert decoded.alpha == row["alpha"]
-            assert decoded.iota == row["iota"]
+            assert decoded.profile().alpha == row["alpha"]
+            assert decoded.profile().iota == row["iota"]
             assert decoded.version == row["version"]
             assert tuple(a.style for a in decoded.addresses) == tuple(
                 row["styles"] if (row["alpha"] or row["iota"]) else ()
@@ -119,7 +119,7 @@ class TestRoundTrip:
         decoded = decode_router_info(encode_router_info(record))
         assert decoded == record
         assert decoded.addresses == ()
-        assert decoded.alpha is False
+        assert decoded.profile().alpha is False
 
     def test_key_certificate_identity_section(self):
         record = make_record(caps="XfR", cert_len=4)

@@ -191,19 +191,19 @@ class TestRouterInfo:
     def test_alpha_requires_host_and_port(self):
         direct = TransportAddress("NTCP2", options={"host": "10.0.0.1", "port": "1234"})
         host_only = TransportAddress("NTCP2", options={"host": "10.0.0.1"})
-        assert _record([direct]).alpha is True
-        assert _record([host_only]).alpha is False
-        assert _record([]).alpha is False
+        assert _record([direct]).profile().alpha is True
+        assert _record([host_only]).profile().alpha is False
+        assert _record([]).profile().alpha is False
 
     def test_introducer_only_address_sets_iota_not_alpha(self):
         intro = TransportAddress("SSU2", options={"ih0": "x" * 44, "itag0": "99"})
-        record = _record([intro])
-        assert record.iota is True
-        assert record.alpha is False
+        profile = _record([intro]).profile()
+        assert profile.iota is True
+        assert profile.alpha is False
 
     def test_iota_matches_itag_keys_only(self):
         other = TransportAddress("SSU2", options={"ihost": "nope", "tag0": "1"})
-        assert _record([other]).iota is False
+        assert _record([other]).profile().iota is False
 
     def test_option_accessors(self):
         record = _record(

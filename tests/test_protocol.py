@@ -296,6 +296,15 @@ class TestCertificate:
         report = classify_remote(record.hash, source, ProbePlan((), batch_size=1))
         assert shade8_certificate(report) is False
 
+    @pytest.mark.parametrize("floodfills, max_probes", [(0, None), (6, 0)])
+    def test_requires_at_least_one_probe(self, floodfills, max_probes):
+        plan = ProbePlan(tuple(_hashes(floodfills, seed=9)), batch_size=3, max_probes=max_probes)
+        source = ScriptedSource()
+        report = classify_remote(bytes(32), source, plan)
+        assert report.shade.level == 8
+        assert report.probes_used == 0 and source.probe_calls == []
+        assert shade8_certificate(report) is False
+
 
 class TestGatewayScan:
     def _leasesets(self, rng, n, gateways_per=1):

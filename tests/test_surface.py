@@ -2,10 +2,16 @@
 example, and the module boundaries the benchmark harness traces."""
 
 import importlib
+import random
 import re
+from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 import shadescope
+from shadescope.classify import EvidenceSource
+from shadescope.sim import SimulatedSource
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,3 +48,30 @@ def test_traced_boundaries_resolve(monkeypatch):
         for part in boundary.attr.split("."):
             owner = getattr(owner, part, None)
         assert owner is not None, f"{boundary.module}:{boundary.attr} ({boundary.layer})"
+
+
+@pytest.mark.parametrize("kind", ["probe hit", "level-8 miss", "inconclusive"])
+def test_perfbench_report_counters(sim_model, monkeypatch, kind):
+    # No traced workload calls classify_remote, so only this test notices
+    # when a report attribute the harness counts from goes away.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    subject = sim_model.published[0] if kind == "probe hit" else sorted(sim_model.exclusive)[0]
+    source = SimulatedSource(sim_model, 1.0 if kind == "inconclusive" else 0.0, random.Random(0))
+    plan = shadescope.ProbePlan(sim_model.floodfills, batch_size=5)
+    report = shadescope.classify_remote(subject, source, plan)
+    counts = defaultdict(int)
+    spans._count_report(counts, (subject, source, plan), {}, report)
+
+    floodfills = len(sim_model.floodfills)
+    expected = {
+        "probe hit": (report.probes_used, 0, 0, 1),
+        "level-8 miss": (floodfills, 0, 0, 0),
+        "inconclusive": (floodfills, floodfills, 1, 0),
+    }[kind]
+    got = tuple(counts[f"protocol.{name}"]
+                for name in ("probes", "probes_failed", "inconclusive", "hits"))
+    assert got == expected
+    if kind == "probe hit":
+        assert 0 < report.probes_used < floodfills
+        assert report.found_by is EvidenceSource.FLOODFILL_PROBE
