@@ -90,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--netdb", default=os.environ.get(NETDB_ENV), help="netdb directory (floodfill set)")
     p.add_argument("--date", default=_utc_today(), help="UTC date yyyyMMdd (default: today)")
     p.add_argument("--distances", action="store_true", help="print the per-service distance table")
-    p.add_argument("--require-floodfill", action="store_true",
-                   help="warn when the target lacks the floodfill flag in the snapshot")
     add_common(p, ("table", "json", "csv"))
 
     p = sub.add_parser("b32", help="derive the service address from a destination file")
@@ -257,17 +255,17 @@ def _report_lines(report: ShadeReport, plan: ProbePlan) -> list[str]:
         lines.append("verdict: inconclusive (every probe failed; absence not certified)")
     else:
         shade = report.shade
-        lines.append(f"verdict: Shade {shade.level}: {shade.name} (layer {shade.layer})")
+        verdict = f"verdict: Shade {shade.level}: {shade.name} (layer {shade.layer})"
+        if shade.level == 8 and report.probes_used == 0:
+            verdict += ", from the local and console views only: no floodfill was probed"
+            certificate = "not issued (no floodfill probed)"
+        elif shade8_certificate(report):
+            certificate = f"zero-hit conjunction holds over {report.probes_used} probed floodfills"
+        else:
+            certificate = "not issued (incomplete probe evidence)"
+        lines.append(verdict)
         if shade.level == 8:
-            certified = shade8_certificate(report)
-            lines.append(
-                "certificate: "
-                + (
-                    f"zero-hit conjunction holds over {report.probes_used} probed floodfills"
-                    if certified
-                    else "not issued (incomplete probe evidence)"
-                )
-            )
+            lines.append(f"certificate: {certificate}")
     if report.caps is not None:
         prof = report.profile
         lines.append(f"caps: {report.caps}  alpha: {prof.alpha}  iota: {prof.iota}")
@@ -291,13 +289,9 @@ def cmd_xor_assoc(args) -> int:
     leasesets, warnings = load_leasesets(args.leasesets)
     floodfills = snapshot.floodfill_hashes
 
-    if args.require_floodfill:
-        record = snapshot.lookup(target)
-        if record is None or not record.is_floodfill:
-            print(
-                "warning: target is not a known floodfill in this snapshot",
-                file=sys.stderr,
-            )
+    record = snapshot.lookup(target)
+    if record is None or not record.is_floodfill:
+        print("warning: target is not a known floodfill in this snapshot", file=sys.stderr)
 
     eepsites = [
         ls.b32 if ls.b32 else hash_to_b32(ls.destination_hash) + B32_SUFFIX

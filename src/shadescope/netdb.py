@@ -99,9 +99,13 @@ def load_leasesets(path: Union[str, Path]) -> tuple[list[LeaseSet], list[str]]:
     file = Path(path)
     if not file.is_file():
         raise NetDbError(f"no such leaseset file: {file}")
+    try:
+        text = file.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise NetDbError(f"leaseset file is not UTF-8 text: {file}") from None
     leasesets: list[LeaseSet] = []
     warnings: list[str] = []
-    for lineno, raw_line in enumerate(file.read_text().splitlines(), start=1):
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue

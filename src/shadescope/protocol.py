@@ -1,11 +1,11 @@
 """Multi-source shade classification and the LeaseSet gateway scan.
 
 The classification run checks a local directory view, then a console
-cache, then expands the console view by probing floodfills in batches,
-re-checking the target after each batch. The first retrieval
-short-circuits to capability classification; full exhaustion with no
-retrieval yields level 8. A sweep runs many targets through one pass
-over the probe plan, probing each floodfill once.
+cache, then probes floodfills in batches until a probe of a batch
+answers with the target's record. The first retrieval short-circuits
+to capability classification; full exhaustion with no retrieval
+yields level 8. A sweep runs many targets through one pass over the
+probe plan, probing each floodfill once.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Optional, Protocol, Sequence, Union
+from typing import Iterator, Mapping, Optional, Protocol, Sequence, Union
 
 from .classify import EvidenceSource, ShadeReport
 from .encoding import check_hash, hash_to_b64
@@ -29,14 +29,14 @@ class ProbeTransportError(Exception):
 
 
 class NetDbSource(Protocol):
-    """Pluggable record source: local view, console cache, probe effect."""
+    """Pluggable record source: local view, console cache, floodfill probes."""
 
     def lookup_local(self, router_hash: bytes) -> Optional[RouterInfo]: ...
 
     def lookup_console(self, router_hash: bytes) -> Optional[RouterInfo]: ...
 
-    def probe_floodfill(self, floodfill: bytes) -> None:
-        """Expand the console view with the floodfill's stored records.
+    def probe_floodfill(self, floodfill: bytes) -> Mapping[bytes, RouterInfo]:
+        """The records the floodfill answers with, by router hash.
 
         Raises :class:`ProbeTransportError` when the probe cannot complete.
         """
@@ -63,10 +63,10 @@ class SnapshotSource:
             return None
         return self._backing.lookup_console(router_hash)
 
-    def probe_floodfill(self, floodfill: bytes) -> None:
+    def probe_floodfill(self, floodfill: bytes) -> Mapping[bytes, RouterInfo]:
         if self._backing is None:
             raise ProbeTransportError("no probe transport configured")
-        self._backing.probe_floodfill(floodfill)
+        return self._backing.probe_floodfill(floodfill)
 
 
 @dataclass(frozen=True)
@@ -113,22 +113,23 @@ def classify_sweep(
 ) -> list[ShadeReport]:
     """Classify several router hashes against one shared pass over ``plan``.
 
-    Each subject gets the local and then the console lookup. The plan's
-    floodfills are then probed once each, in order, and after each batch
-    the console view is re-checked for the subjects still unseen, until
-    every subject is seen. A subject's :class:`ShadeReport` holds the facts
-    at the batch that revealed it, or at the end of the sweep. Reports come
-    back in the order of ``subjects``.
+    Each subject gets the local and then the console lookup, once, before
+    any probe. The plan's floodfills are then probed once each, in order,
+    and a pending subject is seen at the end of the first batch whose
+    answers include its record (when two probes of a batch answer with
+    it, the later answer is kept), until every subject is seen. A
+    subject's :class:`ShadeReport` holds the facts at the batch that
+    revealed it, or at the end of the sweep. Reports come back in the
+    order of ``subjects``.
 
-    Each report equals :func:`classify_remote` on a fresh source whenever a
-    probe's outcome depends only on its place in the plan and the console
-    view is the union of what the probes returned, as with
+    Each report equals :func:`classify_remote` on a fresh source whenever
+    a probe's answer depends only on its place in the plan, as with
     :class:`~shadescope.sim.SimulatedSource` under one seed.
     """
     for subject in subjects:
         check_hash(subject, "subject hash")
     reports: list[Optional[ShadeReport]] = [None] * len(subjects)
-    pending: list[int] = []
+    pending: dict[bytes, list[int]] = {}
     for i, subject in enumerate(subjects):
         record = source.lookup_local(subject)
         if record is not None:
@@ -138,35 +139,36 @@ def classify_sweep(
         if record is not None:
             reports[i] = ShadeReport(subject, EvidenceSource.CONSOLE_CACHE, record)
         else:
-            pending.append(i)
+            pending.setdefault(subject, []).append(i)
 
     probes_used = 0
     failed_at: list[int] = []
     for batch in plan.batches():
         if not pending:
             break
+        answers: dict[bytes, RouterInfo] = {}
         for floodfill in batch:
             probes_used += 1
             try:
-                source.probe_floodfill(floodfill)
+                answer = source.probe_floodfill(floodfill)
             except ProbeTransportError:
                 failed_at.append(probes_used)
-        seen = False
-        for i in pending:
-            record = source.lookup_console(subjects[i])
-            if record is not None:
+                continue
+            # This walks the smaller side, so a probe costs at most its answer's size.
+            for router_hash in pending.keys() & answer.keys():
+                answers[router_hash] = answer[router_hash]
+        for router_hash, record in answers.items():
+            for i in pending.pop(router_hash):
                 reports[i] = ShadeReport(
                     subjects[i], EvidenceSource.FLOODFILL_PROBE, record,
                     probes_used, tuple(failed_at),
                 )
-                seen = True
-        if seen:
-            pending = [i for i in pending if reports[i] is None]
 
     failed = tuple(failed_at)
-    for i in pending:
-        reports[i] = ShadeReport(subjects[i], probes_used=probes_used, failed_at=failed)
-    return reports
+    return [
+        report or ShadeReport(subject, probes_used=probes_used, failed_at=failed)
+        for subject, report in zip(subjects, reports)
+    ]
 
 
 def shade8_certificate(report: ShadeReport) -> bool:

@@ -8,7 +8,7 @@ for the generation date, so probe behavior mirrors the real placement
 rule; the k nearest come from one batched query to
 :class:`~shadescope.dht.FloodfillTable`, the same kernel that answers
 association and responsibility, as holder indices that one stable sort
-groups into each floodfill's stored set. Every synthesized record is
+groups into each floodfill's store of records. Every synthesized record is
 checked against :func:`~shadescope.classify.classify` before use.
 """
 
@@ -22,7 +22,7 @@ from itertools import accumulate
 from math import floor
 from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -70,7 +70,10 @@ class NetworkSpec:
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "NetworkSpec":
-        raw = json.loads(Path(path).read_text())
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError:
+            raise InfeasibleSpecError(f"spec file is not UTF-8 text: {path}") from None
         if not isinstance(raw, dict):
             raise InfeasibleSpecError("spec must be a JSON object")
         unknown = set(raw) - set(_SPEC_TYPES)
@@ -94,14 +97,14 @@ class SimRouter:
 
 @dataclass
 class NetworkModel:
-    """Ground truth for one generated overlay."""
+    """Ground truth for one generated overlay; ``knowledge[f][h]`` is record h stored on f."""
 
     spec: NetworkSpec
     routers: dict[bytes, SimRouter]
     published: tuple[bytes, ...]
     floodfills: tuple[bytes, ...]
     exclusive: frozenset[bytes]
-    knowledge: dict[bytes, frozenset[bytes]]
+    knowledge: dict[bytes, dict[bytes, RouterInfo]]
 
 
 @dataclass(frozen=True)
@@ -259,7 +262,7 @@ def generate_network(spec: NetworkSpec) -> NetworkModel:
     rng.shuffle(levels)
 
     routers: dict[bytes, SimRouter] = {}
-    published: list[bytes] = []
+    records: list[RouterInfo] = []
     floodfills: list[bytes] = []
     exclusive: list[bytes] = []
     for level in levels:
@@ -278,16 +281,16 @@ def generate_network(spec: NetworkSpec) -> NetworkModel:
                 shade=shade_for_level(level),
                 record=record,
             )
-            published.append(router.hash)
+            records.append(record)
             if level == 1:
                 floodfills.append(router.hash)
         routers[router.hash] = router
 
-    knowledge = _assign_knowledge(published, floodfills, spec.k, spec.date)
+    knowledge = _assign_knowledge(records, floodfills, spec.k, spec.date)
     return NetworkModel(
         spec=spec,
         routers=routers,
-        published=tuple(published),
+        published=tuple(record.hash for record in records),
         floodfills=tuple(floodfills),
         exclusive=frozenset(exclusive),
         knowledge=knowledge,
@@ -295,37 +298,37 @@ def generate_network(spec: NetworkSpec) -> NetworkModel:
 
 
 def _assign_knowledge(
-    published: Sequence[bytes],
+    records: Sequence[RouterInfo],
     floodfills: Sequence[bytes],
     k: int,
     date: DateLike,
-) -> dict[bytes, frozenset[bytes]]:
+) -> dict[bytes, dict[bytes, RouterInfo]]:
     """Store each published record on the k floodfills nearest its routing key,
     as answered in one batch by :class:`~shadescope.dht.FloodfillTable`."""
-    groups = _records_by_holder(published, floodfills, k, date) if floodfills and published else {}
-    # The frozensets are made after the grouping's arrays are freed, so they
-    # do not fragment the heap around them, and copied from a set, which
-    # sizes each table to its contents (grown from a list, the table for 5-7
-    # records is twice as large).
-    return {f: frozenset(set(groups.get(f, ()))) for f in floodfills}
+    groups = _records_by_holder(records, floodfills, k, date) if floodfills and records else {}
+    return {f: groups.get(f, {}) for f in floodfills}
 
 
 def _records_by_holder(
-    published: Sequence[bytes],
+    records: Sequence[RouterInfo],
     floodfills: Sequence[bytes],
     k: int,
     date: DateLike,
-) -> dict[bytes, list[bytes]]:
-    """The published records each floodfill holds, in published order."""
-    keys = [routing_key(record_hash, date) for record_hash in published]
+) -> dict[bytes, dict[bytes, RouterInfo]]:
+    """The published records each floodfill holds, by hash, in published order."""
+    hashes = [record.hash for record in records]
+    keys = [routing_key(record_hash, date) for record_hash in hashes]
     table = FloodfillTable(floodfills)
     holders = table.nearest(keys, k)
     # One stable sort of the flat holder indices groups the records by holder.
     flat = holders.ravel()
     order = np.argsort(flat, kind="stable")
-    by_holder = np.array(published, dtype=object)[order // holders.shape[1]].tolist()
+    picked = order // holders.shape[1]
+    by_hash = np.array(hashes, dtype=object)[picked].tolist()
+    by_record = np.array(records, dtype=object)[picked].tolist()
     bounds = np.searchsorted(flat[order], np.arange(len(table) + 1)).tolist()
-    return dict(zip(table.hashes, (by_holder[a:b] for a, b in zip(bounds, bounds[1:]))))
+    stores = (dict(zip(by_hash[a:b], by_record[a:b])) for a, b in zip(bounds, bounds[1:]))
+    return dict(zip(table.hashes, stores))
 
 
 def completeness_metrics(model: NetworkModel) -> VisibilityMetrics:
@@ -344,9 +347,9 @@ def completeness_metrics(model: NetworkModel) -> VisibilityMetrics:
 class SimulatedSource:
     """Directory source backed by a generated model.
 
-    The local view is empty. The console view starts empty and grows as
-    probed floodfills contribute their stored records, which is the only
-    way an initially unknown record can become visible. With a nonzero
+    The local and console views are empty: an initially unknown record
+    becomes visible only in a probe's answer, the floodfill's entry in
+    ``model.knowledge``, which callers read and never change. With a nonzero
     ``failure_rate``, each probe draws once from ``rng`` and fails when the
     draw falls below the rate, so which probes fail depends only on the
     seed and on each probe's place in the sequence of probes.
@@ -359,7 +362,6 @@ class SimulatedSource:
         rng: Optional[random.Random] = None,
     ):
         self._model = model
-        self._visible: set[bytes] = set()
         self._failure_rate = failure_rate
         self._rng = rng if rng is not None else random.Random(0)
 
@@ -367,18 +369,15 @@ class SimulatedSource:
         return None
 
     def lookup_console(self, router_hash: bytes) -> Optional[RouterInfo]:
-        if router_hash not in self._visible:
-            return None
-        router = self._model.routers.get(router_hash)
-        return router.record if router else None
+        return None
 
-    def probe_floodfill(self, floodfill: bytes) -> None:
+    def probe_floodfill(self, floodfill: bytes) -> Mapping[bytes, RouterInfo]:
         stored = self._model.knowledge.get(floodfill)
         if stored is None:
             raise ProbeTransportError("probed hash is not a floodfill")
         if self._failure_rate and self._rng.random() < self._failure_rate:
             raise ProbeTransportError("injected probe failure")
-        self._visible |= stored
+        return stored
 
 
 def run_probe_experiment(

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadescope.cli import main
 from shadescope.encoding import hash_to_b32, hash_to_b64
@@ -10,6 +14,7 @@ from fixtures import write_fixture_corpus
 
 DEST_391 = b"A" * 384 + b"\x05" + b"\x00\x04" + b"A" * 4
 DEST_387 = b"A" * 384 + b"\x00\x00\x00"
+NON_UTF8 = b'{"n_routers": 50, "seed": "\xff\xfe"}\n'
 
 
 def assert_one_line_error(err: str) -> None:
@@ -172,9 +177,40 @@ class TestLookup:
     def test_snapshot_only_absent_hash_gets_no_certificate(self, corpus_dir, capsys):
         # Without --simulate there is nothing to probe: level 8, but uncertified.
         assert main(["lookup", hash_to_b64(bytes(32)), "--netdb", str(corpus_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "verdict: Shade 8: Exclusive" in out
-        assert "certificate: not issued" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [
+            "verdict: Shade 8: Exclusive (layer 2), from the local and console views only: "
+            "no floodfill was probed",
+            "certificate: not issued (no floodfill probed)",
+        ]
+
+    @pytest.mark.parametrize("flags, verdict, certificate", [
+        (["--max-probes", "0"],
+         "verdict: Shade 8: Exclusive (layer 2), from the local and console views only: "
+         "no floodfill was probed",
+         "certificate: not issued (no floodfill probed)"),
+        (["--max-probes", "20"],
+         "verdict: Shade 8: Exclusive (layer 2)",
+         "certificate: zero-hit conjunction holds over 20 probed floodfills"),
+        (["--max-probes", "20", "--fail-rate", "0.5"],
+         "verdict: Shade 8: Exclusive (layer 2)",
+         "certificate: not issued (incomplete probe evidence)"),
+    ], ids=["no-probes", "probed", "probes-failed"])
+    def test_level8_verdict_says_whether_floodfills_were_probed(
+        self, sim_spec_file, sim_model, capsys, flags, verdict, certificate
+    ):
+        target = sorted(sim_model.exclusive)[0]
+        argv = ["lookup", hash_to_b64(target), "--simulate", str(sim_spec_file), *flags]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [verdict, certificate]
+        main([*argv, "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == [
+            "alpha", "caps", "diagnostics", "evidence", "failed_probes", "inconclusive",
+            "iota", "probes_used", "shade", "subject",
+        ]
+        assert payload["shade"] == {"level": 8, "name": "Exclusive", "layer": 2}
 
     @pytest.mark.parametrize("flags", [["--batch", "0"], ["--max-probes", "-1"]])
     def test_bad_probe_plan_is_input_error(self, corpus_dir, flags, capsys):
@@ -210,18 +246,29 @@ class TestXorAssoc:
         assert payload["candidates"] == 172
         assert payload["floodfills"] == 25
 
-    def test_require_floodfill_warns(self, assoc_fixture, capsys):
+    def test_non_floodfill_target_warns(self, assoc_fixture, capsys):
         netdb, ls_file, _, _, date = assoc_fixture
         outsider = bytes(32)
         code = main([
             "xor-assoc", hash_to_b64(outsider),
             "--leasesets", str(ls_file),
             "--netdb", str(netdb),
-            "--date", date, "--require-floodfill",
+            "--date", date,
         ])
         captured = capsys.readouterr()
         assert code == 0
-        assert "not a known floodfill" in captured.err
+        assert captured.err == "warning: target is not a known floodfill in this snapshot\n"
+
+    def test_floodfill_target_prints_no_warning(self, assoc_fixture, capsys):
+        netdb, ls_file, target, _, date = assoc_fixture
+        code = main([
+            "xor-assoc", hash_to_b64(target),
+            "--leasesets", str(ls_file),
+            "--netdb", str(netdb),
+            "--date", date,
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_distances_table(self, assoc_fixture, capsys):
         netdb, ls_file, target, _, date = assoc_fixture
@@ -242,6 +289,21 @@ class TestXorAssoc:
             "--date", date,
         ])
         assert code == 2
+
+    def test_non_utf8_leaseset_file_is_input_error(self, assoc_fixture, tmp_path, capsys):
+        netdb, _, target, _, date = assoc_fixture
+        ls_file = tmp_path / "leasesets.txt"
+        ls_file.write_bytes(NON_UTF8)
+        code = main([
+            "xor-assoc", hash_to_b64(target),
+            "--leasesets", str(ls_file),
+            "--netdb", str(netdb),
+            "--date", date,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert str(ls_file) in err
 
     def test_impossible_date_is_input_error(self, assoc_fixture, capsys):
         netdb, ls_file, target, _, _ = assoc_fixture
@@ -435,15 +497,37 @@ SMALL_SPEC = {"n_routers": 50, "floodfill_fraction": 0.5,
                  id="fraction-huge-int"),
     pytest.param({"n_routers": 50}, [], id="missing-keys"),
     pytest.param([SMALL_SPEC], [], id="not-an-object"),
+    pytest.param(NON_UTF8, [], id="non-utf8"),
     pytest.param(SMALL_SPEC, ["--fail-rate", "2"], id="fail-rate-2"),
     pytest.param(SMALL_SPEC, ["--fail-rate", "-1"], id="fail-rate-negative"),
     pytest.param(SMALL_SPEC, ["--fail-rate", "nan"], id="fail-rate-nan"),
 ])
 def test_bad_spec_or_fail_rate_is_input_error(tmp_path, capsys, command, spec, flags):
     spec_path = tmp_path / "net.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
     assert main([*command, str(spec_path), *flags, "--out", str(tmp_path / "out.csv")]) == 2
     assert_one_line_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["simulate", "xor-assoc"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.one_of(st.binary(max_size=300), st.text(max_size=300).map(str.encode)))
+def test_arbitrary_input_file_exits_0_or_2(tmp_path_factory, corpus_dir, command, data):
+    workdir = tmp_path_factory.getbasetemp() / "arbitrary-input"
+    workdir.mkdir(exist_ok=True)
+    path = workdir / "input"
+    path.write_bytes(data)
+    if command == "simulate":
+        argv = ["simulate", str(path), "--out", str(workdir / "curves.csv")]
+    else:
+        argv = ["xor-assoc", "00" * 32, "--leasesets", str(path),
+                "--netdb", str(corpus_dir), "--date", "20250101"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert_one_line_error(err.getvalue())
 
 
 @pytest.mark.parametrize("argv", [["lookup", "00" * 32], ["simulate", "net.json"],

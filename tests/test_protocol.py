@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -34,27 +35,29 @@ def record_for(level, seed=0):
 
 
 class ScriptedSource:
-    """Console view grows only through probes, like the real protocol."""
+    """A probe answers with the floodfill's ``knowledge`` records; the console
+    view is fixed, as in the real protocol."""
 
     def __init__(self, local=None, console=None, knowledge=None, fail=frozenset()):
         self.local = local or {}
         self.console = dict(console or {})
         self.knowledge = knowledge or {}
         self.fail = set(fail)
+        self.console_calls = []
         self.probe_calls = []
 
     def lookup_local(self, h):
         return self.local.get(h)
 
     def lookup_console(self, h):
+        self.console_calls.append(h)
         return self.console.get(h)
 
     def probe_floodfill(self, f):
         self.probe_calls.append(f)
         if f in self.fail:
             raise ProbeTransportError("scripted failure")
-        for h, record in self.knowledge.get(f, {}).items():
-            self.console[h] = record
+        return self.knowledge.get(f, {})
 
 
 def _hashes(n, seed=0):
@@ -191,7 +194,7 @@ class TestClassifyRemote:
 
 def per_subject_replay(subject, source, plan):
     """Reference: one run for one subject on its own source, probing the
-    plan in order until the first batch after which the subject is seen."""
+    plan in order until the first batch whose answers include the subject."""
     evidence = []
     record = source.lookup_local(subject)
     evidence.append(Evidence(EvidenceSource.LOCAL_NETDB, record is not None))
@@ -204,10 +207,12 @@ def per_subject_replay(subject, source, plan):
             for floodfill in batch:
                 probes_used += 1
                 try:
-                    source.probe_floodfill(floodfill)
+                    answer = source.probe_floodfill(floodfill)
                 except ProbeTransportError:
                     failed_at.append(probes_used)
-            record = source.lookup_console(subject)
+                    continue
+                if subject in answer:
+                    record = answer[subject]
             if record is not None:
                 break
         evidence.append(
@@ -281,6 +286,30 @@ class TestClassifySweep:
         reports = classify_sweep([other.hash, record.hash, other.hash], source, plan)
         assert [r.probes_used for r in reports] == [6, 3, 6]
         assert source.probe_calls == floodfills[:6]
+
+    def test_sweep_looks_up_the_console_once_per_subject(self):
+        found, late, cached = (record_for(level, seed=level) for level in (2, 3, 4))
+        floodfills = _hashes(12, seed=13)
+        source = ScriptedSource(console={cached.hash: cached},
+                                knowledge={floodfills[0]: {found.hash: found},
+                                           floodfills[8]: {late.hash: late}})
+        plan = ProbePlan(tuple(floodfills), batch_size=3)
+        subjects = [found.hash, bytes(32), late.hash, cached.hash]
+        reports = classify_sweep(subjects, source, plan)
+        assert [r.probes_used for r in reports] == [3, 12, 9, 0]
+        assert source.console_calls == subjects
+        assert source.probe_calls == floodfills
+
+    def test_later_answer_in_a_batch_wins(self):
+        first = record_for(2, seed=5)
+        later = dataclasses.replace(first, published_ms=first.published_ms + 1)
+        floodfills = _hashes(4, seed=14)
+        source = ScriptedSource(knowledge={floodfills[0]: {first.hash: first},
+                                           floodfills[1]: {later.hash: later}})
+        plan = ProbePlan(tuple(floodfills), batch_size=2)
+        (report,) = classify_sweep([first.hash], source, plan)
+        assert report.record is later
+        assert report.probes_used == 2
 
     def test_unknown_target_listed_last_is_rejected(self, sim_model):
         plan = ProbePlan(sim_model.floodfills[:10], batch_size=5)
@@ -373,8 +402,11 @@ class TestSnapshotSourceAndLog:
         source = SnapshotSource(NetDbSnapshot(records={local.hash: local}), backing)
         assert source.lookup_local(local.hash) is local
         assert source.lookup_local(remote.hash) is None  # the backing's local view is unused
-        source.probe_floodfill(floodfill)
-        assert source.lookup_console(remote.hash) is remote
+        assert source.probe_floodfill(floodfill) == {remote.hash: remote}
+        assert backing.probe_calls == [floodfill]
+        # The answer reaches only the caller: both lookups still miss.
+        assert source.lookup_local(remote.hash) is None
+        assert source.lookup_console(remote.hash) is None
 
     def test_probe_log_csv(self, tmp_path):
         floodfills = _hashes(4, seed=9)

@@ -93,7 +93,7 @@ class TestGenerateNetwork:
         the_hash = model.published[0]
         assert model.floodfills == (the_hash,)
         assert model.exclusive == frozenset()
-        assert model.knowledge[the_hash] == frozenset({the_hash})
+        assert model.knowledge[the_hash] == {the_hash: model.routers[the_hash].record}
 
     def test_ten_percent_exclusive(self):
         spec = NetworkSpec(
@@ -272,15 +272,22 @@ class TestMetrics:
 
 
 class TestSimulatedSource:
-    def test_console_starts_empty_and_grows(self):
+    def test_holder_probe_answers_with_the_record(self):
         model = generate_network(small_spec(seed=3))
         target = model.published[0]
         holders = [f for f in model.floodfills if target in model.knowledge[f]]
+        others = [f for f in model.floodfills if target not in model.knowledge[f]]
         source = SimulatedSource(model)
         assert source.lookup_local(target) is None
         assert source.lookup_console(target) is None
-        source.probe_floodfill(holders[0])
-        assert source.lookup_console(target) is model.routers[target].record
+        answer = source.probe_floodfill(holders[0])
+        assert answer[target] is model.routers[target].record
+        assert all(record.hash == h and record is model.routers[h].record
+                   for h, record in answer.items())
+        assert target not in source.probe_floodfill(others[0])
+        # The answer reaches only the caller: both lookups still miss.
+        assert source.lookup_local(target) is None
+        assert source.lookup_console(target) is None
 
     def test_probing_non_floodfill_fails(self):
         from shadescope.protocol import ProbeTransportError
