@@ -16,19 +16,15 @@ from .encoding import hash_to_b64
 from .model import HIGH_BANDWIDTH, CapabilityProfile, RouterInfo, Shade, SHADES, SHADE_EXCLUSIVE
 
 
-class ProfileAbsentError(ValueError):
-    """Raised when capability mapping is asked to classify a missing record."""
-
-
-def f_cap(profile: Optional[CapabilityProfile]) -> Shade:
-    """Map an existing record's capability profile to a shade in 1..7.
+def classify(profile: Optional[CapabilityProfile]) -> Shade:
+    """Map a record's capability profile to its shade; no record is level 8.
 
     Precedence: with a published address, the floodfill flag dominates,
     then the firewalled flag, then bandwidth tiering. Without one,
     declared introducers dominate the hidden flag.
     """
     if profile is None:
-        raise ProfileAbsentError("capability mapping requires an existing record")
+        return SHADE_EXCLUSIVE
     if profile.alpha:
         if profile.kappa_f:
             return SHADES[1]
@@ -42,13 +38,6 @@ def f_cap(profile: Optional[CapabilityProfile]) -> Shade:
     if profile.kappa_H:
         return SHADES[6]
     return SHADES[7]
-
-
-def classify(profile: Optional[CapabilityProfile]) -> Shade:
-    """Full classifier: absence of a record wins over every capability field."""
-    if profile is None:
-        return SHADE_EXCLUSIVE
-    return f_cap(profile)
 
 
 def profile_diagnostics(profile: Optional[CapabilityProfile]) -> list[str]:

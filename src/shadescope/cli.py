@@ -69,6 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (default: table)",
         )
 
+    def add_probe_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--batch", type=int, default=5, help="probe batch size (default 5)")
+        p.add_argument("--max-probes", type=int, default=None, help="probe budget (default: all)")
+        p.add_argument("--seed", type=int, default=None, help="shuffle probe order with this seed")
+        p.add_argument("--fail-rate", type=float, default=0.0, help="injected probe failure rate")
+
     p = sub.add_parser("scan", help="summarize a netdb directory snapshot")
     p.add_argument("--netdb", default=os.environ.get(NETDB_ENV), help="netdb directory")
     add_common(p, ("table", "json", "csv"))
@@ -77,10 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hash", help="router hash (hex, base64 variant, or base32)")
     p.add_argument("--netdb", default=os.environ.get(NETDB_ENV), help="local netdb directory")
     p.add_argument("--simulate", help="network spec JSON backing console+probe sources")
-    p.add_argument("--batch", type=int, default=5, help="probe batch size (default 5)")
-    p.add_argument("--max-probes", type=int, default=None, help="probe budget (default: all)")
-    p.add_argument("--seed", type=int, default=None, help="shuffle probe order with this seed")
-    p.add_argument("--fail-rate", type=float, default=0.0, help="injected probe failure rate")
+    add_probe_options(p)
     p.add_argument("--out", help="write per-probe CSV log here")
     add_common(p)
 
@@ -100,10 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec_file", help="network spec JSON")
     p.add_argument("--targets", default="shade8",
                    help="'shadeN', 'all', or an explicit hash (default: shade8)")
-    p.add_argument("--batch", type=int, default=5)
-    p.add_argument("--max-probes", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="shuffle probe order with this seed")
-    p.add_argument("--fail-rate", type=float, default=0.0, help="injected probe failure rate")
+    add_probe_options(p)
     p.add_argument("--out", default="curves.csv", help="curve CSV path (default curves.csv)")
     add_common(p)
 
@@ -128,7 +128,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return handler(args)
     except (CliError, NetDbError, EncodingError, DestinationError,
-            InfeasibleSpecError, OSError, json.JSONDecodeError) as exc:
+            InfeasibleSpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -21,16 +21,12 @@ from .encoding import (
 )
 from .model import Destination, hash_identity
 
-DateLike = Union[dt.date, str]
-
 _DATE_RE = re.compile(r"\d{8}$")
 
 
-def normalize_date(date: DateLike) -> str:
-    """Return the UTC calendar date as the 8-char 'yyyyMMdd' form."""
-    if isinstance(date, dt.date):
-        return date.strftime("%Y%m%d")
-    if not _DATE_RE.fullmatch(date):
+def normalize_date(date: str) -> str:
+    """Return ``date``, checked to be a UTC calendar date in the 8-char 'yyyyMMdd' form."""
+    if not isinstance(date, str) or not _DATE_RE.fullmatch(date):
         raise ValueError(f"date must be yyyyMMdd, got {date!r}")
     try:
         dt.datetime.strptime(date, "%Y%m%d")
@@ -40,7 +36,7 @@ def normalize_date(date: DateLike) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def daily_mod_key(date: DateLike) -> bytes:
+def daily_mod_key(date: str) -> bytes:
     """SHA-256 of the 8 ASCII date bytes; rotates storage keys once per UTC day.
 
     Cached per date; an invalid date raises every time, since a raised
@@ -57,7 +53,7 @@ def _combine(key_hash: bytes, mod_key: bytes) -> bytes:
     return mixed.to_bytes(HASH_LEN, "big")
 
 
-def routing_key(key_hash: bytes, date: DateLike) -> bytes:
+def routing_key(key_hash: bytes, date: str) -> bytes:
     """The date-salted storage key for a 32-byte record hash."""
     check_hash(key_hash, "record hash")
     return hashlib.sha256(_combine(key_hash, daily_mod_key(date))).digest()
@@ -194,7 +190,7 @@ def association_rows(
     target: bytes,
     eepsites: Iterable[str],
     floodfills: Union[Mapping[bytes, object], Iterable[bytes]],
-    date: DateLike,
+    date: str,
 ) -> tuple[list[Association], list[str]]:
     """Score each decodable service address against ``target``.
 
@@ -238,7 +234,7 @@ def xor_association(
     target: bytes,
     eepsites: Iterable[str],
     floodfills: Union[Mapping[bytes, object], Iterable[bytes]],
-    date: DateLike,
+    date: str,
 ) -> tuple[list[str], list[str]]:
     """Service addresses for which ``target`` is the responsible storage node,
     by the rule of :func:`association_rows`.

@@ -1,4 +1,4 @@
-"""Multi-source shade classification and the LeaseSet gateway scan.
+"""Multi-source shade classification.
 
 The classification run checks a local directory view, then a console
 cache, then probes floodfills in batches until a probe of a batch
@@ -12,16 +12,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Protocol, Sequence, Union
 
 from .classify import EvidenceSource, ShadeReport
 from .encoding import check_hash, hash_to_b64
-from .model import LeaseSet, RouterInfo
-
-# A gateway match is evidence of routing participation, not hosting.
-GATEWAY_SCAN_NOTE = "routing participation, not hosting"
+from .model import RouterInfo
 
 
 class ProbeTransportError(Exception):
@@ -186,45 +182,6 @@ def shade8_certificate(report: ShadeReport) -> bool:
         and report.probes_used > 0
         and report.failed_probes == 0
     )
-
-
-class MatchKind(Enum):
-    EXACT_HASH = "ExactHash"
-    PREFIX = "Prefix"
-
-
-@dataclass(frozen=True)
-class GatewayMatch:
-    leaseset: LeaseSet
-    lease_index: int
-    match_kind: MatchKind
-
-    @property
-    def note(self) -> str:
-        return GATEWAY_SCAN_NOTE
-
-
-def gateway_scan(
-    target: bytes, leasesets: Sequence[LeaseSet]
-) -> list[GatewayMatch]:
-    """Find leases whose gateway equals the target hash (or prefix).
-
-    A 32-byte target matches exactly; 4 to 31 bytes match as a prefix.
-    Matches indicate routing participation only, never hosting, and must
-    not feed a shade verdict.
-    """
-    if not 4 <= len(target) <= 32:
-        raise ValueError("target must be a 32-byte hash or a prefix of >= 4 bytes")
-    if len(target) == 32:
-        kind, hit = MatchKind.EXACT_HASH, lambda gw: gw == target
-    else:
-        kind, hit = MatchKind.PREFIX, lambda gw: gw.startswith(target)
-    matches = []
-    for ls in leasesets:
-        for idx, lease in enumerate(ls.leases):
-            if hit(lease.gateway):
-                matches.append(GatewayMatch(ls, idx, kind))
-    return matches
 
 
 def write_probe_log(report: ShadeReport, plan: ProbePlan, path: Union[str, Path]) -> None:

@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .classify import ShadeReport, classify
-from .dht import DateLike, FloodfillTable, normalize_date, routing_key
+from .dht import FloodfillTable, normalize_date, routing_key
 from .encoding import hash_to_b64
 from .model import (
     BANDWIDTH_LETTERS,
@@ -74,6 +74,8 @@ class NetworkSpec:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except UnicodeDecodeError:
             raise InfeasibleSpecError(f"spec file is not UTF-8 text: {path}") from None
+        except (ValueError, RecursionError) as exc:  # bad JSON, too deep or too long a number
+            raise InfeasibleSpecError(f"spec file is not readable JSON: {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise InfeasibleSpecError("spec must be a JSON object")
         unknown = set(raw) - set(_SPEC_TYPES)
@@ -301,7 +303,7 @@ def _assign_knowledge(
     records: Sequence[RouterInfo],
     floodfills: Sequence[bytes],
     k: int,
-    date: DateLike,
+    date: str,
 ) -> dict[bytes, dict[bytes, RouterInfo]]:
     """Store each published record on the k floodfills nearest its routing key,
     as answered in one batch by :class:`~shadescope.dht.FloodfillTable`."""
@@ -313,7 +315,7 @@ def _records_by_holder(
     records: Sequence[RouterInfo],
     floodfills: Sequence[bytes],
     k: int,
-    date: DateLike,
+    date: str,
 ) -> dict[bytes, dict[bytes, RouterInfo]]:
     """The published records each floodfill holds, by hash, in published order."""
     hashes = [record.hash for record in records]

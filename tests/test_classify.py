@@ -5,10 +5,8 @@ import pytest
 from shadescope.classify import (
     Evidence,
     EvidenceSource,
-    ProfileAbsentError,
     ShadeReport,
     classify,
-    f_cap,
     profile_diagnostics,
 )
 from shadescope.model import CapabilityProfile, Destination, RouterInfo, SHADES, TransportAddress
@@ -32,23 +30,21 @@ def all_profiles():
 
 
 class TestFCap:
+    """The capability mapping of an existing record, levels 1-7."""
+
     def test_floodfill_with_address_is_beacon(self):
-        assert f_cap(make_profile(kappa_f=True, alpha=True)).level == 1
+        assert classify(make_profile(kappa_f=True, alpha=True)).level == 1
 
     def test_unreachable_silent_is_phantom(self):
-        assert f_cap(make_profile(alpha=False, iota=False)).level == 7
+        assert classify(make_profile(alpha=False, iota=False)).level == 7
 
     def test_firewalled_with_address_beats_bandwidth(self):
         profile = make_profile(kappa_U=True, alpha=True, bandwidth="X")
-        assert f_cap(profile).level == 4
-
-    def test_absent_profile_is_a_contract_violation(self):
-        with pytest.raises(ProfileAbsentError):
-            f_cap(None)
+        assert classify(profile).level == 4
 
     def test_range_is_one_to_seven(self):
         for profile in all_profiles():
-            assert 1 <= f_cap(profile).level <= 7
+            assert 1 <= classify(profile).level <= 7
 
 
 class TestClassify:

@@ -498,6 +498,8 @@ SMALL_SPEC = {"n_routers": 50, "floodfill_fraction": 0.5,
     pytest.param({"n_routers": 50}, [], id="missing-keys"),
     pytest.param([SMALL_SPEC], [], id="not-an-object"),
     pytest.param(NON_UTF8, [], id="non-utf8"),
+    pytest.param(b"[" * 200_000, [], id="deep-nesting"),
+    pytest.param(b'{"n_routers": ' + b"1" * 5000 + b"}", [], id="huge-integer"),
     pytest.param(SMALL_SPEC, ["--fail-rate", "2"], id="fail-rate-2"),
     pytest.param(SMALL_SPEC, ["--fail-rate", "-1"], id="fail-rate-negative"),
     pytest.param(SMALL_SPEC, ["--fail-rate", "nan"], id="fail-rate-nan"),

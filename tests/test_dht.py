@@ -42,9 +42,6 @@ class TestDailyModKey:
         assert daily_mod_key("20250102").hex() == MK_20250102
         assert daily_mod_key("20250615").hex() == MK_20250615
 
-    def test_equal_dates_equal_keys(self):
-        assert daily_mod_key("20250101") == daily_mod_key(dt.date(2025, 1, 1))
-
     def test_adjacent_dates_differ(self):
         assert daily_mod_key("20250101") != daily_mod_key("20250102")
 
@@ -76,8 +73,17 @@ class TestRoutingKey:
     def test_thirty_consecutive_dates_no_collisions(self):
         h = bytes(range(32))
         start = dt.date(2025, 6, 1)
-        keys = {routing_key(h, start + dt.timedelta(days=i)) for i in range(30)}
+        dates = [(start + dt.timedelta(days=i)).strftime("%Y%m%d") for i in range(30)]
+        keys = {routing_key(h, date) for date in dates}
         assert len(keys) == 30
+
+    def test_date_objects_rejected(self):
+        # Only a yyyyMMdd string names the UTC day; 23:30 at -05:00 is already
+        # 20250102 in UTC, so an object is rejected rather than keyed by a guess.
+        eastern = dt.timezone(dt.timedelta(hours=-5))
+        for date in (dt.date(2025, 1, 1), dt.datetime(2025, 1, 1, 23, 30, tzinfo=eastern)):
+            with pytest.raises(ValueError):
+                routing_key(bytes(32), date)
 
     def test_requires_32_bytes(self):
         with pytest.raises(EncodingError):

@@ -7,17 +7,14 @@ from hypothesis import strategies as st
 
 from shadescope.classify import Evidence, EvidenceSource, classify
 from shadescope.encoding import hash_to_b64
-from shadescope.model import SHADE_EXCLUSIVE, Lease, LeaseSet
+from shadescope.model import SHADE_EXCLUSIVE
 from shadescope.netdb import NetDbSnapshot
 from shadescope.protocol import (
-    GatewayMatch,
-    MatchKind,
     ProbePlan,
     ProbeTransportError,
     SnapshotSource,
     classify_remote,
     classify_sweep,
-    gateway_scan,
     shade8_certificate,
     write_probe_log,
 )
@@ -333,57 +330,6 @@ class TestCertificate:
         assert report.shade.level == 8
         assert report.probes_used == 0 and source.probe_calls == []
         assert shade8_certificate(report) is False
-
-
-class TestGatewayScan:
-    def _leasesets(self, rng, n, gateways_per=1):
-        out = []
-        for _ in range(n):
-            dest = rng.randbytes(32)
-            leases = tuple(
-                Lease(rng.randbytes(32), rng.randint(1, 2**31), 1700000000000)
-                for _ in range(gateways_per)
-            )
-            out.append(LeaseSet(destination_hash=dest, leases=leases))
-        return out
-
-    def test_empty_list(self):
-        assert gateway_scan(bytes(32), []) == []
-
-    def test_exact_match(self):
-        rng = random.Random(1)
-        leasesets = self._leasesets(rng, 3, gateways_per=2)
-        target = leasesets[1].leases[1].gateway
-        matches = gateway_scan(target, leasesets)
-        assert len(matches) == 1
-        match = matches[0]
-        assert match.leaseset is leasesets[1]
-        assert match.lease_index == 1
-        assert match.match_kind is MatchKind.EXACT_HASH
-        assert match.note == "routing participation, not hosting"
-
-    def test_prefix_match(self):
-        rng = random.Random(2)
-        leasesets = self._leasesets(rng, 5)
-        target = leasesets[0].leases[0].gateway[:4]
-        matches = gateway_scan(target, leasesets)
-        assert any(m.match_kind is MatchKind.PREFIX for m in matches)
-        assert all(
-            m.leaseset.leases[m.lease_index].gateway.startswith(target)
-            for m in matches
-        )
-
-    def test_short_prefix_rejected(self):
-        with pytest.raises(ValueError):
-            gateway_scan(b"abc", [])
-        with pytest.raises(ValueError):
-            gateway_scan(b"x" * 33, [])
-
-    def test_sixty_nine_leasesets_no_match(self):
-        rng = random.Random(3)
-        leasesets = self._leasesets(rng, 69)
-        target = rng.randbytes(32)
-        assert gateway_scan(target, leasesets) == []
 
 
 class TestSnapshotSourceAndLog:
