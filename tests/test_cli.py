@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadescope.cli import main
+from shadescope.cli import build_parser, main
 from shadescope.encoding import hash_to_b32, hash_to_b64
 from shadescope.netdb import load_netdb_dir
 
@@ -540,3 +540,18 @@ def test_csv_only_on_commands_with_rows(argv, capsys):
         main([*argv, "--format", "csv"])
     assert exc.value.code == 2
     assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+PROBE_OPTIONS = ("--batch", "--max-probes", "--seed", "--fail-rate")
+
+
+def test_lookup_and_simulate_share_probe_options():
+    sub = build_parser()._subparsers._group_actions[0].choices
+    def probe_actions(command):
+        actions = {a.option_strings[0]: a for a in sub[command]._actions if a.option_strings}
+        return [actions[flag] for flag in PROBE_OPTIONS]
+    for lookup, simulate in zip(probe_actions("lookup"), probe_actions("simulate")):
+        assert (lookup.dest, lookup.type, lookup.default) == \
+            (simulate.dest, simulate.type, simulate.default)
+        assert simulate.help and simulate.help == lookup.help
+    assert [a.default for a in probe_actions("simulate")] == [5, None, None, 0.0]

@@ -236,6 +236,23 @@ class TestSpecValidation:
         with pytest.raises(InfeasibleSpecError):
             NetworkSpec.from_file(_write(tmp_path, {"n_routers": 1, "bogus": 2}))
 
+    @pytest.mark.parametrize("data", [b"[" * 200_000, b'{"n_routers": ' + b"1" * 5000 + b"}"],
+                             ids=["deep-nesting", "huge-integer"])
+    def test_unparseable_spec_names_the_file(self, tmp_path, data):
+        path = tmp_path / "net.json"
+        path.write_bytes(data)
+        with pytest.raises(InfeasibleSpecError, match="not readable JSON") as exc:
+            NetworkSpec.from_file(path)
+        assert str(path) in str(exc.value)
+
+    def test_non_utf8_spec_keeps_its_own_message(self, tmp_path):
+        # UnicodeDecodeError is also a ValueError; it must not read as bad JSON.
+        path = tmp_path / "net.json"
+        path.write_bytes(b'{"seed": "\xff"}')
+        with pytest.raises(InfeasibleSpecError, match="not UTF-8 text") as exc:
+            NetworkSpec.from_file(path)
+        assert str(path) in str(exc.value)
+
 
 def _write(tmp_path, payload):
     path = tmp_path / "bad.json"
