@@ -7,6 +7,7 @@ import datetime as dt
 import functools
 import hashlib
 import re
+from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -106,7 +107,10 @@ class FloodfillTable:
         if k < 1:
             raise ValueError("k must be >= 1")
         k = min(k, len(self.hashes))
-        keys = [check_hash(key, "storage key") for key in keys]
+        # One pass over the batch, each key checked as check_hash would.
+        if not (all(map(isinstance, keys, repeat((bytes, bytearray))))
+                and set(map(len, keys)) <= {HASH_LEN}):
+            raise EncodingError(f"storage key must be exactly {HASH_LEN} bytes")
         words = _top_words(keys)
         # Searching in key order lets each binary search start near the last.
         order = np.argsort(words)
@@ -173,7 +177,7 @@ class FloodfillTable:
 
 def _top_words(hashes: Sequence[bytes]) -> np.ndarray:
     """Word 0 (the top 64 bits) of each 32-byte hash as native ``uint64``."""
-    raw = np.frombuffer(b"".join(h[:8] for h in hashes), dtype=">u8")
+    raw = np.frombuffer(b"".join(hashes), dtype=">u8").reshape(-1, 4)[:, 0]
     return raw.astype(np.uint64)
 
 

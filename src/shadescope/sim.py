@@ -14,6 +14,7 @@ checked against :func:`~shadescope.classify.classify` before use.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from bisect import bisect_left
@@ -248,7 +249,18 @@ def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
 
 
 def generate_network(spec: NetworkSpec) -> NetworkModel:
-    """Build the full ground-truth model for a spec, deterministically."""
+    """Build the full ground-truth model for a spec, deterministically.
+
+    Process-global effect: once the spec is valid, cyclic garbage
+    collection is paused for the rest of the call, and the caller's
+    enabled flag is restored on return, also when the call raises. On
+    return, every tracked object in the process, the new model included,
+    moves to the oldest generation unscanned and the generation counts
+    restart from zero, unless the caller holds frozen objects
+    (``gc.get_freeze_count() > 0``), which stay frozen. Collections during
+    the build would re-walk the records already made, and the first young
+    collection after it would walk the whole model.
+    """
     try:
         normalize_date(spec.date)
     except ValueError as exc:
@@ -256,6 +268,23 @@ def generate_network(spec: NetworkSpec) -> NetworkModel:
     if spec.k < 1:
         raise InfeasibleSpecError("replication k must be >= 1")
     counts = _allocate_counts(spec)
+    enabled = gc.isenabled()
+    promote = gc.get_freeze_count() == 0
+    gc.disable()
+    try:
+        return _build_network(spec, counts)
+    finally:
+        if promote:
+            # freeze() moves every tracked object to the permanent generation
+            # and zeroes the generation counts; unfreeze() hands them all to
+            # the oldest generation.
+            gc.freeze()
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
+def _build_network(spec: NetworkSpec, counts: dict[int, int]) -> NetworkModel:
     rng = random.Random(spec.seed)
 
     levels: list[int] = []

@@ -167,15 +167,15 @@ def _decode_text(raw: bytes, offset: int, what: str) -> str:
 def encode_router_info(record: RouterInfo) -> bytes:
     """Produce the exact byte form :func:`decode_router_info` inverts."""
     out = bytearray(record.identity.key_bytes)
-    out += record.published_ms.to_bytes(8, "big")
+    out += _uint(record.published_ms, 8, "publish time")
     if len(record.addresses) > 255:
         raise EncodeError("more than 255 addresses")
     out.append(len(record.addresses))
     for addr in record.addresses:
         if not _STYLE_RE.fullmatch(addr.style):
             raise EncodeError(f"invalid style string: {addr.style!r}")
-        out.append(addr.cost)
-        out += addr.expiration_ms.to_bytes(8, "big")
+        out += _uint(addr.cost, 1, "address cost")
+        out += _uint(addr.expiration_ms, 8, "address expiration")
         style = addr.style.encode("ascii")
         out.append(len(style))
         out += style
@@ -184,6 +184,13 @@ def encode_router_info(record: RouterInfo) -> bytes:
     out += _encode_mapping(record.options)
     out += record.signature
     return bytes(out)
+
+
+def _uint(value: int, size: int, what: str) -> bytes:
+    try:
+        return value.to_bytes(size, "big")
+    except OverflowError:  # negative, or too wide for the field
+        raise EncodeError(f"{what} does not fit an unsigned {size}-byte field: {value}") from None
 
 
 def _encode_mapping(options: Mapping[str, str]) -> bytes:

@@ -211,6 +211,22 @@ class TestEncodeErrors:
         with pytest.raises(EncodeError):
             encode_router_info(make_record(addresses=[address]))
 
+    @pytest.mark.parametrize("cost", [300, -1])
+    def test_address_cost_out_of_range(self, cost):
+        address = TransportAddress("NTCP2", cost=cost, options={})
+        with pytest.raises(EncodeError, match="address cost"):
+            encode_router_info(make_record(addresses=[address]))
+
+    @pytest.mark.parametrize("published_ms", [-1, 2**64])
+    def test_publish_time_out_of_range(self, published_ms):
+        with pytest.raises(EncodeError, match="publish time"):
+            encode_router_info(make_record(published_ms=published_ms))
+
+    def test_address_expiration_out_of_range(self):
+        address = TransportAddress("NTCP2", expiration_ms=-5, options={})
+        with pytest.raises(EncodeError, match="address expiration"):
+            encode_router_info(make_record(addresses=[address]))
+
 
 class TestLenientExtract:
     def test_agrees_with_strict_on_clean_records(self):

@@ -240,6 +240,22 @@ class TestFloodfillTable:
         with pytest.raises(ValueError):
             FloodfillTable([bytes(32)]).nearest([bytes(32)], 0)
 
+    @pytest.mark.parametrize("at", [0, 4, 9], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "bad", [bytes(31), bytes(33), "k" * 32, memoryview(bytes(32)), None],
+        ids=["short", "long", "str", "memoryview", "none"])
+    def test_bad_key_rejected_at_any_position(self, at, bad):
+        keys = [bytes([i]) * 32 for i in range(10)]
+        keys[at] = bad
+        with pytest.raises(EncodingError, match="^storage key must be exactly 32 bytes$"):
+            FloodfillTable([bytes(32), b"\x01" * 32]).nearest(keys, 1)
+
+    def test_bytearray_keys_accepted(self):
+        table = FloodfillTable([bytes([i]) * 32 for i in range(0, 256, 17)])
+        keys = [bytes([i]) * 32 for i in range(0, 256, 5)]
+        got = table.nearest([bytearray(key) for key in keys], 3)
+        assert got.tolist() == table.nearest(keys, 3).tolist()
+
 
 def responsible(key_hash, floodfills):
     """The floodfill responsible for ``key_hash`` on 2025-01-01, from the table."""

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -34,6 +35,26 @@ def small_spec(seed=0, n=60, k=2):
         k=k,
         seed=seed,
     )
+
+
+def census_spec():
+    dist = {
+        "2": 500 / 3242, "3": 500 / 3242, "4": 300 / 3242,
+        "5": 200 / 3242, "6": 100 / 3242, "7": 85 / 3242, "8": 1 / 3242,
+    }
+    return NetworkSpec(
+        n_routers=3242, floodfill_fraction=1556 / 3242,
+        shade_distribution=dist, k=4, seed=0,
+    )
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """Run the test with the cyclic collector on, then off; restore it after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
 
 
 class TestSynthRecord:
@@ -108,15 +129,7 @@ class TestGenerateNetwork:
         assert len(model.published) == 900
 
     def test_census_shape_counts(self):
-        dist = {
-            "2": 500 / 3242, "3": 500 / 3242, "4": 300 / 3242,
-            "5": 200 / 3242, "6": 100 / 3242, "7": 85 / 3242, "8": 1 / 3242,
-        }
-        spec = NetworkSpec(
-            n_routers=3242, floodfill_fraction=1556 / 3242,
-            shade_distribution=dist, k=4, seed=0,
-        )
-        model = generate_network(spec)
+        model = generate_network(census_spec())
         assert len(model.routers) == 3242
         assert len(model.floodfills) == 1556
         assert len(model.exclusive) == 1
@@ -162,6 +175,41 @@ class TestGenerateNetwork:
             nearest = oracle_nearest(routing_key(h, model.spec.date), model.floodfills, 2)
             holders = [f for f in model.floodfills if h in model.knowledge[f]]
             assert sorted(nearest) == sorted(holders)
+
+    def test_collector_flag_restored(self, collector):
+        generate_network(small_spec())
+        assert gc.isenabled() is collector
+
+    def test_collector_flag_restored_when_generation_raises(self, collector, monkeypatch):
+        seen = []
+
+        def failing_synth(rng, level):
+            seen.append(gc.isenabled())
+            raise RuntimeError("synthesis failed")
+
+        monkeypatch.setattr(shadescope.sim, "synth_record", failing_synth)
+        with pytest.raises(RuntimeError, match="synthesis failed"):
+            generate_network(small_spec())
+        assert seen == [False]  # raised inside the pause
+        assert gc.isenabled() is collector
+
+    def test_caller_frozen_objects_stay_frozen(self):
+        kept = [[i] for i in range(1000)]
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen >= len(kept)
+            generate_network(small_spec())
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
+    def test_census_model_is_promoted_unscanned(self):
+        # The new model leaves the young generation without a scan, so the
+        # next young collection does not walk it.
+        model = generate_network(census_spec())
+        assert gc.get_count()[0] < gc.get_threshold()[0]
+        assert any(obj is model.knowledge for obj in gc.get_objects(generation=2))
 
     def test_structural_incompleteness(self):
         # Any model with an exclusive router: stored union is a proper
