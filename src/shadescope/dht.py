@@ -7,7 +7,6 @@ import datetime as dt
 import functools
 import hashlib
 import re
-from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -16,6 +15,7 @@ from .encoding import (
     B32_SUFFIX,
     HASH_LEN,
     EncodingError,
+    _check_hashes,
     check_hash,
     hash_from_b32,
     hash_to_b32,
@@ -86,7 +86,9 @@ class FloodfillTable:
     """
 
     def __init__(self, floodfills: Iterable[bytes]):
-        self.hashes = tuple(sorted(check_hash(f, "floodfill hash") for f in floodfills))
+        floodfills = tuple(floodfills)
+        _check_hashes(floodfills, "floodfill hash")
+        self.hashes = tuple(sorted(map(bytes, floodfills)))
         self._words = _top_words(self.hashes)
 
     def __len__(self) -> int:
@@ -107,10 +109,7 @@ class FloodfillTable:
         if k < 1:
             raise ValueError("k must be >= 1")
         k = min(k, len(self.hashes))
-        # One pass over the batch, each key checked as check_hash would.
-        if not (all(map(isinstance, keys, repeat((bytes, bytearray))))
-                and set(map(len, keys)) <= {HASH_LEN}):
-            raise EncodingError(f"storage key must be exactly {HASH_LEN} bytes")
+        _check_hashes(keys, "storage key")
         words = _top_words(keys)
         # Searching in key order lets each binary search start near the last.
         order = np.argsort(words)

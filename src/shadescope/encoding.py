@@ -10,6 +10,8 @@ from __future__ import annotations
 import base64
 import binascii
 import re
+from itertools import repeat
+from typing import Sequence
 
 HASH_LEN = 32
 
@@ -34,6 +36,13 @@ def check_hash(value: bytes, label: str = "hash") -> bytes:
     if not isinstance(value, (bytes, bytearray)) or len(value) != HASH_LEN:
         raise EncodingError(f"{label} must be exactly {HASH_LEN} bytes")
     return bytes(value)
+
+
+def _check_hashes(values: Sequence[bytes], label: str) -> None:
+    """Raise as :func:`check_hash` would for the first bad value, in one pass."""
+    if not (all(map(isinstance, values, repeat((bytes, bytearray))))
+            and set(map(len, values)) <= {HASH_LEN}):
+        raise EncodingError(f"{label} must be exactly {HASH_LEN} bytes")
 
 
 def hash_to_b64(value: bytes) -> str:

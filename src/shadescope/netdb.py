@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import fnmatch
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -63,30 +65,50 @@ class NetDbSnapshot:
 def load_netdb_dir(path: Union[str, Path]) -> NetDbSnapshot:
     """Decode every routerInfo-*.dat file under ``path``.
 
-    A file that cannot be read or strictly decoded is counted as a
-    :class:`ParseFailure` with its error; one bad file never affects the
-    others. :func:`~shadescope.wire.lenient_extract` can recover option
-    values from such bytes on request.
+    The walk is recursive and does not follow symlinked directories. Files
+    load in path-component order (``a/x`` before ``a-b/x``), and when two
+    files hold the same router hash the later one replaces the earlier,
+    with a warning. A file that cannot be read or strictly decoded is
+    counted as a :class:`ParseFailure` with its error; one bad file never
+    affects the others. :func:`~shadescope.wire.lenient_extract` can
+    recover option values from such bytes on request.
     """
     directory = Path(path)
     if not directory.is_dir():
         raise NetDbError(f"not a readable directory: {directory}")
     snapshot = NetDbSnapshot(source_dir=directory)
-    for entry in sorted(directory.rglob(RECORD_GLOB)):
+    for entry in _record_paths(str(directory)):
+        name = os.path.basename(entry)
         try:
-            data = entry.read_bytes()
+            with open(entry, "rb") as file:
+                data = file.read()
         except OSError as exc:
-            snapshot.failures.append(ParseFailure(entry.name, f"unreadable: {exc}"))
+            snapshot.failures.append(ParseFailure(name, f"unreadable: {exc}"))
             continue
         try:
             record = decode_router_info(data)
         except DecodeError as exc:
-            snapshot.failures.append(ParseFailure(entry.name, str(exc)))
+            snapshot.failures.append(ParseFailure(name, str(exc)))
             continue
         if record.hash in snapshot.records:
-            snapshot.warnings.append(f"duplicate record replaced: {entry.name}")
+            snapshot.warnings.append(f"duplicate record replaced: {name}")
         snapshot.records[record.hash] = record
     return snapshot
+
+
+def _record_paths(top: str) -> list[str]:
+    """Paths of the entries named like a record under ``top``, files or not,
+    in the order ``sorted(Path(top).rglob(RECORD_GLOB))`` gives them."""
+    paths = []
+    for dirpath, dirs, files in os.walk(top):
+        if top == os.curdir:  # rglob from "." yields "x", not "./x"; errors quote it
+            dirpath = dirpath[2:]
+        names = fnmatch.filter(dirs + files, RECORD_GLOB)
+        paths += [os.path.join(dirpath, name) for name in names]
+    # Mapping the separator below every other character compares paths
+    # component by component, as Path does, instead of character by character.
+    paths.sort(key=lambda p: p.replace(os.sep, "\0"))
+    return paths
 
 
 def load_leasesets(path: Union[str, Path]) -> tuple[list[LeaseSet], list[str]]:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Optional, Protocol, Sequence, Union
 
 from .classify import EvidenceSource, ShadeReport
-from .encoding import check_hash, hash_to_b64
+from .encoding import _check_hashes, check_hash, hash_to_b64
 from .model import RouterInfo
 
 
@@ -78,8 +78,7 @@ class ProbePlan:
             raise ValueError("batch size must be positive")
         if self.max_probes is not None and self.max_probes < 0:
             raise ValueError("max_probes must be non-negative")
-        for f in self.floodfills:
-            check_hash(f, "planned floodfill")
+        _check_hashes(self.floodfills, "planned floodfill")
 
     @property
     def probe_limit(self) -> int:

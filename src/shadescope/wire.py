@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .model import (
-    Destination,
-    DestinationError,
+    CERT_LEN_OFFSET,
     DEST_MIN_LEN,
+    Destination,
     RouterInfo,
     TransportAddress,
     int_option,
@@ -56,112 +56,91 @@ class EncodeError(ValueError):
     """Record fields exceed the wire layout's limits."""
 
 
-class _Reader:
-    __slots__ = ("data", "offset")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self.data):
-            raise DecodeError(f"truncated {what}", self.offset)
-        chunk = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return chunk
-
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def u16(self, what: str) -> int:
-        return int.from_bytes(self.take(2, what), "big")
-
-    def u64(self, what: str) -> int:
-        return int.from_bytes(self.take(8, what), "big")
-
-
 def decode_router_info(data: bytes) -> RouterInfo:
     """Strictly decode one record; raises :class:`DecodeError` on any defect."""
-    r = _Reader(data)
-    identity = _read_identity(r)
-    published_ms = r.u64("publish time")
-    addr_count = r.u8("address count")
-    addresses = tuple(_read_address(r) for _ in range(addr_count))
-    peer_count = r.u8("peer count")
-    r.take(32 * peer_count, "peer hashes")
-    options = _read_mapping(r, "router options")
-    signature = data[r.offset :]
+    n = len(data)
+    if n < DEST_MIN_LEN:
+        raise DecodeError("truncated identity", 0)
+    pos = DEST_MIN_LEN + (data[CERT_LEN_OFFSET] << 8 | data[CERT_LEN_OFFSET + 1])
+    if pos > n:
+        raise DecodeError("truncated identity", 0)
+    # Exactly the certificate-declared size, which Destination always accepts.
+    identity = Destination(data[:pos])
+    if pos + 8 > n:
+        raise DecodeError("truncated publish time", pos)
+    published_ms = int.from_bytes(data[pos : pos + 8], "big")
+    pos += 8
+    if pos >= n:
+        raise DecodeError("truncated address count", pos)
+    count = data[pos]
+    pos += 1
+    addresses = []
+    for _ in range(count):
+        # Cost (u8), expiration (u64), style length (u8): a short read names
+        # the offset of the field it cuts.
+        if pos + 10 > n:
+            short_at = pos if pos >= n else pos + 1 if pos + 9 > n else pos + 9
+            raise DecodeError("truncated address", short_at)
+        cost = data[pos]
+        expiration_ms = int.from_bytes(data[pos + 1 : pos + 9], "big")
+        style_at = pos + 10
+        pos = style_at + data[pos + 9]
+        if pos > n:
+            raise DecodeError("truncated address style", style_at)
+        try:
+            style = data[style_at:pos].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DecodeError("address style is not valid UTF-8", pos) from exc
+        options, pos = _read_mapping(data, pos, n, "address options")
+        addresses.append(TransportAddress(style, cost, expiration_ms, options))
+    if pos >= n:
+        raise DecodeError("truncated peer count", pos)
+    peers_at = pos + 1
+    pos = peers_at + 32 * data[pos]
+    if pos > n:
+        raise DecodeError("truncated peer hashes", peers_at)
+    options, pos = _read_mapping(data, pos, n, "router options")
     return RouterInfo(
         identity=identity,
         published_ms=published_ms,
-        addresses=addresses,
+        addresses=tuple(addresses),
         options=options,
-        signature=signature,
+        signature=data[pos:],
     )
 
 
-def _read_identity(r: _Reader) -> Destination:
-    start = r.offset
-    header = r.take(DEST_MIN_LEN, "identity")
-    cert_len = int.from_bytes(header[-2:], "big")
-    r.offset = start
-    try:
-        return Destination(r.take(DEST_MIN_LEN + cert_len, "identity"))
-    except DestinationError as exc:
-        raise DecodeError(str(exc), start) from exc
-
-
-def _read_address(r: _Reader) -> TransportAddress:
-    cost = r.u8("address")
-    expiration_ms = r.u64("address")
-    style_len = r.u8("address")
-    style = _decode_text(r.take(style_len, "address style"), r.offset, "address style")
-    options = _read_mapping(r, "address options")
-    return TransportAddress(
-        style=style, cost=cost, expiration_ms=expiration_ms, options=options
-    )
-
-
-def _read_mapping(r: _Reader, what: str) -> dict[str, str]:
-    size = r.u16(f"{what} size")
-    end = r.offset + size
-    if end > len(r.data):
-        raise DecodeError(f"truncated {what} mapping", r.offset)
+def _read_mapping(data: bytes, pos: int, n: int, what: str) -> tuple[dict[str, str], int]:
+    """The mapping at ``pos`` of ``data[:n]``, and the offset just past it."""
+    if pos + 2 > n:
+        raise DecodeError(f"truncated {what} size", pos)
+    end = pos + 2 + (data[pos] << 8 | data[pos + 1])
+    pos += 2
+    if end > n:
+        raise DecodeError(f"truncated {what} mapping", pos)
     entries: dict[str, str] = {}
-    while r.offset < end:
-        key = _read_mapping_string(r, end, what)
-        _expect(r, end, b"=", what)
-        value = _read_mapping_string(r, end, what)
-        _expect(r, end, b";", what)
-        entries[key] = value
-    if r.offset != end:
-        raise DecodeError(f"{what} mapping length mismatch", r.offset)
-    return entries
-
-
-def _read_mapping_string(r: _Reader, end: int, what: str) -> str:
-    length = r.u8(f"{what} mapping")
-    if r.offset + length > end:
-        raise DecodeError(f"{what} mapping length mismatch", r.offset)
-    return _decode_text(r.take(length, f"{what} mapping"), r.offset, what)
-
-
-def _expect(r: _Reader, end: int, token: bytes, what: str) -> None:
-    if r.offset >= end:
-        raise DecodeError(f"{what} mapping length mismatch", r.offset)
-    got = r.take(1, f"{what} mapping")
-    if got != token:
-        raise DecodeError(
-            f"malformed {what} mapping entry: expected {token!r}, got {got!r}",
-            r.offset - 1,
-        )
-
-
-def _decode_text(raw: bytes, offset: int, what: str) -> str:
     try:
-        return raw.decode("utf-8")
+        while pos < end:
+            pair = []
+            for separator in b"=;":
+                # A length byte is read even past the mapping's end (after an
+                # '=' on its last byte); only the end of the data stops it.
+                if pos >= n:
+                    raise DecodeError(f"truncated {what} mapping", pos)
+                start = pos + 1
+                pos = start + data[pos]
+                if pos > end:
+                    raise DecodeError(f"{what} mapping length mismatch", start)
+                pair.append(data[start:pos].decode("utf-8"))
+                if pos >= end:
+                    raise DecodeError(f"{what} mapping length mismatch", pos)
+                if data[pos] != separator:
+                    raise DecodeError(f"malformed {what} mapping entry: expected "
+                                      f"{bytes([separator])!r}, got {data[pos:pos + 1]!r}", pos)
+                pos += 1
+            entries[pair[0]] = pair[1]
     except UnicodeDecodeError as exc:
-        raise DecodeError(f"{what} is not valid UTF-8", offset) from exc
+        raise DecodeError(f"{what} is not valid UTF-8", pos) from exc
+    return entries, pos
 
 
 def encode_router_info(record: RouterInfo) -> bytes:

@@ -1,7 +1,7 @@
 """Deterministic fixtures shared by the tests: record corpora,
 layout-diverse random records, curve CSV reading, leaseset writing,
 brute-force XOR oracles over ints, and the earlier definitions of the
-record predicates as oracles."""
+record predicates and the record decoder as oracles."""
 
 import csv
 import random
@@ -10,11 +10,11 @@ from pathlib import Path
 from typing import Union
 
 from shadescope.encoding import hash_from_b64, hash_to_b64
-from shadescope.model import (BANDWIDTH_LETTERS, CapabilityProfile, Destination, LeaseSet,
-                              RouterInfo, TransportAddress)
+from shadescope.model import (BANDWIDTH_LETTERS, DEST_MIN_LEN, CapabilityProfile, Destination,
+                              DestinationError, LeaseSet, RouterInfo, TransportAddress)
 from shadescope.sim import (EPOCH_2025_MS, HitCurve, _VERSIONS, _direct_address,
                             _introducer_address, _synth_identity, synth_record)
-from shadescope.wire import KNOWN_STYLES, encode_router_info
+from shadescope.wire import KNOWN_STYLES, DecodeError, encode_router_info
 
 
 def load_curves(path: Union[str, Path]) -> list[HitCurve]:
@@ -164,3 +164,111 @@ def oracle_profile(record: RouterInfo) -> CapabilityProfile:
         iota=any(oracle_has_introducers(a) for a in record.addresses),
         bandwidth_class=next((ch for ch in caps if ch in BANDWIDTH_LETTERS), None),
     )
+
+
+class _Reader:
+    __slots__ = ("data", "offset")
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.offset = 0
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.offset + n > len(self.data):
+            raise DecodeError(f"truncated {what}", self.offset)
+        chunk = self.data[self.offset : self.offset + n]
+        self.offset += n
+        return chunk
+
+    def u8(self, what: str) -> int:
+        return self.take(1, what)[0]
+
+    def u16(self, what: str) -> int:
+        return int.from_bytes(self.take(2, what), "big")
+
+    def u64(self, what: str) -> int:
+        return int.from_bytes(self.take(8, what), "big")
+
+
+def oracle_decode_router_info(data: bytes) -> RouterInfo:
+    """The cursor-object definition of :func:`shadescope.wire.decode_router_info`."""
+    r = _Reader(data)
+    identity = _read_identity(r)
+    published_ms = r.u64("publish time")
+    addr_count = r.u8("address count")
+    addresses = tuple(_read_address(r) for _ in range(addr_count))
+    peer_count = r.u8("peer count")
+    r.take(32 * peer_count, "peer hashes")
+    options = _read_mapping(r, "router options")
+    signature = data[r.offset :]
+    return RouterInfo(
+        identity=identity,
+        published_ms=published_ms,
+        addresses=addresses,
+        options=options,
+        signature=signature,
+    )
+
+
+def _read_identity(r: _Reader) -> Destination:
+    start = r.offset
+    header = r.take(DEST_MIN_LEN, "identity")
+    cert_len = int.from_bytes(header[-2:], "big")
+    r.offset = start
+    try:
+        return Destination(r.take(DEST_MIN_LEN + cert_len, "identity"))
+    except DestinationError as exc:
+        raise DecodeError(str(exc), start) from exc
+
+
+def _read_address(r: _Reader) -> TransportAddress:
+    cost = r.u8("address")
+    expiration_ms = r.u64("address")
+    style_len = r.u8("address")
+    style = _decode_text(r.take(style_len, "address style"), r.offset, "address style")
+    options = _read_mapping(r, "address options")
+    return TransportAddress(
+        style=style, cost=cost, expiration_ms=expiration_ms, options=options
+    )
+
+
+def _read_mapping(r: _Reader, what: str) -> dict[str, str]:
+    size = r.u16(f"{what} size")
+    end = r.offset + size
+    if end > len(r.data):
+        raise DecodeError(f"truncated {what} mapping", r.offset)
+    entries: dict[str, str] = {}
+    while r.offset < end:
+        key = _read_mapping_string(r, end, what)
+        _expect(r, end, b"=", what)
+        value = _read_mapping_string(r, end, what)
+        _expect(r, end, b";", what)
+        entries[key] = value
+    if r.offset != end:
+        raise DecodeError(f"{what} mapping length mismatch", r.offset)
+    return entries
+
+
+def _read_mapping_string(r: _Reader, end: int, what: str) -> str:
+    length = r.u8(f"{what} mapping")
+    if r.offset + length > end:
+        raise DecodeError(f"{what} mapping length mismatch", r.offset)
+    return _decode_text(r.take(length, f"{what} mapping"), r.offset, what)
+
+
+def _expect(r: _Reader, end: int, token: bytes, what: str) -> None:
+    if r.offset >= end:
+        raise DecodeError(f"{what} mapping length mismatch", r.offset)
+    got = r.take(1, f"{what} mapping")
+    if got != token:
+        raise DecodeError(
+            f"malformed {what} mapping entry: expected {token!r}, got {got!r}",
+            r.offset - 1,
+        )
+
+
+def _decode_text(raw: bytes, offset: int, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"{what} is not valid UTF-8", offset) from exc

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadescope.model import Destination, RouterInfo, TransportAddress
+from shadescope.model import CERT_LEN_OFFSET, Destination, RouterInfo, TransportAddress
 from shadescope.wire import (
     DecodeError,
     EncodeError,
@@ -13,7 +13,7 @@ from shadescope.wire import (
     lenient_extract,
 )
 
-from fixtures import random_record
+from fixtures import oracle_decode_router_info, random_record
 
 
 def make_record(caps=None, addresses=(), version=None, extra=None, cert_len=0,
@@ -193,6 +193,55 @@ class TestDecodeErrors:
             with pytest.raises(DecodeError) as exc:
                 decode_router_info(payload)
             assert "offset" in str(exc.value)
+
+
+def decode_outcome(decode, data):
+    """The record ``decode`` returns, or the text and offset of its DecodeError."""
+    try:
+        return decode(data)
+    except DecodeError as exc:
+        return str(exc), exc.offset
+
+
+class TestDecoderOracle:
+    """The decoder against the cursor-object decoder it replaced: the same
+    record, or a DecodeError of the same text at the same offset."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_every_prefix(self, seed):
+        blob = encode_router_info(random_record(random.Random(seed)))
+        for cut in range(len(blob) + 1):
+            assert (decode_outcome(decode_router_info, blob[:cut])
+                    == decode_outcome(oracle_decode_router_info, blob[:cut]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32), st.data())
+    def test_overwritten_bytes(self, seed, data):
+        blob = bytearray(encode_router_info(random_record(random.Random(seed))))
+        # From the certificate length on: the identity bytes before it are opaque.
+        writes = st.tuples(
+            st.integers(CERT_LEN_OFFSET, len(blob) - 1),
+            st.one_of(st.sampled_from(b"\x00\x01;=\x80\xff"), st.integers(0, 255)))
+        for at, value in data.draw(st.lists(writes, min_size=1, max_size=3)):
+            blob[at] = value
+        blob = bytes(blob)
+        assert decode_outcome(decode_router_info, blob) == decode_outcome(oracle_decode_router_info, blob)
+
+    @pytest.mark.parametrize("tail, expected", [
+        (b"\x01X;", ("router options mapping length mismatch (at offset 406)", 406)),
+        (b"", ("truncated router options mapping (at offset 405)", 405)),
+    ], ids=["bytes-follow", "data-ends"])
+    def test_equals_on_last_mapping_byte(self, tail, expected):
+        # An '=' on the mapping's last byte reads the value's length byte past
+        # the mapping: a mismatch one byte on, or truncation if data ends there.
+        blob = bytearray(encode_router_info(make_record(caps="X", signature=b"")))
+        mapping_at = 387 + 8 + 1 + 1
+        assert blob[mapping_at + 2:] == b"\x04caps=\x01X;"
+        blob[mapping_at : mapping_at + 2] = (6).to_bytes(2, "big")
+        blob = bytes(blob[: mapping_at + 8]) + tail
+        assert decode_outcome(decode_router_info, blob) == expected
+        assert decode_outcome(oracle_decode_router_info, blob) == expected
 
 
 class TestEncodeErrors:

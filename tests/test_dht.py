@@ -133,6 +133,12 @@ def floodfill_sets(draw):
     return draw(st.permutations(distinct + repeats))
 
 
+# Values check_hash rejects, each in a type or length of its own.
+BAD_HASHES = pytest.mark.parametrize(
+    "bad", [bytes(31), bytes(33), "k" * 32, memoryview(bytes(32)), None],
+    ids=["short", "long", "str", "memoryview", "none"])
+
+
 def nearest_hashes(table, keys, k):
     """The table's nearest floodfills per key as hash tuples, nearest first."""
     return [tuple(table.hashes[i] for i in row) for row in table.nearest(keys, k)]
@@ -241,9 +247,7 @@ class TestFloodfillTable:
             FloodfillTable([bytes(32)]).nearest([bytes(32)], 0)
 
     @pytest.mark.parametrize("at", [0, 4, 9], ids=["first", "middle", "last"])
-    @pytest.mark.parametrize(
-        "bad", [bytes(31), bytes(33), "k" * 32, memoryview(bytes(32)), None],
-        ids=["short", "long", "str", "memoryview", "none"])
+    @BAD_HASHES
     def test_bad_key_rejected_at_any_position(self, at, bad):
         keys = [bytes([i]) * 32 for i in range(10)]
         keys[at] = bad
@@ -255,6 +259,20 @@ class TestFloodfillTable:
         keys = [bytes([i]) * 32 for i in range(0, 256, 5)]
         got = table.nearest([bytearray(key) for key in keys], 3)
         assert got.tolist() == table.nearest(keys, 3).tolist()
+
+    @pytest.mark.parametrize("at", [0, 4, 9], ids=["first", "middle", "last"])
+    @BAD_HASHES
+    def test_bad_floodfill_rejected_at_any_position(self, at, bad):
+        floodfills = [bytes([i]) * 32 for i in range(10)]
+        floodfills[at] = bad
+        with pytest.raises(EncodingError, match="^floodfill hash must be exactly 32 bytes$"):
+            FloodfillTable(iter(floodfills))
+
+    def test_bytearray_floodfills_held_as_bytes(self):
+        floodfills = [bytes([i]) * 32 for i in range(200, 0, -7)]
+        table = FloodfillTable(bytearray(f) for f in floodfills)
+        assert table.hashes == tuple(sorted(floodfills))
+        assert {type(f) for f in table.hashes} == {bytes}
 
 
 def responsible(key_hash, floodfills):

@@ -13,6 +13,10 @@ model digest was recorded from the generator whose placement ranked each
 key's candidates with a per-key ``sorted`` and whose records were
 profiled through a regex; the cheaper synthesis and the vectorised
 ranking must give the same routers, records, shades and placement.
+The damaged-snapshot digests were recorded from the decoder that read
+through a cursor object and the loader that sorted ``Path.rglob``
+results; the offset-local decoder and the string-keyed walk must give
+the same ``scan``/``xor-assoc`` output and the same failure list.
 """
 
 import hashlib
@@ -22,11 +26,13 @@ import random
 import pytest
 
 from shadescope.cli import main
-from shadescope.encoding import hash_to_b64
+from shadescope.encoding import hash_to_b32, hash_to_b64
+from shadescope.netdb import load_netdb_dir
 from shadescope.protocol import ProbePlan
 from shadescope.sim import NetworkSpec, export_curves, generate_network, run_probe_experiment
 from shadescope.wire import encode_router_info
 
+from fixtures import write_fixture_corpus
 from test_acceptance import CENSUS_DISTRIBUTION, census_spec
 
 CURVE_SHA256 = {
@@ -50,6 +56,15 @@ DUPLICATE_TARGETS_CURVES_SHA256 = (
 )
 MODEL_12968_SHA256 = (
     "a6503987bd82763a230e9482700a103a9e23233d8769dfb3402f6fab069e1eea"
+)
+DAMAGED_SCAN_JSON_SHA256 = (
+    "3b4d9d49a19556773f70cd5b1c2fd74f3267ceec86b14341d289c5bc2c1add3e"
+)
+DAMAGED_XOR_ASSOC_JSON_SHA256 = (
+    "9f5044603dd5bda57270749d8399c16ba25413ded147a573c96a2e70a959e789"
+)
+DAMAGED_FAILURES_SHA256 = (
+    "2bddf7e5666b225f4bb5ec4eb0bc3517fb2e4c5bbf15ff72f16379aa248fd91b"
 )
 
 
@@ -146,3 +161,73 @@ def test_census_x4_model_unchanged():
         holders = sorted(model.knowledge[floodfill])
         digest.update(floodfill + len(holders).to_bytes(4, "big") + b"".join(holders))
     assert digest.hexdigest() == MODEL_12968_SHA256
+
+
+@pytest.fixture(scope="module")
+def damaged_snapshot(tmp_path_factory):
+    """A 160-record snapshot, a fifth of it one directory down, with 12
+    files cut short and 6 with 1-3 bytes after the identity overwritten;
+    and 64 services.
+
+    Returns (root, floodfill target); the snapshot is ``root/netdb`` and
+    the leaseset file ``root/leasesets.txt``.
+    """
+    root = tmp_path_factory.mktemp("damaged")
+    netdb = root / "netdb"
+    records = write_fixture_corpus(netdb, n=160, floodfill_count=60, seed=17)
+    rng = random.Random(17)
+    files = sorted(netdb.iterdir())
+    (netdb / "sub").mkdir()
+    for path in rng.sample(files, 32):
+        path.rename(netdb / "sub" / path.name)
+    files = sorted(netdb.rglob("routerInfo-*.dat"))
+    damaged = rng.sample(files, 18)
+    for path in damaged[:12]:
+        data = path.read_bytes()
+        # From the identity's last bytes to the 64-byte signature, so
+        # strict decoding fails in every section.
+        path.write_bytes(data[: rng.randrange(380, len(data) - 64)])
+    for path in damaged[12:]:
+        data = bytearray(path.read_bytes())
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(387, len(data) - 64)] = rng.randrange(256)
+        path.write_bytes(bytes(data))
+    intact = {p.name for p in files if p not in damaged}
+    target = min(r.hash for r in records
+                 if r.is_floodfill and f"routerInfo-{hash_to_b64(r.hash)}.dat" in intact)
+    services = [rng.randbytes(32) for _ in range(64)]
+    (root / "leasesets.txt").write_text(
+        "".join(f"{hash_to_b64(s)} {hash_to_b32(s)} -\n" for s in services))
+    return root, target
+
+
+def test_damaged_snapshot_failures_unchanged(damaged_snapshot, monkeypatch):
+    root, _ = damaged_snapshot
+    monkeypatch.chdir(root)
+    snapshot = load_netdb_dir("netdb")
+    assert len(snapshot.failures) >= 12
+    listing = "".join(f"{f.filename}\t{f.error}\n" for f in snapshot.failures)
+    assert _sha256(listing.encode()) == DAMAGED_FAILURES_SHA256
+
+
+def test_damaged_snapshot_scan_json_unchanged(damaged_snapshot, monkeypatch, capsys):
+    root, _ = damaged_snapshot
+    monkeypatch.chdir(root)
+    code = main(["scan", "--netdb", "netdb", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["total"] == 160
+    assert _sha256(out.encode()) == DAMAGED_SCAN_JSON_SHA256
+
+
+def test_damaged_snapshot_xor_assoc_json_unchanged(damaged_snapshot, monkeypatch, capsys):
+    root, target = damaged_snapshot
+    monkeypatch.chdir(root)
+    code = main([
+        "xor-assoc", target.hex(), "--leasesets", "leasesets.txt",
+        "--netdb", "netdb", "--date", "20250101", "--distances", "--format", "json",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(json.loads(out)["distances"]) == 64
+    assert _sha256(out.encode()) == DAMAGED_XOR_ASSOC_JSON_SHA256

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from shadescope.encoding import hash_to_b32, hash_to_b64
-from shadescope.model import Lease, LeaseSet
+from shadescope.model import Lease, LeaseSet, RouterInfo
 from shadescope.netdb import NetDbError, load_leasesets, load_netdb_dir
 from shadescope.sim import synth_record
 from shadescope.wire import encode_router_info
@@ -67,6 +67,89 @@ class TestLoadNetDbDir:
         recount = sum(1 for r in snapshot.records.values() if "f" in r.caps)
         assert recount == snapshot.stats.floodfill_count
         assert snapshot.stats.total == len(snapshot.records) + len(snapshot.failures)
+
+
+def _record_file(directory, record, name=None):
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / (name or f"routerInfo-{hash_to_b64(record.hash)}.dat")
+    path.write_bytes(encode_router_info(record))
+    return path
+
+
+class TestSnapshotWalk:
+    """Which files a snapshot load reads, and in which order."""
+
+    def test_nested_subdirectories_are_searched(self, tmp_path):
+        rng = random.Random(11)
+        records = [synth_record(rng, 1 + i % 7) for i in range(4)]
+        _record_file(tmp_path, records[0])
+        _record_file(tmp_path / "r0", records[1])
+        _record_file(tmp_path / "r0" / "deeper", records[2])
+        _record_file(tmp_path / "r1" / "a" / "b", records[3])
+        snapshot = load_netdb_dir(tmp_path)
+        assert set(snapshot.records) == {r.hash for r in records}
+        assert snapshot.failures == [] and snapshot.warnings == []
+
+    def test_failures_follow_path_component_order(self, tmp_path):
+        # As strings, "a-b/..." sorts before "a/..." ('-' < '/'); by path
+        # components, "a" sorts before "a-b". Within a/, files and
+        # subdirectories interleave by name.
+        layout = ["a-b/routerInfo-1.dat", "a/routerInfo-2.dat", "a/z/routerInfo-3.dat",
+                  "a.b/routerInfo-4.dat", "routerInfo-5.dat", "a/routerInfo-6.dat"]
+        for i, rel in enumerate(layout):
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(b"\x00" * i)
+        snapshot = load_netdb_dir(tmp_path)
+        assert [f.filename for f in snapshot.failures] == [
+            "routerInfo-2.dat", "routerInfo-6.dat", "routerInfo-3.dat",
+            "routerInfo-1.dat", "routerInfo-4.dat", "routerInfo-5.dat",
+        ]
+        assert all("truncated identity (at offset 0)" == f.error for f in snapshot.failures)
+
+    def test_later_duplicate_in_path_component_order_is_kept(self, tmp_path):
+        record = synth_record(random.Random(12), 1)
+        name = f"routerInfo-{hash_to_b64(record.hash)}.dat"
+        copies = {}
+        for sub, tag in (("a-b", b"\x01"), ("a", b"\x02"), ("a/z", b"\x03")):
+            copies[sub] = RouterInfo(identity=record.identity, published_ms=record.published_ms,
+                                     addresses=record.addresses, options=record.options,
+                                     signature=tag * 64)
+            _record_file(tmp_path / sub, copies[sub], name)
+        snapshot = load_netdb_dir(tmp_path)
+        # Loaded as a/, a/z/, a-b/: the last one read replaces the others.
+        assert snapshot.records == {record.hash: copies["a-b"]}
+        assert snapshot.warnings == [f"duplicate record replaced: {name}"] * 2
+
+    def test_directory_with_record_name_is_unreadable(self, tmp_path):
+        _record_file(tmp_path, synth_record(random.Random(13), 2))
+        (tmp_path / "routerInfo-x.dat").mkdir()
+        snapshot = load_netdb_dir(tmp_path)
+        assert len(snapshot.records) == 1
+        [failure] = snapshot.failures
+        assert failure.filename == "routerInfo-x.dat"
+        assert failure.error.startswith("unreadable: ")
+        assert str(tmp_path / "routerInfo-x.dat") in failure.error
+
+    @pytest.mark.parametrize("given, shown", [(".", "sub/routerInfo-x.dat"),
+                                              ("./sub/", "sub/routerInfo-x.dat"),
+                                              ("sub", "sub/routerInfo-x.dat")])
+    def test_unreadable_error_names_the_path_as_given(self, tmp_path, monkeypatch, given, shown):
+        (tmp_path / "sub" / "routerInfo-x.dat").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path)
+        [failure] = load_netdb_dir(given).failures
+        assert failure.error == f"unreadable: [Errno 21] Is a directory: '{shown}'"
+
+    def test_symlinked_subdirectory_is_not_followed(self, tmp_path):
+        rng = random.Random(14)
+        inside, outside = synth_record(rng, 1), synth_record(rng, 2)
+        netdb = tmp_path / "netdb"
+        _record_file(netdb, inside)
+        _record_file(tmp_path / "elsewhere", outside)
+        (netdb / "linked").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+        snapshot = load_netdb_dir(netdb)
+        assert set(snapshot.records) == {inside.hash}
+        assert snapshot.failures == []
 
 
 def _hashes(n, seed=0):

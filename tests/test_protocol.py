@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadescope.classify import Evidence, EvidenceSource, classify
-from shadescope.encoding import hash_to_b64
+from shadescope.encoding import EncodingError, hash_to_b64
 from shadescope.model import SHADE_EXCLUSIVE
 from shadescope.netdb import NetDbSnapshot
 from shadescope.protocol import (
@@ -82,6 +82,14 @@ class TestProbePlan:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             ProbePlan((), batch_size=0)
+
+    @pytest.mark.parametrize("at", [0, 6, 11], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [bytes(31), "k" * 32, None], ids=["short", "str", "none"])
+    def test_bad_floodfill_rejected_at_any_position(self, at, bad):
+        floodfills = _hashes(12)
+        floodfills[at] = bad
+        with pytest.raises(EncodingError, match="^planned floodfill must be exactly 32 bytes$"):
+            ProbePlan(tuple(floodfills))
 
 
 class TestClassifyRemote:
