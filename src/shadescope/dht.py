@@ -56,8 +56,16 @@ def _combine(key_hash: bytes, mod_key: bytes) -> bytes:
 
 def routing_key(key_hash: bytes, date: str) -> bytes:
     """The date-salted storage key for a 32-byte record hash."""
-    check_hash(key_hash, "record hash")
-    return hashlib.sha256(_combine(key_hash, daily_mod_key(date))).digest()
+    return routing_keys((key_hash,), date)[0]
+
+
+def routing_keys(hashes: Sequence[bytes], date: str) -> list[bytes]:
+    """:func:`routing_key` of each 32-byte record hash, in order: the batch
+    is checked in one pass and the daily key is read once."""
+    _check_hashes(hashes, "record hash")
+    mod_key = daily_mod_key(date)
+    sha256 = hashlib.sha256
+    return [sha256(_combine(key_hash, mod_key)).digest() for key_hash in hashes]
 
 
 # _PREFIX_MASKS[d] covers the 64 - d low bits of a word, so that

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Mapping, Optional
 
 from .encoding import check_hash
@@ -96,6 +97,15 @@ class CapabilityProfile:
     bandwidth_class: Optional[str] = None
 
 
+# Every profile a record can have, built once and keyed by its fields in
+# order: a profile is frozen, so records with equal capabilities share one.
+_PROFILES: dict[tuple, CapabilityProfile] = {
+    fields: CapabilityProfile(*fields)
+    for fields in product((False, True), (False, True), (False, True), (False, True),
+                          (False, True), (None, *BANDWIDTH_LETTERS))
+}
+
+
 @dataclass(frozen=True)
 class TransportAddress:
     style: str
@@ -158,6 +168,7 @@ class RouterInfo:
         return "f" in self.caps
 
     def profile(self) -> CapabilityProfile:
+        """The record's capability profile, shared by every record that has it."""
         caps = self.caps
         bandwidth = None
         for ch in caps:
@@ -168,7 +179,7 @@ class RouterInfo:
         for address in self.addresses:
             alpha = alpha or address.has_host_port
             iota = iota or address.has_introducers
-        return CapabilityProfile("f" in caps, "H" in caps, "U" in caps, alpha, iota, bandwidth)
+        return _PROFILES["f" in caps, "H" in caps, "U" in caps, alpha, iota, bandwidth]
 
 
 def int_option(raw: Optional[str]) -> Optional[int]:

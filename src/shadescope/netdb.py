@@ -78,20 +78,21 @@ def load_netdb_dir(path: Union[str, Path]) -> NetDbSnapshot:
         raise NetDbError(f"not a readable directory: {directory}")
     snapshot = NetDbSnapshot(source_dir=directory)
     for entry in _record_paths(str(directory)):
-        name = os.path.basename(entry)
         try:
-            with open(entry, "rb") as file:
+            # Unbuffered: one read into one bytes object, with no buffer
+            # object between; the OSError is the one buffered open raises.
+            with open(entry, "rb", buffering=0) as file:
                 data = file.read()
         except OSError as exc:
-            snapshot.failures.append(ParseFailure(name, f"unreadable: {exc}"))
+            snapshot.failures.append(ParseFailure(os.path.basename(entry), f"unreadable: {exc}"))
             continue
         try:
             record = decode_router_info(data)
         except DecodeError as exc:
-            snapshot.failures.append(ParseFailure(name, str(exc)))
+            snapshot.failures.append(ParseFailure(os.path.basename(entry), str(exc)))
             continue
         if record.hash in snapshot.records:
-            snapshot.warnings.append(f"duplicate record replaced: {name}")
+            snapshot.warnings.append(f"duplicate record replaced: {os.path.basename(entry)}")
         snapshot.records[record.hash] = record
     return snapshot
 

@@ -7,9 +7,13 @@ routers are stored on the k floodfills XOR-nearest to their routing key
 for the generation date, so probe behavior mirrors the real placement
 rule; the k nearest come from one batched query to
 :class:`~shadescope.dht.FloodfillTable`, the same kernel that answers
-association and responsibility, as holder indices that one stable sort
-groups into each floodfill's store of records. Every synthesized record is
+association and responsibility, and one pass over its rows, in published
+order, fills each floodfill's store of records. Every synthesized record is
 checked against :func:`~shadescope.classify.classify` before use.
+
+Synthesis draws through :func:`_below`, the loop behind ``Random.randrange``
+and ``Random.choice``, and ``getrandbits`` for bytes, so it consumes the
+generator exactly as those methods would, without their argument handling.
 """
 
 from __future__ import annotations
@@ -25,10 +29,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-import numpy as np
-
 from .classify import ShadeReport, classify
-from .dht import FloodfillTable, normalize_date, routing_key
+from .dht import FloodfillTable, normalize_date, routing_keys
 from .encoding import hash_to_b64
 from .model import (
     BANDWIDTH_LETTERS,
@@ -181,17 +183,28 @@ def _allocate_counts(spec: NetworkSpec) -> dict[int, int]:
     return counts
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A draw in [0, n) for n >= 1, the same value from the same generator
+    state as ``Random._randbelow_with_getrandbits``, which ``randrange`` and
+    ``choice`` use: redraw ``n.bit_length()`` bits until they fall below n."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _synth_identity(rng: random.Random) -> Destination:
-    # Null certificate: 387 bytes total.
-    return Destination(rng.randbytes(384) + b"\x00\x00\x00")
+    # Null certificate: 387 bytes total; the bytes of rng.randbytes(384).
+    return Destination(rng.getrandbits(3072).to_bytes(384, "little") + b"\x00\x00\x00")
 
 
 def _direct_address(rng: random.Random) -> TransportAddress:
-    host = f"10.{rng.randrange(0, 256)}.{rng.randrange(0, 256)}.{rng.randrange(1, 255)}"
+    host = f"10.{_below(rng, 256)}.{_below(rng, 256)}.{1 + _below(rng, 254)}"
     return TransportAddress(
-        style=rng.choice(("NTCP2", "SSU2")),
-        cost=rng.randrange(5, 15),
-        options={"host": host, "port": str(rng.randrange(9000, 31000))},
+        style=("NTCP2", "SSU2")[_below(rng, 2)],
+        cost=5 + _below(rng, 10),
+        options={"host": host, "port": str(9000 + _below(rng, 22000))},
     )
 
 
@@ -200,8 +213,8 @@ def _introducer_address(rng: random.Random) -> TransportAddress:
         style="SSU2",
         cost=5,
         options={
-            "ih0": hash_to_b64(rng.randbytes(32)),
-            "itag0": str(rng.randrange(1, 2**31 + 1)),
+            "ih0": hash_to_b64(rng.getrandbits(256).to_bytes(32, "little")),
+            "itag0": str(1 + _below(rng, 2**31)),
         },
     )
 
@@ -229,18 +242,18 @@ def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
     if shade_level not in _RECIPES:
         raise ValueError("only shades 1-7 publish records")
     letters, flags, make_address = _RECIPES[shade_level]
-    caps = rng.choice(letters) + flags
+    caps = letters[_below(rng, len(letters))] + flags
     addresses = (make_address(rng),) if make_address else ()
-    options = {"caps": caps, "router.version": rng.choice(_VERSIONS)}
+    options = {"caps": caps, "router.version": _VERSIONS[_below(rng, len(_VERSIONS))]}
     if shade_level == 1:
-        options["netdb.knownRouters"] = str(rng.randrange(500, 9001))
-        options["netdb.knownLeaseSets"] = str(rng.randrange(0, 401))
+        options["netdb.knownRouters"] = str(500 + _below(rng, 8501))
+        options["netdb.knownLeaseSets"] = str(_below(rng, 401))
     record = RouterInfo(
         identity=_synth_identity(rng),
-        published_ms=EPOCH_2025_MS + rng.randrange(0, 86_400_001),
+        published_ms=EPOCH_2025_MS + _below(rng, 86_400_001),
         addresses=addresses,
         options=options,
-        signature=rng.randbytes(64),
+        signature=rng.getrandbits(512).to_bytes(64, "little"),
     )
     level = classify(record.profile()).level
     if level != shade_level:
@@ -335,31 +348,20 @@ def _assign_knowledge(
     date: str,
 ) -> dict[bytes, dict[bytes, RouterInfo]]:
     """Store each published record on the k floodfills nearest its routing key,
-    as answered in one batch by :class:`~shadescope.dht.FloodfillTable`."""
-    groups = _records_by_holder(records, floodfills, k, date) if floodfills and records else {}
-    return {f: groups.get(f, {}) for f in floodfills}
-
-
-def _records_by_holder(
-    records: Sequence[RouterInfo],
-    floodfills: Sequence[bytes],
-    k: int,
-    date: str,
-) -> dict[bytes, dict[bytes, RouterInfo]]:
-    """The published records each floodfill holds, by hash, in published order."""
+    as answered in one batch by :class:`~shadescope.dht.FloodfillTable`.
+    Each floodfill's store lists its records in published order."""
+    stores: dict[bytes, dict[bytes, RouterInfo]] = {f: {} for f in floodfills}
+    if not (floodfills and records):
+        return stores
     hashes = [record.hash for record in records]
-    keys = [routing_key(record_hash, date) for record_hash in hashes]
     table = FloodfillTable(floodfills)
-    holders = table.nearest(keys, k)
-    # One stable sort of the flat holder indices groups the records by holder.
-    flat = holders.ravel()
-    order = np.argsort(flat, kind="stable")
-    picked = order // holders.shape[1]
-    by_hash = np.array(hashes, dtype=object)[picked].tolist()
-    by_record = np.array(records, dtype=object)[picked].tolist()
-    bounds = np.searchsorted(flat[order], np.arange(len(table) + 1)).tolist()
-    stores = (dict(zip(by_hash[a:b], by_record[a:b])) for a, b in zip(bounds, bounds[1:]))
-    return dict(zip(table.hashes, stores))
+    holders = table.nearest(routing_keys(hashes, date), k)
+    slots = [stores[f] for f in table.hashes]
+    # Row by row: one list of all rows would hold an int object per holder.
+    for record_hash, record, row in zip(hashes, records, holders):
+        for j in row.tolist():
+            slots[j][record_hash] = record
+    return stores
 
 
 def completeness_metrics(model: NetworkModel) -> VisibilityMetrics:

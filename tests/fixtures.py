@@ -1,7 +1,7 @@
 """Deterministic fixtures shared by the tests: record corpora,
 layout-diverse random records, curve CSV reading, leaseset writing,
 brute-force XOR oracles over ints, and the earlier definitions of the
-record predicates and the record decoder as oracles."""
+record predicates, the record decoder and record synthesis as oracles."""
 
 import csv
 import random
@@ -12,7 +12,7 @@ from typing import Union
 from shadescope.encoding import hash_from_b64, hash_to_b64
 from shadescope.model import (BANDWIDTH_LETTERS, DEST_MIN_LEN, CapabilityProfile, Destination,
                               DestinationError, LeaseSet, RouterInfo, TransportAddress)
-from shadescope.sim import (EPOCH_2025_MS, HitCurve, _VERSIONS, _direct_address,
+from shadescope.sim import (EPOCH_2025_MS, HitCurve, _RECIPES, _VERSIONS, _direct_address,
                             _introducer_address, _synth_identity, synth_record)
 from shadescope.wire import KNOWN_STYLES, DecodeError, encode_router_info
 
@@ -96,6 +96,51 @@ def random_record(rng: random.Random) -> RouterInfo:
         options=options,
         signature=rng.randbytes(rng.randint(0, 80)),
     )
+
+
+def oracle_synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
+    """The definition of :func:`shadescope.sim.synth_record` through
+    ``Random``'s own ``choice``, ``randrange`` and ``randbytes``."""
+    letters, flags, make_address = _RECIPES[shade_level]
+    caps = rng.choice(letters) + flags
+    addresses = (_ORACLE_ADDRESSES[make_address](rng),) if make_address else ()
+    options = {"caps": caps, "router.version": rng.choice(_VERSIONS)}
+    if shade_level == 1:
+        options["netdb.knownRouters"] = str(rng.randrange(500, 9001))
+        options["netdb.knownLeaseSets"] = str(rng.randrange(0, 401))
+    return RouterInfo(
+        identity=Destination(rng.randbytes(384) + b"\x00\x00\x00"),
+        published_ms=EPOCH_2025_MS + rng.randrange(0, 86_400_001),
+        addresses=addresses,
+        options=options,
+        signature=rng.randbytes(64),
+    )
+
+
+def _oracle_direct_address(rng: random.Random) -> TransportAddress:
+    host = f"10.{rng.randrange(0, 256)}.{rng.randrange(0, 256)}.{rng.randrange(1, 255)}"
+    return TransportAddress(
+        style=rng.choice(("NTCP2", "SSU2")),
+        cost=rng.randrange(5, 15),
+        options={"host": host, "port": str(rng.randrange(9000, 31000))},
+    )
+
+
+def _oracle_introducer_address(rng: random.Random) -> TransportAddress:
+    return TransportAddress(
+        style="SSU2",
+        cost=5,
+        options={
+            "ih0": hash_to_b64(rng.randbytes(32)),
+            "itag0": str(rng.randrange(1, 2**31 + 1)),
+        },
+    )
+
+
+_ORACLE_ADDRESSES = {
+    _direct_address: _oracle_direct_address,
+    _introducer_address: _oracle_introducer_address,
+}
 
 
 _OPTION_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789.-_=;: "

@@ -15,6 +15,7 @@ from shadescope.dht import (
     derive_b32,
     normalize_date,
     routing_key,
+    routing_keys,
     xor_association,
 )
 from shadescope.encoding import EncodingError, hash_to_b32
@@ -88,6 +89,36 @@ class TestRoutingKey:
     def test_requires_32_bytes(self):
         with pytest.raises(EncodingError):
             routing_key(b"\x00" * 31, "20250101")
+
+
+class TestRoutingKeys:
+    @given(st.lists(st.binary(min_size=32, max_size=32), max_size=20),
+           st.sampled_from(["20250101", "20250615", "20241231"]))
+    def test_matches_routing_key_key_by_key(self, hashes, date):
+        assert routing_keys(hashes, date) == [routing_key(h, date) for h in hashes]
+
+    def test_accepts_bytearray(self):
+        assert routing_keys([bytearray(range(32))], "20250615") == [
+            bytes.fromhex(RK_RANGE32_20250615)]
+
+    def test_empty_batch(self):
+        assert routing_keys([], "20250101") == []
+
+    @pytest.mark.parametrize("bad", [b"\x00" * 31, b"\x00" * 33, "a" * 32, None],
+                             ids=["short", "long", "str", "none"])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_bad_hash_at_any_position(self, bad, position):
+        hashes = [bytes([i]) * 32 for i in range(5)]
+        hashes[position] = bad
+        with pytest.raises(EncodingError) as single:
+            routing_key(bad, "20250101")
+        with pytest.raises(EncodingError) as batch:
+            routing_keys(hashes, "20250101")
+        assert str(batch.value) == str(single.value) == "record hash must be exactly 32 bytes"
+
+    def test_bad_date_rejected(self):
+        with pytest.raises(ValueError):
+            routing_keys([bytes(32)], "20251399")
 
 
 class TestXorDistance:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shadescope.classify import classify
 from shadescope.encoding import (
     EncodingError,
     hash_from_b32,
@@ -14,12 +15,14 @@ from shadescope.encoding import (
     parse_hash_text,
 )
 from shadescope.model import (
+    BANDWIDTH_LETTERS,
     CapabilityProfile,
     Destination,
     DestinationError,
     RouterInfo,
     SHADES,
     TransportAddress,
+    _PROFILES,
     hash_identity,
     shade_for_level,
 )
@@ -259,6 +262,31 @@ class TestRouterInfo:
             kappa_f="f" in flags, kappa_H="H" in flags, kappa_U="U" in flags,
             alpha=False, iota=False, bandwidth_class=bandwidth,
         )
+
+
+class TestInternedProfiles:
+    def test_table_holds_every_profile_once(self):
+        assert len(_PROFILES) == 2**5 * (len(BANDWIDTH_LETTERS) + 1)
+        for fields, profile in _PROFILES.items():
+            fresh = CapabilityProfile(*fields)
+            assert profile == fresh
+            assert classify(profile) == classify(fresh)
+
+    def test_equal_capabilities_share_one_profile(self):
+        rng = random.Random(12)
+        records = [random_record(rng) for _ in range(300)]
+        records += [synth_record(rng, level) for level in range(1, 8) for _ in range(10)]
+        by_value: dict = {}
+        for record in records:
+            profile = record.profile()
+            assert by_value.setdefault(profile, profile) is profile
+        assert len(by_value) > 10
+
+    def test_profile_is_the_table_entry(self):
+        direct = TransportAddress("NTCP2", options={"host": "10.0.0.1", "port": "1"})
+        a = _record([direct], options={"caps": "XfR"})
+        b = _record([direct], options={"caps": "fXRz"})
+        assert a.profile() is b.profile() is _PROFILES[True, False, False, True, False, "X"]
 
 
 # Introducer-like option keys: a prefix, a tail of decimal digits (ASCII

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shadescope
 from shadescope.classify import classify
@@ -20,11 +22,13 @@ from shadescope.sim import (
     completeness_metrics,
     export_curves,
     generate_network,
+    _below,
     run_probe_experiment,
     synth_record,
 )
 
-from fixtures import load_curves, oracle_nearest, random_record, write_fixture_corpus
+from fixtures import (load_curves, oracle_nearest, oracle_synth_record, random_record,
+                      write_fixture_corpus)
 
 
 def small_spec(seed=0, n=60, k=2):
@@ -55,6 +59,59 @@ def collector(request):
     (gc.enable if request.param else gc.disable)()
     yield request.param
     (gc.enable if was else gc.disable)()
+
+
+# Every width synthesis draws below, 1, and powers of two: at 2**j the
+# stdlib draws j + 1 bits, one more than a width of 2**j - 1 needs.
+SYNTH_WIDTHS = (2, 3, 4, 7, 10, 254, 256, 401, 8501, 22000, 86_400_001, 2**31)
+DRAW_WIDTHS = (1,) + SYNTH_WIDTHS + tuple(2**j for j in range(1, 80, 7))
+
+DRAWS = st.lists(st.one_of(
+    st.tuples(st.just("randrange"), st.integers(-5, 5),
+              st.one_of(st.sampled_from(DRAW_WIDTHS), st.integers(1, 2**80))),
+    st.tuples(st.just("choice"), st.integers(1, 40)),
+    st.tuples(st.just("randbytes"), st.integers(0, 70)),
+), max_size=30)
+
+
+def _draw_pair(draw, helper, stdlib):
+    """One draw through the synthesis idiom and through the stdlib method."""
+    kind, *args = draw
+    if kind == "randrange":
+        start, width = args
+        return start + _below(helper, width), stdlib.randrange(start, start + width)
+    if kind == "choice":
+        seq = tuple(range(100, 100 + args[0]))
+        return seq[_below(helper, len(seq))], stdlib.choice(seq)
+    (n,) = args
+    return helper.getrandbits(8 * n).to_bytes(n, "little"), stdlib.randbytes(n)
+
+
+class TestDraws:
+    """Synthesis draws as ``Random.randrange``/``choice``/``randbytes`` would."""
+
+    @pytest.mark.parametrize("width", DRAW_WIDTHS)
+    def test_below_matches_randrange_at_each_width(self, width):
+        helper, stdlib = random.Random(5), random.Random(5)
+        for _ in range(50):
+            assert _below(helper, width) == stdlib.randrange(width)
+            assert helper.getstate() == stdlib.getstate()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**64), DRAWS)
+    def test_interleaved_draws_match_stdlib(self, seed, draws):
+        helper, stdlib = random.Random(seed), random.Random(seed)
+        for draw in draws:
+            got, expected = _draw_pair(draw, helper, stdlib)
+            assert got == expected
+            assert helper.getstate() == stdlib.getstate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**64), st.integers(1, 7))
+    def test_synth_record_matches_stdlib_definition(self, seed, level):
+        helper, stdlib = random.Random(seed), random.Random(seed)
+        assert synth_record(helper, level) == oracle_synth_record(stdlib, level)
+        assert helper.getstate() == stdlib.getstate()
 
 
 class TestSynthRecord:
@@ -175,6 +232,15 @@ class TestGenerateNetwork:
             nearest = oracle_nearest(routing_key(h, model.spec.date), model.floodfills, 2)
             holders = [f for f in model.floodfills if h in model.knowledge[f]]
             assert sorted(nearest) == sorted(holders)
+
+    def test_each_store_lists_its_records_in_published_order(self):
+        model = generate_network(small_spec(seed=8, n=120, k=3))
+        nearest = {h: oracle_nearest(routing_key(h, model.spec.date), model.floodfills, 3)
+                   for h in model.published}
+        assert list(model.knowledge) == list(model.floodfills)
+        for f, stored in model.knowledge.items():
+            assert list(stored) == [h for h in model.published if f in nearest[h]]
+            assert all(record is model.routers[h].record for h, record in stored.items())
 
     def test_collector_flag_restored(self, collector):
         generate_network(small_spec())
