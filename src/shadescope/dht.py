@@ -46,11 +46,12 @@ def daily_mod_key(date: str) -> bytes:
     return hashlib.sha256(normalize_date(date).encode("ascii")).digest()
 
 
-def _combine(key_hash: bytes, mod_key: bytes) -> bytes:
-    # The paper's rule: the record hash XOR SHA-256(date). Deployed routers
-    # instead hash the concatenation hash || "yyyyMMdd" with no inner date
-    # digest, so they are not reproduced by changing this line alone.
-    mixed = int.from_bytes(key_hash, "big") ^ int.from_bytes(mod_key, "big")
+def _combine(key_hash: bytes, mod_int: int) -> bytes:
+    # The paper's rule: the record hash XOR SHA-256(date), the daily key
+    # passed as its big-endian int. Deployed routers instead hash the
+    # concatenation hash || "yyyyMMdd" with no inner date digest, so they
+    # are not reproduced by changing this line alone.
+    mixed = int.from_bytes(key_hash, "big") ^ mod_int
     return mixed.to_bytes(HASH_LEN, "big")
 
 
@@ -61,11 +62,11 @@ def routing_key(key_hash: bytes, date: str) -> bytes:
 
 def routing_keys(hashes: Sequence[bytes], date: str) -> list[bytes]:
     """:func:`routing_key` of each 32-byte record hash, in order: the batch
-    is checked in one pass and the daily key is read once."""
+    is checked in one pass and the daily key is read, as an int, once."""
     _check_hashes(hashes, "record hash")
-    mod_key = daily_mod_key(date)
+    mod_int = int.from_bytes(daily_mod_key(date), "big")
     sha256 = hashlib.sha256
-    return [sha256(_combine(key_hash, mod_key)).digest() for key_hash in hashes]
+    return [sha256(_combine(key_hash, mod_int)).digest() for key_hash in hashes]
 
 
 # _PREFIX_MASKS[d] covers the 64 - d low bits of a word, so that

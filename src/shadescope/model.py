@@ -26,11 +26,17 @@ HIGH_BANDWIDTH = "NOPX"
 BANDWIDTH_LETTERS = LOW_BANDWIDTH + HIGH_BANDWIDTH
 
 
+# The frozen classes below store their fields through this in their own
+# ``__init__``: writing ``self.__dict__`` instead would give up the
+# interpreter's inline attribute storage and cost memory per instance.
+_set = object.__setattr__
+
+
 class DestinationError(ValueError):
     """Raised when destination bytes cannot be parsed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Destination:
     """A service destination key blob; total size is 387 + certificate length.
 
@@ -41,20 +47,19 @@ class Destination:
     data: bytes
     size: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        data = self.data
+    def __init__(self, data: bytes) -> None:
         if len(data) < DEST_MIN_LEN:
             raise DestinationError(
                 f"destination too short: {len(data)} bytes, need {DEST_MIN_LEN}"
             )
-        cert_len = int.from_bytes(data[CERT_LEN_OFFSET : CERT_LEN_OFFSET + 2], "big")
-        size = DEST_MIN_LEN + cert_len
+        size = DEST_MIN_LEN + (data[CERT_LEN_OFFSET] << 8 | data[CERT_LEN_OFFSET + 1])
         if len(data) < size:
             raise DestinationError(
-                f"destination truncated: certificate declares {cert_len} "
+                f"destination truncated: certificate declares {size - DEST_MIN_LEN} "
                 f"payload bytes, total {size}, have {len(data)}"
             )
-        object.__setattr__(self, "size", size)
+        _set(self, "data", data)
+        _set(self, "size", size)
 
     @property
     def cert_type(self) -> int:
@@ -106,12 +111,21 @@ _PROFILES: dict[tuple, CapabilityProfile] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TransportAddress:
+    """One published address. An omitted ``options`` is a new empty dict."""
+
     style: str
     cost: int = 0
     expiration_ms: int = 0
     options: Mapping[str, str] = field(default_factory=dict)
+
+    def __init__(self, style: str, cost: int = 0, expiration_ms: int = 0,
+                 options: Optional[Mapping[str, str]] = None) -> None:
+        _set(self, "style", style)
+        _set(self, "cost", cost)
+        _set(self, "expiration_ms", expiration_ms)
+        _set(self, "options", {} if options is None else options)
 
     @property
     def has_host_port(self) -> bool:
@@ -129,12 +143,13 @@ class TransportAddress:
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RouterInfo:
     """A parsed directory record. The signature is carried but never verified.
 
     ``hash`` is not an argument: it is derived once, on construction, as
     :func:`hash_identity` of ``identity``, so it always names the record.
+    An omitted ``options`` is a new empty dict.
     """
 
     hash: bytes = field(init=False)
@@ -144,8 +159,17 @@ class RouterInfo:
     options: Mapping[str, str] = field(default_factory=dict)
     signature: bytes = b""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "hash", hash_identity(self.identity))
+    def __init__(self, identity: Destination, published_ms: int,
+                 addresses: tuple[TransportAddress, ...] = (),
+                 options: Optional[Mapping[str, str]] = None,
+                 signature: bytes = b"") -> None:
+        # hash_identity(identity), without its two calls.
+        _set(self, "hash", hashlib.sha256(identity.data[: identity.size]).digest())
+        _set(self, "identity", identity)
+        _set(self, "published_ms", published_ms)
+        _set(self, "addresses", addresses)
+        _set(self, "options", {} if options is None else options)
+        _set(self, "signature", signature)
 
     @property
     def caps(self) -> str:

@@ -68,10 +68,13 @@ def load_netdb_dir(path: Union[str, Path]) -> NetDbSnapshot:
     The walk is recursive and does not follow symlinked directories. Files
     load in path-component order (``a/x`` before ``a-b/x``), and when two
     files hold the same router hash the later one replaces the earlier,
-    with a warning. A file that cannot be read or strictly decoded is
-    counted as a :class:`ParseFailure` with its error; one bad file never
-    affects the others. :func:`~shadescope.wire.lenient_extract` can
-    recover option values from such bytes on request.
+    with a warning. Each file is read whole through its descriptor, with
+    ``os.read`` until it returns no bytes. A file that cannot be read or
+    strictly decoded is counted as a :class:`ParseFailure` with its error;
+    one bad file never affects the others. A read error (a directory named
+    like a record, a file removed after the walk) is ``unreadable:`` and the
+    OS error naming the path. :func:`~shadescope.wire.lenient_extract` can
+    recover option values from undecodable bytes on request.
     """
     directory = Path(path)
     if not directory.is_dir():
@@ -79,10 +82,7 @@ def load_netdb_dir(path: Union[str, Path]) -> NetDbSnapshot:
     snapshot = NetDbSnapshot(source_dir=directory)
     for entry in _record_paths(str(directory)):
         try:
-            # Unbuffered: one read into one bytes object, with no buffer
-            # object between; the OSError is the one buffered open raises.
-            with open(entry, "rb", buffering=0) as file:
-                data = file.read()
+            data = _read_file(entry)
         except OSError as exc:
             snapshot.failures.append(ParseFailure(os.path.basename(entry), f"unreadable: {exc}"))
             continue
@@ -97,6 +97,25 @@ def load_netdb_dir(path: Union[str, Path]) -> NetDbSnapshot:
     return snapshot
 
 
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_READ_CHUNK = 1 << 16
+
+
+def _read_file(path: str) -> bytes:
+    """The bytes of the file at ``path``, read through its descriptor until
+    ``os.read`` returns nothing. An error names ``path``, as ``open`` does."""
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    except OSError as exc:  # a directory opens, then fails its first read
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def _record_paths(top: str) -> list[str]:
     """Paths of the entries named like a record under ``top``, files or not,
     in the order ``sorted(Path(top).rglob(RECORD_GLOB))`` gives them."""
@@ -104,8 +123,8 @@ def _record_paths(top: str) -> list[str]:
     for dirpath, dirs, files in os.walk(top):
         if top == os.curdir:  # rglob from "." yields "x", not "./x"; errors quote it
             dirpath = dirpath[2:]
-        names = fnmatch.filter(dirs + files, RECORD_GLOB)
-        paths += [os.path.join(dirpath, name) for name in names]
+        prefix = os.path.join(dirpath, "")
+        paths += [prefix + name for name in fnmatch.filter(dirs + files, RECORD_GLOB)]
     # Mapping the separator below every other character compares paths
     # component by component, as Path does, instead of character by character.
     paths.sort(key=lambda p: p.replace(os.sep, "\0"))

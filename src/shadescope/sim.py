@@ -27,7 +27,7 @@ from itertools import accumulate
 from math import floor
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .classify import ShadeReport, classify
 from .dht import FloodfillTable, normalize_date, routing_keys
@@ -93,8 +93,10 @@ class NetworkSpec:
             raise InfeasibleSpecError(f"incomplete spec: {exc}") from None
 
 
-@dataclass(frozen=True)
-class SimRouter:
+class SimRouter(NamedTuple):
+    """One generated router: its hash, its true shade, and the record it
+    publishes (None at level 8)."""
+
     hash: bytes
     shade: Shade
     record: Optional[RouterInfo]
@@ -312,19 +314,11 @@ def _build_network(spec: NetworkSpec, counts: dict[int, int]) -> NetworkModel:
     for level in levels:
         if level == 8:
             identity = _synth_identity(rng)
-            router = SimRouter(
-                hash=hash_identity(identity),
-                shade=shade_for_level(8),
-                record=None,
-            )
+            router = SimRouter(hash_identity(identity), shade_for_level(8), None)
             exclusive.append(router.hash)
         else:
             record = synth_record(rng, level)
-            router = SimRouter(
-                hash=record.hash,
-                shade=shade_for_level(level),
-                record=record,
-            )
+            router = SimRouter(record.hash, shade_for_level(level), record)
             records.append(record)
             if level == 1:
                 floodfills.append(router.hash)

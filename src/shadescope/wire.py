@@ -118,6 +118,27 @@ def _read_mapping(data: bytes, pos: int, n: int, what: str) -> tuple[dict[str, s
     if end > n:
         raise DecodeError(f"truncated {what} mapping", pos)
     entries: dict[str, str] = {}
+    body = data[pos:end]
+    if body.isascii():
+        # Every byte is one character, so one decode serves every entry,
+        # sliced at byte offsets. Only well-formed entries are taken here;
+        # at the first anomaly the loop below starts again from the mapping
+        # start and raises its error.
+        text = body.decode("ascii")
+        size = end - pos
+        at = 0
+        while at < size:
+            key_end = at + 1 + body[at]
+            value_at = key_end + 1
+            if value_at >= size or body[key_end] != 0x3D:  # '='
+                break
+            value_end = value_at + 1 + body[value_at]
+            if value_end >= size or body[value_end] != 0x3B:  # ';'
+                break
+            entries[text[at + 1 : key_end]] = text[value_at + 1 : value_end]
+            at = value_end + 1
+        else:
+            return entries, end
     try:
         while pos < end:
             pair = []

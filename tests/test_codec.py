@@ -170,7 +170,7 @@ class TestDecodeErrors:
         record = make_record(caps="XfR", signature=b"")
         data = bytearray(encode_router_info(record))
         # Inflate the declared mapping size beyond the entry bytes.
-        mapping_at = 387 + 8 + 1 + 1
+        mapping_at = ROUTER_OPTIONS_AT
         declared = int.from_bytes(data[mapping_at : mapping_at + 2], "big")
         data[mapping_at : mapping_at + 2] = (declared + 3).to_bytes(2, "big")
         data += b"\x00\x00\x00"
@@ -201,6 +201,15 @@ def decode_outcome(decode, data):
         return decode(data)
     except DecodeError as exc:
         return str(exc), exc.offset
+
+
+# The router options of a record with no address: identity, publish time,
+# address count, peer count.
+ROUTER_OPTIONS_AT = 387 + 8 + 1 + 1
+
+
+def _entry(key: bytes, value: bytes) -> bytes:
+    return bytes([len(key)]) + key + b"=" + bytes([len(value)]) + value + b";"
 
 
 class TestDecoderOracle:
@@ -236,12 +245,42 @@ class TestDecoderOracle:
         # An '=' on the mapping's last byte reads the value's length byte past
         # the mapping: a mismatch one byte on, or truncation if data ends there.
         blob = bytearray(encode_router_info(make_record(caps="X", signature=b"")))
-        mapping_at = 387 + 8 + 1 + 1
+        mapping_at = ROUTER_OPTIONS_AT
         assert blob[mapping_at + 2:] == b"\x04caps=\x01X;"
         blob[mapping_at : mapping_at + 2] = (6).to_bytes(2, "big")
         blob = bytes(blob[: mapping_at + 8]) + tail
         assert decode_outcome(decode_router_info, blob) == expected
         assert decode_outcome(oracle_decode_router_info, blob) == expected
+
+    @pytest.mark.parametrize("body, expected", [
+        (_entry("ключ".encode(), "значение".encode()) + _entry(b"k", "é".encode()),
+         {"ключ": "значение", "k": "é"}),
+        (_entry(b"\xff", b"1") + _entry(b"b", b"2") + _entry(b"c", b"3"),
+         ("router options is not valid UTF-8 (at offset 401)", 401)),
+        (_entry(b"a", b"1") + _entry(b"b", b"\xc3") + _entry(b"c", b"3"),
+         ("router options is not valid UTF-8 (at offset 410)", 410)),
+        (_entry(b"a", b"1") + _entry(b"b", b"2") + _entry(b"\xe2\x82", b"3"),
+         ("router options is not valid UTF-8 (at offset 414)", 414)),
+        (_entry(b"a", b"x=y;z") + _entry(b"", b"v") + _entry(b"k", b""),
+         {"a": "x=y;z", "": "v", "k": ""}),
+        (_entry(b"a", b"1") + b"\x01c=",
+         ("router options mapping length mismatch (at offset 409)", 409)),
+        (_entry(b"a", b"1") + b"\x02cd",
+         ("router options mapping length mismatch (at offset 408)", 408)),
+        (_entry(b"a", b"1") + b"\x01c=\x01d",
+         ("router options mapping length mismatch (at offset 410)", 410)),
+    ], ids=["multibyte-utf8", "bad-utf8-first", "bad-utf8-middle", "bad-utf8-last",
+            "separators-in-value-and-empty-strings", "ends-on-equals", "key-ends-mapping",
+            "value-ends-mapping"])
+    def test_router_options_body(self, body, expected):
+        # Non-ASCII bodies and malformed ASCII ones both go through the
+        # decoder's exact per-entry loop; the rest are read in one decode.
+        blob = encode_router_info(make_record(signature=b""))
+        assert blob[ROUTER_OPTIONS_AT:] == b"\x00\x00"
+        blob = blob[:ROUTER_OPTIONS_AT] + len(body).to_bytes(2, "big") + body + b"\x5a" * 8
+        outcome = decode_outcome(decode_router_info, blob)
+        assert outcome == decode_outcome(oracle_decode_router_info, blob)
+        assert (outcome.options if isinstance(expected, dict) else outcome) == expected
 
 
 class TestEncodeErrors:

@@ -1,5 +1,8 @@
+import dataclasses
 import hashlib
+import inspect
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -287,6 +290,73 @@ class TestInternedProfiles:
         a = _record([direct], options={"caps": "XfR"})
         b = _record([direct], options={"caps": "fXRz"})
         assert a.profile() is b.profile() is _PROFILES[True, False, False, True, False, "X"]
+
+
+# Each class built from its required arguments only, and one field change
+# for dataclasses.replace.
+_BUILDERS = {
+    Destination: (lambda: Destination(DEST_391), {"data": DEST_387}),
+    TransportAddress: (lambda: TransportAddress("NTCP2"), {"cost": 7}),
+    RouterInfo: (lambda: RouterInfo(Destination(DEST_387), 0), {"published_ms": 5}),
+}
+each_record_class = pytest.mark.parametrize("cls", list(_BUILDERS), ids=lambda c: c.__name__)
+
+
+class TestConstructors:
+    """The hand-written constructors keep the dataclass contract."""
+
+    @each_record_class
+    def test_signature_is_the_init_fields(self, cls):
+        params = list(inspect.signature(cls).parameters.values())
+        init_fields = [f for f in dataclasses.fields(cls) if f.init]
+        assert [p.name for p in params] == [f.name for f in init_fields]
+        for param, f in zip(params, init_fields):
+            if f.default is not dataclasses.MISSING:
+                assert param.default == f.default
+            elif f.default_factory is not dataclasses.MISSING:
+                assert param.default is None  # None: a new default_factory() value
+            else:
+                assert param.default is inspect.Parameter.empty
+
+    @each_record_class
+    def test_replace_and_fresh_default_options(self, cls):
+        build, changes = _BUILDERS[cls]
+        a, b = build(), build()
+        assert a == b and repr(a) == repr(b)
+        changed = dataclasses.replace(a, **changes)
+        assert changed != a
+        assert all(getattr(changed, name) == value for name, value in changes.items())
+        assert dataclasses.replace(changed, **{name: getattr(a, name) for name in changes}) == a
+        if "options" in {f.name for f in dataclasses.fields(cls)}:
+            assert a.options == {} and a.options is not b.options
+
+    @each_record_class
+    def test_frozen(self, cls):
+        instance = _BUILDERS[cls][0]()
+        for f in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(instance, f.name, getattr(instance, f.name))
+
+    def test_router_hash_ignores_identity_bytes_past_its_size(self):
+        padded = RouterInfo(Destination(DEST_391 + b"private key material"), 0)
+        assert padded.hash == RouterInfo(Destination(DEST_391), 0).hash
+        assert padded.hash.hex() == DEST_391_SHA
+
+    @each_record_class
+    def test_construction_leaves_no_instance_dict(self, cls):
+        # Reading __dict__ makes a dict for each instance whose attributes are
+        # still stored inline, and nothing for one whose constructor already
+        # made it (writing self.__dict__ does): that dict is memory per record.
+        build = _BUILDERS[cls][0]
+        instances = [build() for _ in range(500)]
+        tracemalloc.start()
+        try:
+            for instance in instances:
+                vars(instance)
+            allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert allocated > 16 * len(instances)
 
 
 # Introducer-like option keys: a prefix, a tail of decimal digits (ASCII

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from shadescope.encoding import hash_to_b32, hash_to_b64
 from shadescope.model import Lease, LeaseSet, RouterInfo
+from shadescope import netdb
 from shadescope.netdb import NetDbError, load_leasesets, load_netdb_dir
 from shadescope.sim import synth_record
 from shadescope.wire import encode_router_info
@@ -139,6 +141,32 @@ class TestSnapshotWalk:
         monkeypatch.chdir(tmp_path)
         [failure] = load_netdb_dir(given).failures
         assert failure.error == f"unreadable: [Errno 21] Is a directory: '{shown}'"
+
+    def test_file_removed_after_the_walk_is_unreadable(self, tmp_path, monkeypatch):
+        rng = random.Random(15)
+        kept, removed = synth_record(rng, 1), synth_record(rng, 2)
+        _record_file(tmp_path, kept)
+        gone = _record_file(tmp_path, removed)
+        walk = netdb._record_paths
+
+        def walk_then_remove(top):
+            paths = walk(top)
+            gone.unlink()
+            return paths
+
+        monkeypatch.setattr(netdb, "_record_paths", walk_then_remove)
+        snapshot = load_netdb_dir(tmp_path)
+        assert set(snapshot.records) == {kept.hash}
+        assert snapshot.failures == [netdb.ParseFailure(
+            gone.name, f"unreadable: [Errno 2] No such file or directory: '{gone}'")]
+
+    def test_record_past_one_read_is_read_whole(self, tmp_path):
+        # 200 KiB of signature: more than three 64 KiB reads.
+        record = synth_record(random.Random(16), 3)
+        padded = dataclasses.replace(record, signature=bytes(range(256)) * 800)
+        _record_file(tmp_path, padded)
+        snapshot = load_netdb_dir(tmp_path)
+        assert snapshot.records == {record.hash: padded}
 
     def test_symlinked_subdirectory_is_not_followed(self, tmp_path):
         rng = random.Random(14)
