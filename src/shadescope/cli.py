@@ -19,7 +19,7 @@ from typing import Optional
 from . import profiles
 from .classify import EvidenceSource, ShadeReport, classify
 from .dht import association_rows, derive_b32, normalize_date
-from .encoding import B32_SUFFIX, EncodingError, hash_to_b32, hash_to_b64, parse_hash_text
+from .encoding import EncodingError, hash_to_b64, parse_hash_text
 from .model import Destination, DestinationError, SHADES
 from .netdb import NetDbError, load_leasesets, load_netdb_dir
 from .protocol import (
@@ -293,10 +293,7 @@ def cmd_xor_assoc(args) -> int:
     if record is None or not record.is_floodfill:
         print("warning: target is not a known floodfill in this snapshot", file=sys.stderr)
 
-    eepsites = [
-        ls.b32 if ls.b32 else hash_to_b32(ls.destination_hash) + B32_SUFFIX
-        for ls in leasesets
-    ]
+    eepsites = [ls.b32 for ls in leasesets]
     rows, assoc_warnings = association_rows(target, eepsites, floodfills, date)
     matched = [row.address for row in rows if row.responsible]
     warnings.extend(assoc_warnings)
@@ -316,7 +313,7 @@ def cmd_xor_assoc(args) -> int:
         f"responsible for {len(matched)} service address(es):",
     ]
     lines.extend(f"  {addr}" for addr in matched)
-    csv_rows = [["b32", "matched"]] + [[a, a in matched] for a in eepsites]
+    csv_rows = [["b32", "matched"]] + [[row.address, row.responsible] for row in rows]
     if args.distances:
         table = _distance_table(rows)
         facts["distances"] = table

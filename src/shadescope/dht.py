@@ -12,13 +12,12 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .encoding import (
-    B32_SUFFIX,
     HASH_LEN,
     EncodingError,
     _check_hashes,
     check_hash,
-    hash_from_b32,
-    hash_to_b32,
+    service_address,
+    service_hash,
 )
 from .model import Destination, hash_identity
 
@@ -214,18 +213,17 @@ def association_rows(
     Returns (rows in input order, warnings).
     """
     check_hash(target, "target hash")
-    normalize_date(date)  # reject a bad date even when no address decodes
     addresses: list[str] = []
-    keys: list[bytes] = []
+    hashes: list[bytes] = []
     warnings: list[str] = []
     for addr in eepsites:
         try:
-            service_hash = decode_b32(addr)
+            hashes.append(service_hash(addr))
+            addresses.append(addr)
         except EncodingError as exc:
             warnings.append(f"skipping {addr!r}: {exc}")
-            continue
-        addresses.append(addr)
-        keys.append(routing_key(service_hash, date))
+    # Rejects a bad date even when no address decodes.
+    keys = routing_keys(hashes, date)
 
     # A set: a target listed twice must not fill both nearest slots.
     table = FloodfillTable(set(floodfills))
@@ -257,14 +255,6 @@ def xor_association(
     return [row.address for row in rows if row.responsible], warnings
 
 
-def decode_b32(addr: str) -> bytes:
-    """Recover the 32-byte destination hash from a service address."""
-    text = addr.strip()
-    if text.lower().endswith(B32_SUFFIX):
-        text = text[: -len(B32_SUFFIX)]
-    return hash_from_b32(text)
-
-
 def derive_b32(dest: Destination) -> str:
     """The canonical service address for a destination."""
-    return hash_to_b32(hash_identity(dest)) + B32_SUFFIX
+    return service_address(hash_identity(dest))

@@ -83,17 +83,30 @@ def hash_from_b32(text: str) -> bytes:
     return check_hash(value)
 
 
+def service_address(value: bytes) -> str:
+    """The canonical service address of a 32-byte hash: lowercase base32 and the suffix."""
+    return hash_to_b32(value) + B32_SUFFIX
+
+
+def service_hash(text: str) -> bytes:
+    """The 32-byte hash of a service address, read in any case, suffix optional."""
+    return hash_from_b32(_strip_suffix(text))
+
+
+def _strip_suffix(text: str) -> str:
+    text = text.strip()
+    if text.lower().endswith(B32_SUFFIX):
+        text = text[: -len(B32_SUFFIX)]
+    return text
+
+
 def parse_hash_text(text: str) -> bytes:
     """Parse a hash given as hex, the base64 variant, or base32 (b32 suffix ok)."""
-    candidate = text.strip()
-    lowered = candidate.lower()
-    if lowered.endswith(B32_SUFFIX):
-        candidate = candidate[: -len(B32_SUFFIX)]
-        lowered = candidate.lower()
+    candidate = _strip_suffix(text)
     if len(candidate) == 2 * HASH_LEN and re.fullmatch(r"[0-9a-fA-F]+", candidate):
         return bytes.fromhex(candidate)
     if len(candidate) in (B64_LEN - 1, B64_LEN):
         return hash_from_b64(candidate)
     if len(candidate) == B32_LEN:
-        return hash_from_b32(lowered)
+        return hash_from_b32(candidate)
     raise EncodingError(f"unrecognized hash form: {text!r}")

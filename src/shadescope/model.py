@@ -9,9 +9,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
-from .encoding import check_hash
+from .encoding import check_hash, service_address
 
 # Minimum destination size: 256-byte pubkey + 128-byte signing key +
 # 3-byte certificate header (type, 16-bit length).
@@ -113,7 +113,7 @@ _PROFILES: dict[tuple, CapabilityProfile] = {
 
 @dataclass(frozen=True, init=False)
 class TransportAddress:
-    """One published address. An omitted ``options`` is a new empty dict."""
+    """One published address. ``options`` is copied; omitted, it is a new empty dict."""
 
     style: str
     cost: int = 0
@@ -125,7 +125,7 @@ class TransportAddress:
         _set(self, "style", style)
         _set(self, "cost", cost)
         _set(self, "expiration_ms", expiration_ms)
-        _set(self, "options", {} if options is None else options)
+        _set(self, "options", {} if options is None else dict(options))
 
     @property
     def has_host_port(self) -> bool:
@@ -149,7 +149,7 @@ class RouterInfo:
 
     ``hash`` is not an argument: it is derived once, on construction, as
     :func:`hash_identity` of ``identity``, so it always names the record.
-    An omitted ``options`` is a new empty dict.
+    ``addresses`` and ``options`` are copied; an omitted ``options`` is a new empty dict.
     """
 
     hash: bytes = field(init=False)
@@ -160,15 +160,15 @@ class RouterInfo:
     signature: bytes = b""
 
     def __init__(self, identity: Destination, published_ms: int,
-                 addresses: tuple[TransportAddress, ...] = (),
+                 addresses: Iterable[TransportAddress] = (),
                  options: Optional[Mapping[str, str]] = None,
                  signature: bytes = b"") -> None:
         # hash_identity(identity), without its two calls.
         _set(self, "hash", hashlib.sha256(identity.data[: identity.size]).digest())
         _set(self, "identity", identity)
         _set(self, "published_ms", published_ms)
-        _set(self, "addresses", addresses)
-        _set(self, "options", {} if options is None else options)
+        _set(self, "addresses", tuple(addresses))
+        _set(self, "options", {} if options is None else dict(options))
         _set(self, "signature", signature)
 
     @property
@@ -231,11 +231,15 @@ class LeaseSet:
     """
 
     destination_hash: bytes
-    b32: Optional[str] = None
     leases: tuple[Lease, ...] = ()
 
     def __post_init__(self) -> None:
         check_hash(self.destination_hash, "destination hash")
+
+    @property
+    def b32(self) -> str:
+        """The service address, derived from ``destination_hash``."""
+        return service_address(self.destination_hash)
 
 
 @dataclass(frozen=True)

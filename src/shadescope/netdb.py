@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .encoding import B32_SUFFIX, EncodingError, hash_from_b32, hash_from_b64
+from .encoding import EncodingError, hash_from_b64, service_hash
 from .model import Lease, LeaseSet, RouterInfo
 from .wire import DecodeError, decode_router_info
 
@@ -73,8 +73,9 @@ def load_netdb_dir(path: Union[str, Path]) -> NetDbSnapshot:
     strictly decoded is counted as a :class:`ParseFailure` with its error;
     one bad file never affects the others. A read error (a directory named
     like a record, a file removed after the walk) is ``unreadable:`` and the
-    OS error naming the path. :func:`~shadescope.wire.lenient_extract` can
-    recover option values from undecodable bytes on request.
+    OS error naming the path; a FIFO is read without waiting for a writer.
+    :func:`~shadescope.wire.lenient_extract` can recover option values from
+    undecodable bytes on request.
     """
     directory = Path(path)
     if not directory.is_dir():
@@ -97,7 +98,8 @@ def load_netdb_dir(path: Union[str, Path]) -> NetDbSnapshot:
     return snapshot
 
 
-_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+# Non-blocking: a FIFO opens at once, reads as empty and fails to decode.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_NONBLOCK", 0)
 _READ_CHUNK = 1 << 16
 
 
@@ -135,6 +137,7 @@ def load_leasesets(path: Union[str, Path]) -> tuple[list[LeaseSet], list[str]]:
     """Parse the one-record-per-line LeaseSet fixture format.
 
     Line form: ``<dest_hash_b64> <b32> <gw_b64>:<tunnel_id>:<expiry_ms>[,...]``
+    A b32 column other than '-' must name the destination hash, in any case.
     The lease column may be '-' or absent for a descriptor with no leases;
     '#' starts a comment. Malformed lines become warnings, not errors.
     """
@@ -163,20 +166,11 @@ def _parse_leaseset_line(line: str) -> LeaseSet:
     if len(parts) not in (2, 3):
         raise ValueError(f"expected 2 or 3 columns, got {len(parts)}")
     dest_hash = hash_from_b64(parts[0])
-    b32: Optional[str] = None
-    if parts[1] != "-":
-        b32 = parts[1] if parts[1].endswith(B32_SUFFIX) else parts[1] + B32_SUFFIX
-        if hash_from_b32(b32[: -len(B32_SUFFIX)]) != dest_hash:
-            raise ValueError("b32 column does not match destination hash")
+    if parts[1] != "-" and service_hash(parts[1]) != dest_hash:
+        raise ValueError("b32 column does not match destination hash")
     leases: list[Lease] = []
     if len(parts) == 3 and parts[2] != "-":
         for chunk in parts[2].split(","):
             gw_text, tunnel_id, expiry_ms = chunk.split(":")
-            leases.append(
-                Lease(
-                    gateway=hash_from_b64(gw_text),
-                    tunnel_id=int(tunnel_id),
-                    expiry_ms=int(expiry_ms),
-                )
-            )
-    return LeaseSet(destination_hash=dest_hash, b32=b32, leases=tuple(leases))
+            leases.append(Lease(hash_from_b64(gw_text), int(tunnel_id), int(expiry_ms)))
+    return LeaseSet(destination_hash=dest_hash, leases=tuple(leases))

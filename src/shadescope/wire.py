@@ -103,7 +103,7 @@ def decode_router_info(data: bytes) -> RouterInfo:
     return RouterInfo(
         identity=identity,
         published_ms=published_ms,
-        addresses=tuple(addresses),
+        addresses=addresses,
         options=options,
         signature=data[pos:],
     )

@@ -164,7 +164,7 @@ def write_leasesets(
     for ls in leasesets:
         cols = [
             hash_to_b64(ls.destination_hash),
-            ls.b32 if ls.b32 else "-",
+            ls.b32,
             ",".join(
                 f"{hash_to_b64(l.gateway)}:{l.tunnel_id}:{l.expiry_ms}"
                 for l in ls.leases

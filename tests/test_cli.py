@@ -246,6 +246,23 @@ class TestXorAssoc:
         assert payload["candidates"] == 172
         assert payload["floodfills"] == 25
 
+    def test_csv_bytes(self, assoc_fixture, capsys):
+        netdb, ls_file, target, expected_b32, date = assoc_fixture
+        code = main([
+            "xor-assoc", hash_to_b64(target),
+            "--leasesets", str(ls_file),
+            "--netdb", str(netdb),
+            "--date", date, "--format", "csv",
+        ])
+        # One row per leaseset line, in file order, each column given
+        # without its suffix in the fixture.
+        addresses = [line.split()[1] + ".b32.i2p" for line in ls_file.read_text().splitlines()]
+        expected = "b32,matched\n" + "".join(
+            f"{address},{address == expected_b32}\n" for address in addresses)
+        assert code == 0
+        assert capsys.readouterr().out == expected
+        assert expected.count(",True\n") == 1
+
     def test_non_floodfill_target_warns(self, assoc_fixture, capsys):
         netdb, ls_file, _, _, date = assoc_fixture
         outsider = bytes(32)

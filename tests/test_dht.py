@@ -11,14 +11,13 @@ from shadescope.dht import (
     FloodfillTable,
     association_rows,
     daily_mod_key,
-    decode_b32,
     derive_b32,
     normalize_date,
     routing_key,
     routing_keys,
     xor_association,
 )
-from shadescope.encoding import EncodingError, hash_to_b32
+from shadescope.encoding import EncodingError, hash_to_b32, service_hash
 from shadescope.model import Destination
 
 from fixtures import oracle_nearest, xor_distance
@@ -482,17 +481,17 @@ class TestB32:
 
     @given(st.binary(min_size=32, max_size=32))
     def test_decode_inverts_encode(self, value):
-        assert decode_b32(hash_to_b32(value) + ".b32.i2p") == value
-        assert decode_b32(hash_to_b32(value)) == value
+        assert service_hash(hash_to_b32(value) + ".b32.i2p") == value
+        assert service_hash(hash_to_b32(value)) == value
 
     def test_mixed_case_accepted(self):
         value = b"\xc3" * 32
-        assert decode_b32(hash_to_b32(value).upper() + ".B32.I2P") == value
+        assert service_hash(hash_to_b32(value).upper() + ".B32.I2P") == value
 
     def test_wrong_length_rejected(self):
         with pytest.raises(EncodingError):
-            decode_b32("a" * 51)
+            service_hash("a" * 51)
 
     def test_bad_alphabet_rejected(self):
         with pytest.raises(EncodingError):
-            decode_b32("1" * 52)  # '1' is not a base32 char
+            service_hash("1" * 52)  # '1' is not a base32 char

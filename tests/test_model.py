@@ -337,6 +337,22 @@ class TestConstructors:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(instance, f.name, getattr(instance, f.name))
 
+    def test_records_keep_no_reference_to_caller_containers(self):
+        options = {"caps": "XfR"}
+        address_options = {"host": "10.0.0.1", "port": "1"}
+        addresses = [TransportAddress("NTCP2", options=address_options)]
+        record = RouterInfo(Destination(DEST_387), 0, addresses, options)
+        twin = RouterInfo(Destination(DEST_387), 0,
+                          (TransportAddress("NTCP2", options=dict(address_options)),),
+                          dict(options))
+        before = record.profile()
+        options["caps"] = "L"
+        del address_options["host"]
+        addresses.clear()
+        assert record.is_floodfill is True
+        assert record.profile() is before and before.kappa_f and before.alpha
+        assert record == twin and record.addresses[0] == twin.addresses[0]
+
     def test_router_hash_ignores_identity_bytes_past_its_size(self):
         padded = RouterInfo(Destination(DEST_391 + b"private key material"), 0)
         assert padded.hash == RouterInfo(Destination(DEST_391), 0).hash

@@ -1,5 +1,10 @@
 import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +173,24 @@ class TestSnapshotWalk:
         snapshot = load_netdb_dir(tmp_path)
         assert snapshot.records == {record.hash: padded}
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_with_record_name_does_not_block(self, tmp_path):
+        # Opening a FIFO for reading waits for a writer unless it is opened
+        # non-blocking, so the load runs in a child that a timeout can end.
+        _record_file(tmp_path, synth_record(random.Random(17), 1))
+        os.mkfifo(tmp_path / "routerInfo-fifo.dat")
+        src = str(Path(netdb.__file__).resolve().parents[1])
+        script = ("import json, sys; from shadescope.netdb import load_netdb_dir; "
+                  "s = load_netdb_dir(sys.argv[1]); "
+                  "print(json.dumps([len(s.records), [[f.filename, f.error] for f in s.failures]]))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [
+            1, [["routerInfo-fifo.dat", "truncated identity (at offset 0)"]]]
+
     def test_symlinked_subdirectory_is_not_followed(self, tmp_path):
         rng = random.Random(14)
         inside, outside = synth_record(rng, 1), synth_record(rng, 2)
@@ -236,7 +259,17 @@ class TestLeaseSets:
         leasesets, warnings = load_leasesets(path)
         assert warnings == []
         assert all(ls.leases == () for ls in leasesets)
-        assert all(ls.b32 is None for ls in leasesets)
+        assert all(ls.b32 == hash_to_b32(dest) + ".b32.i2p" for ls in leasesets)
+
+    def test_upper_case_column_loads_as_canonical_address(self, tmp_path):
+        dest = _hashes(1, seed=5)[0]
+        canonical = hash_to_b32(dest) + ".b32.i2p"
+        path = tmp_path / "ls.txt"
+        path.write_text(f"{hash_to_b64(dest)} {canonical.upper()} -\n"
+                        f"{hash_to_b64(dest)} {hash_to_b32(dest).upper()}\n")
+        leasesets, warnings = load_leasesets(path)
+        assert warnings == []
+        assert [ls.b32 for ls in leasesets] == [canonical, canonical]
 
     def test_malformed_lines_become_warnings(self, tmp_path):
         dest, gw = _hashes(2, seed=4)
@@ -260,8 +293,7 @@ class TestLeaseSets:
         rng = random.Random(7)
         originals = [
             LeaseSet(
-                destination_hash=(d := rng.randbytes(32)),
-                b32=hash_to_b32(d) + ".b32.i2p",
+                destination_hash=rng.randbytes(32),
                 leases=tuple(
                     Lease(rng.randbytes(32), rng.randint(0, 2**31), 1700000000000)
                     for _ in range(rng.randint(0, 3))

@@ -1,6 +1,8 @@
-"""The public surface: the package root's exports, the README library
-example, and the module boundaries the benchmark harness traces."""
+"""The public surface: the package root's exports, the README examples,
+the rule that only the CLI prints, and the module boundaries the benchmark
+harness traces."""
 
+import ast
 import importlib
 import random
 import re
@@ -11,6 +13,7 @@ import pytest
 
 import shadescope
 from shadescope.classify import EvidenceSource
+from shadescope.cli import main
 from shadescope.sim import SimulatedSource
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,6 +40,31 @@ def test_readme_library_example_runs(corpus_dir, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HOME", str(tmp_path))
     exec(snippet, {})
     assert "Beacon" in capsys.readouterr().out
+
+
+def test_readme_spec_example_simulates(tmp_path, capsys):
+    readme = (ROOT / "README.md").read_text()
+    spec = re.search(r"A network spec is JSON:\n\n```json\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "net.json").write_text(spec)
+    assert main(["simulate", str(tmp_path / "net.json"), "--out", str(tmp_path / "curves.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_library_prints_nothing():
+    # Only the CLI writes to the terminal; library modules return warnings.
+    package = Path(shadescope.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            printing = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "print")
+            streams = (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+                       and isinstance(node.value, ast.Name) and node.value.id == "sys")
+            if printing or streams:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_traced_boundaries_resolve(monkeypatch):
