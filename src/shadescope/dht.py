@@ -7,9 +7,7 @@ import datetime as dt
 import functools
 import hashlib
 import re
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .encoding import (
     HASH_LEN,
@@ -20,6 +18,9 @@ from .encoding import (
     service_hash,
 )
 from .model import Destination, hash_identity
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _DATE_RE = re.compile(r"\d{8}$")
 
@@ -68,12 +69,21 @@ def routing_keys(hashes: Sequence[bytes], date: str) -> list[bytes]:
     return [sha256(_combine(key_hash, mod_int)).digest() for key_hash in hashes]
 
 
-# _PREFIX_MASKS[d] covers the 64 - d low bits of a word, so that
-# ``word & ~mask`` and ``word | mask`` bound the words sharing its top d bits.
-_PREFIX_MASKS = np.array([(1 << (64 - d)) - 1 for d in range(65)], dtype=np.uint64)
-_WORD_MAX = _PREFIX_MASKS[0]
 # Candidates ranked per numpy block: 256 KiB per uint64 temporary.
 _BLOCK = 1 << 15
+
+
+# numpy is imported where a table first needs it, inside each function that
+# uses it, so that commands which never rank (genconfig, b32, scan, a
+# snapshot-only lookup) do not pay for its import.
+@functools.lru_cache(maxsize=None)
+def _prefix_masks() -> np.ndarray:
+    """Element d covers the 64 - d low bits of a word, so that ``word & ~mask``
+    and ``word | mask`` bound the words sharing its top d bits; element 0 is
+    the largest word."""
+    import numpy as np
+
+    return np.array([(1 << (64 - d)) - 1 for d in range(65)], dtype=np.uint64)
 
 
 class FloodfillTable:
@@ -112,6 +122,8 @@ class FloodfillTable:
         hashes) go to the smaller hash, so the result does not depend on
         input order.
         """
+        import numpy as np
+
         if not self.hashes:
             raise ValueError("floodfill set is empty")
         if k < 1:
@@ -149,12 +161,14 @@ class FloodfillTable:
         """Per run of at most ``width`` candidates, the indices of the k
         nearest by word-0 distance, and whether a word-0 tie among the
         first k + 1 leaves their order, or which one is k-th, to words 1-3."""
+        import numpy as np
+
         cols = np.arange(width)
         real = cols < lengths[:, None]
         index = np.minimum(starts[:, None] + cols, (starts + lengths - 1)[:, None])
         distance = self._words[index]
         distance ^= words[:, None]
-        distance[~real] = _WORD_MAX
+        distance[~real] = _prefix_masks()[0]
         # A stable sort keeps real candidates ahead of padding that equals
         # their distance, and equal words in index order.
         ranked = np.argsort(distance, axis=1, kind="stable")[:, : k + 1]
@@ -164,6 +178,8 @@ class FloodfillTable:
 
     def _prefix_runs(self, words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Index bounds of the deepest shared-prefix run holding >= k words."""
+        import numpy as np
+
         low = np.zeros(len(words), dtype=np.intp)  # depth known to hold >= k
         high = np.full(len(words), 65, dtype=np.intp)  # first depth holding < k
         while True:
@@ -176,7 +192,9 @@ class FloodfillTable:
                 return self._run(words, low)
 
     def _run(self, words: np.ndarray, depth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mask = _PREFIX_MASKS[depth]
+        import numpy as np
+
+        mask = _prefix_masks()[depth]
         starts = np.searchsorted(self._words, words & ~mask, side="left")
         ends = np.searchsorted(self._words, words | mask, side="right")
         return starts, ends
@@ -184,6 +202,8 @@ class FloodfillTable:
 
 def _top_words(hashes: Sequence[bytes]) -> np.ndarray:
     """Word 0 (the top 64 bits) of each 32-byte hash as native ``uint64``."""
+    import numpy as np
+
     raw = np.frombuffer(b"".join(hashes), dtype=">u8").reshape(-1, 4)[:, 0]
     return raw.astype(np.uint64)
 

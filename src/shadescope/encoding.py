@@ -101,12 +101,14 @@ def _strip_suffix(text: str) -> str:
 
 
 def parse_hash_text(text: str) -> bytes:
-    """Parse a hash given as hex, the base64 variant, or base32 (b32 suffix ok)."""
-    candidate = _strip_suffix(text)
+    """Parse a hash given as hex, the base64 variant, or base32; only base32
+    may carry the b32 suffix, since the suffix names a service address."""
+    candidate = text.strip()
     if len(candidate) == 2 * HASH_LEN and re.fullmatch(r"[0-9a-fA-F]+", candidate):
         return bytes.fromhex(candidate)
     if len(candidate) in (B64_LEN - 1, B64_LEN):
         return hash_from_b64(candidate)
-    if len(candidate) == B32_LEN:
-        return hash_from_b32(candidate)
+    address = _strip_suffix(candidate)
+    if len(address) == B32_LEN:
+        return hash_from_b32(address)
     raise EncodingError(f"unrecognized hash form: {text!r}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import fnmatch
 import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -68,12 +69,14 @@ def load_netdb_dir(path: Union[str, Path]) -> NetDbSnapshot:
     The walk is recursive and does not follow symlinked directories. Files
     load in path-component order (``a/x`` before ``a-b/x``), and when two
     files hold the same router hash the later one replaces the earlier,
-    with a warning. Each file is read whole through its descriptor, with
-    ``os.read`` until it returns no bytes. A file that cannot be read or
+    with a warning. Only regular files are read, symlinked ones included:
+    each is read whole through its descriptor, in one ``os.read`` sized from
+    its ``fstat`` unless it has grown since. A file that cannot be read or
     strictly decoded is counted as a :class:`ParseFailure` with its error;
-    one bad file never affects the others. A read error (a directory named
-    like a record, a file removed after the walk) is ``unreadable:`` and the
-    OS error naming the path; a FIFO is read without waiting for a writer.
+    one bad file never affects the others. Anything else named like a record
+    (a directory, a FIFO, a device) is ``unreadable: not a regular file:``
+    and the path, and a read error (a file removed after the walk) is
+    ``unreadable:`` and the OS error naming the path.
     :func:`~shadescope.wire.lenient_extract` can recover option values from
     undecodable bytes on request.
     """
@@ -98,21 +101,31 @@ def load_netdb_dir(path: Union[str, Path]) -> NetDbSnapshot:
     return snapshot
 
 
-# Non-blocking: a FIFO opens at once, reads as empty and fails to decode.
+# Non-blocking: a FIFO opens at once, so that its fstat can reject it.
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_NONBLOCK", 0)
 _READ_CHUNK = 1 << 16
 
 
 def _read_file(path: str) -> bytes:
-    """The bytes of the file at ``path``, read through its descriptor until
-    ``os.read`` returns nothing. An error names ``path``, as ``open`` does."""
+    """The bytes of the regular file at ``path``. The first read asks for one
+    byte more than its size, so a short read is the end of the file, and only
+    a file that grew meanwhile takes a second. An error names ``path``, as
+    ``open`` does."""
     fd = os.open(path, _READ_FLAGS)
     try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            raise OSError(f"not a regular file: {path!r}")
         chunks = []
-        while chunk := os.read(fd, _READ_CHUNK):
-            chunks.append(chunk)
-    except OSError as exc:  # a directory opens, then fails its first read
-        raise OSError(exc.errno, exc.strerror, path) from None
+        request = info.st_size + 1
+        try:
+            while True:
+                chunks.append(os.read(fd, request))
+                if len(chunks[-1]) < request:
+                    break
+                request = _READ_CHUNK
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     finally:
         os.close(fd)
     return b"".join(chunks)

@@ -166,24 +166,21 @@ def _read_mapping(data: bytes, pos: int, n: int, what: str) -> tuple[dict[str, s
 
 def encode_router_info(record: RouterInfo) -> bytes:
     """Produce the exact byte form :func:`decode_router_info` inverts."""
-    out = bytearray(record.identity.key_bytes)
-    out += _uint(record.published_ms, 8, "publish time")
-    if len(record.addresses) > 255:
+    addresses = record.addresses
+    parts = [record.identity.key_bytes, _uint(record.published_ms, 8, "publish time")]
+    if len(addresses) > 255:
         raise EncodeError("more than 255 addresses")
-    out.append(len(record.addresses))
-    for addr in record.addresses:
-        if not _STYLE_RE.fullmatch(addr.style):
-            raise EncodeError(f"invalid style string: {addr.style!r}")
-        out += _uint(addr.cost, 1, "address cost")
-        out += _uint(addr.expiration_ms, 8, "address expiration")
-        style = addr.style.encode("ascii")
-        out.append(len(style))
-        out += style
-        out += _encode_mapping(addr.options)
-    out.append(0)  # peer count
-    out += _encode_mapping(record.options)
-    out += record.signature
-    return bytes(out)
+    parts.append(bytes((len(addresses),)))
+    for addr in addresses:
+        style = addr.style
+        if not _STYLE_RE.fullmatch(style):
+            raise EncodeError(f"invalid style string: {style!r}")
+        parts += (_uint(addr.cost, 1, "address cost"),
+                  _uint(addr.expiration_ms, 8, "address expiration"),
+                  bytes((len(style),)), style.encode("ascii"),
+                  _encode_mapping(addr.options))
+    parts += (b"\0", _encode_mapping(record.options), record.signature)  # peer count 0
+    return b"".join(parts)
 
 
 def _uint(value: int, size: int, what: str) -> bytes:
@@ -194,15 +191,24 @@ def _uint(value: int, size: int, what: str) -> bytes:
 
 
 def _encode_mapping(options: Mapping[str, str]) -> bytes:
-    body = bytearray()
-    for key in sorted(options, key=lambda k: k.encode("utf-8")):
-        body += _mapping_string(key)
-        body += b"="
-        body += _mapping_string(options[key])
-        body += b";"
+    # Code-point order is UTF-8 byte order, so the keys sort as strings.
+    entries = sorted(options.items())
+    try:
+        text = "".join([f"{chr(len(key))}{key}={chr(len(value))}{value};"
+                        for key, value in entries])
+        ascii_only = text.isascii()
+    except ValueError:  # a string longer than chr() can count
+        ascii_only = False
+    if ascii_only:
+        # Every length char is ASCII, so below 128: one byte per char,
+        # and every string fits its length byte.
+        body = text.encode("ascii")
+    else:
+        body = b"".join([_mapping_string(key) + b"=" + _mapping_string(value) + b";"
+                         for key, value in entries])
     if len(body) > MAPPING_MAX:
         raise EncodeError(f"mapping exceeds {MAPPING_MAX} bytes")
-    return len(body).to_bytes(2, "big") + bytes(body)
+    return len(body).to_bytes(2, "big") + body
 
 
 def _mapping_string(text: str) -> bytes:

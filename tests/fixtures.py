@@ -1,20 +1,23 @@
 """Deterministic fixtures shared by the tests: record corpora,
 layout-diverse random records, curve CSV reading, leaseset writing,
 brute-force XOR oracles over ints, and the earlier definitions of the
-record predicates, the record decoder and record synthesis as oracles."""
+record predicates, the record decoder and encoder, record synthesis and
+the curve export as oracles."""
 
 import csv
 import random
 import re
+from operator import itemgetter
 from pathlib import Path
-from typing import Union
+from typing import Mapping, Sequence, Union
 
 from shadescope.encoding import hash_from_b64, hash_to_b64
 from shadescope.model import (BANDWIDTH_LETTERS, DEST_MIN_LEN, CapabilityProfile, Destination,
                               DestinationError, LeaseSet, RouterInfo, TransportAddress)
 from shadescope.sim import (EPOCH_2025_MS, HitCurve, _RECIPES, _VERSIONS, _direct_address,
                             _introducer_address, _synth_identity, synth_record)
-from shadescope.wire import KNOWN_STYLES, DecodeError, encode_router_info
+from shadescope.wire import (KNOWN_STYLES, MAPPING_MAX, DecodeError, EncodeError,
+                             encode_router_info)
 
 
 def load_curves(path: Union[str, Path]) -> list[HitCurve]:
@@ -28,6 +31,17 @@ def load_curves(path: Union[str, Path]) -> list[HitCurve]:
                 (int(row["cumulative_probes"]), int(row["hits"]))
             )
     return [HitCurve(target=t, points=tuple(p)) for t, p in grouped.items()]
+
+
+def oracle_export_curves(curves: Sequence[HitCurve], path: Union[str, Path]) -> None:
+    """The row-by-row definition of :func:`shadescope.sim.export_curves`."""
+    if not curves:
+        raise ValueError("no curves to export")
+    keyed = sorted(((hash_to_b64(c.target), c.points) for c in curves), key=itemgetter(0))
+    with open(Path(path), "w", newline="") as fh:
+        fh.write("target,cumulative_probes,hits\r\n")
+        for target, points in keyed:
+            fh.write("".join(f"{target},{probes},{hits}\r\n" for probes, hits in points))
 
 
 def write_fixture_corpus(
@@ -317,3 +331,54 @@ def _decode_text(raw: bytes, offset: int, what: str) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DecodeError(f"{what} is not valid UTF-8", offset) from exc
+
+
+_ORACLE_STYLE_RE = re.compile(r"[\x21-\x7e]{1,255}$")
+
+
+def oracle_encode_router_info(record: RouterInfo) -> bytes:
+    """The bytearray definition of :func:`shadescope.wire.encode_router_info`."""
+    out = bytearray(record.identity.key_bytes)
+    out += _uint(record.published_ms, 8, "publish time")
+    if len(record.addresses) > 255:
+        raise EncodeError("more than 255 addresses")
+    out.append(len(record.addresses))
+    for addr in record.addresses:
+        if not _ORACLE_STYLE_RE.fullmatch(addr.style):
+            raise EncodeError(f"invalid style string: {addr.style!r}")
+        out += _uint(addr.cost, 1, "address cost")
+        out += _uint(addr.expiration_ms, 8, "address expiration")
+        style = addr.style.encode("ascii")
+        out.append(len(style))
+        out += style
+        out += _encode_mapping(addr.options)
+    out.append(0)  # peer count
+    out += _encode_mapping(record.options)
+    out += record.signature
+    return bytes(out)
+
+
+def _uint(value: int, size: int, what: str) -> bytes:
+    try:
+        return value.to_bytes(size, "big")
+    except OverflowError:  # negative, or too wide for the field
+        raise EncodeError(f"{what} does not fit an unsigned {size}-byte field: {value}") from None
+
+
+def _encode_mapping(options: Mapping[str, str]) -> bytes:
+    body = bytearray()
+    for key in sorted(options, key=lambda k: k.encode("utf-8")):
+        body += _mapping_string(key)
+        body += b"="
+        body += _mapping_string(options[key])
+        body += b";"
+    if len(body) > MAPPING_MAX:
+        raise EncodeError(f"mapping exceeds {MAPPING_MAX} bytes")
+    return len(body).to_bytes(2, "big") + bytes(body)
+
+
+def _mapping_string(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    if len(raw) > 255:
+        raise EncodeError(f"mapping string exceeds 255 bytes: {text[:32]!r}...")
+    return bytes([len(raw)]) + raw

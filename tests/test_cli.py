@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shadescope
 from shadescope.cli import build_parser, main
 from shadescope.encoding import hash_to_b32, hash_to_b64
 from shadescope.netdb import load_netdb_dir
@@ -162,6 +167,14 @@ class TestLookup:
     def test_bad_hash_is_input_error(self, corpus_dir, capsys):
         assert main(["lookup", "zzz", "--netdb", str(corpus_dir)]) == 2
         assert_one_line_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text", ["00" * 32 + ".b32.i2p", "A" * 43 + ".B32.I2P"],
+                             ids=["hex", "base64"])
+    def test_b32_suffix_on_another_form_is_input_error(self, corpus_dir, capsys, text):
+        assert main(["lookup", text, "--netdb", str(corpus_dir)]) == 2
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "unrecognized hash form" in err
 
     def test_bad_xor_assoc_target_is_input_error(self, assoc_fixture, capsys):
         netdb, ls_file, _, _, date = assoc_fixture
@@ -572,3 +585,28 @@ def test_lookup_and_simulate_share_probe_options():
             (simulate.dest, simulate.type, simulate.default)
         assert simulate.help and simulate.help == lookup.help
     assert [a.default for a in probe_actions("simulate")] == [5, None, None, 0.0]
+
+
+def test_commands_that_never_rank_leave_numpy_unloaded(corpus_dir, tmp_path):
+    # numpy serves only XOR-nearest ranking; these commands never rank. The
+    # child then ranks once, to show that this is what imports it.
+    dest = tmp_path / "dest.dat"
+    dest.write_bytes(DEST_387)
+    present = hash_to_b64(next(iter(load_netdb_dir(corpus_dir).records)))
+    commands = [["genconfig", "exclusive"], ["b32", str(dest)],
+                ["scan", "--netdb", str(corpus_dir)],
+                ["lookup", present, "--netdb", str(corpus_dir)],
+                ["lookup", hash_to_b64(bytes(32)), "--netdb", str(corpus_dir)]]
+    script = ("import json, sys; from shadescope.cli import main; "
+              "codes = [main(json.loads(argv)) for argv in sys.argv[1:]]; "
+              "unranked = 'numpy' in sys.modules; "
+              "from shadescope.dht import FloodfillTable; "
+              "FloodfillTable([bytes(32)]).nearest([bytes(32)], 1); "
+              "print(json.dumps([codes, unranked, 'numpy' in sys.modules]))")
+    src = str(Path(shadescope.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, *map(json.dumps, commands)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0] * len(commands), False, True]

@@ -1,4 +1,5 @@
 import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from shadescope.model import CERT_LEN_OFFSET, Destination, RouterInfo, TransportAddress
 from shadescope.wire import (
+    KNOWN_STYLES,
     DecodeError,
     EncodeError,
     decode_router_info,
@@ -13,7 +15,7 @@ from shadescope.wire import (
     lenient_extract,
 )
 
-from fixtures import oracle_decode_router_info, random_record
+from fixtures import oracle_decode_router_info, oracle_encode_router_info, random_record
 
 
 def make_record(caps=None, addresses=(), version=None, extra=None, cert_len=0,
@@ -283,6 +285,67 @@ class TestDecoderOracle:
         assert (outcome.options if isinstance(expected, dict) else outcome) == expected
 
 
+# Short text of any code points, and one character repeated to lengths
+# around the 127/128-byte and 255/256-byte edges in one to four bytes each.
+MAPPING_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.text(alphabet="ab=;", max_size=6),
+    st.builds(mul, st.sampled_from("aé€😀"), st.integers(30, 140)),
+)
+# Pairs in drawn order, so any insertion order.
+MAPPINGS = st.lists(st.tuples(MAPPING_TEXT, MAPPING_TEXT), max_size=6).map(dict)
+# Mappings near and over the 65,535-byte limit, keys inserted in either order.
+BIG_MAPPINGS = st.builds(
+    lambda n, value, backwards: {f"k{i:04d}": value for i in (range(n)[::-1] if backwards
+                                                               else range(n))},
+    st.integers(250, 600), st.builds(mul, st.sampled_from("aé"), st.integers(50, 250)),
+    st.booleans())
+# Integer ranges reach one past each end of their field, and a few
+# addresses are repeated past the 255-address limit.
+ADDRESSES = st.builds(
+    TransportAddress,
+    style=st.sampled_from(KNOWN_STYLES + ("A" * 255,)) | st.text(max_size=3)
+    | st.sampled_from(KNOWN_STYLES),
+    cost=st.integers(-1, 256),
+    expiration_ms=st.integers(-1, 2**64),
+    options=MAPPINGS,
+)
+RECORDS = st.builds(
+    RouterInfo,
+    identity=st.sampled_from([Destination(bytes(387)),
+                              Destination(bytes(385) + b"\x00\x04abcd")]),
+    published_ms=st.integers(-1, 2**64),
+    addresses=st.builds(mul, st.lists(ADDRESSES, max_size=3), st.sampled_from([1] * 9 + [256])),
+    options=MAPPINGS | MAPPINGS | BIG_MAPPINGS,
+    signature=st.binary(max_size=70),
+)
+
+
+def encode_outcome(encode, record):
+    """The record's bytes, or the type and text of the error encoding raised."""
+    try:
+        return encode(record)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestEncoderOracle:
+    """The encoder against the bytearray encoder it replaced: the same bytes,
+    or an error of the same type and text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(RECORDS)
+    def test_matches_oracle(self, record):
+        assert encode_outcome(encode_router_info, record) == encode_outcome(
+            oracle_encode_router_info, record)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_random_records_match_oracle(self, seed):
+        record = random_record(random.Random(seed))
+        assert encode_router_info(record) == oracle_encode_router_info(record)
+
+
 class TestEncodeErrors:
     def test_oversize_mapping(self):
         big = {f"k{i:04d}": "v" * 250 for i in range(300)}
@@ -290,8 +353,13 @@ class TestEncodeErrors:
             encode_router_info(make_record(extra=big))
 
     def test_oversize_mapping_string(self):
-        with pytest.raises(EncodeError):
+        with pytest.raises(EncodeError, match="mapping string exceeds 255 bytes"):
             encode_router_info(make_record(extra={"k": "v" * 300}))
+
+    def test_oversize_mapping_string_past_chr(self):
+        # Longer than chr() can count.
+        with pytest.raises(EncodeError, match="mapping string exceeds 255 bytes"):
+            encode_router_info(make_record(extra={"k": "v" * 0x110000}))
 
     @pytest.mark.parametrize("style", ["", "A" * 256, "bad style"])
     def test_invalid_style(self, style):

@@ -93,6 +93,12 @@ class TestHashText:
         with pytest.raises(EncodingError):
             parse_hash_text("not-a-hash")
 
+    @pytest.mark.parametrize("text", ["00" * 32 + ".b32.i2p", "A" * 43 + ".B32.I2P",
+                                      "A" * 43 + "=.b32.i2p"])
+    def test_parse_hash_text_takes_the_suffix_on_base32_only(self, text):
+        with pytest.raises(EncodingError, match="unrecognized hash form"):
+            parse_hash_text(text)
+
 
 class TestDestination:
     def test_minimum_length_enforced(self):

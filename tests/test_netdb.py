@@ -83,6 +83,23 @@ def _record_file(directory, record, name=None):
     return path
 
 
+def _load_in_child(directory):
+    """``load_netdb_dir(directory)`` in a child process, under a 20 s timeout
+    and a 1 GiB address-space limit set after its imports: the record count
+    and each failure's file name and error."""
+    src = str(Path(netdb.__file__).resolve().parents[1])
+    script = ("import json, resource, sys; from shadescope.netdb import load_netdb_dir; "
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "s = load_netdb_dir(sys.argv[1]); "
+              "print(json.dumps([len(s.records), [[f.filename, f.error] for f in s.failures]]))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, str(directory)], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 class TestSnapshotWalk:
     """Which files a snapshot load reads, and in which order."""
 
@@ -145,7 +162,7 @@ class TestSnapshotWalk:
         (tmp_path / "sub" / "routerInfo-x.dat").mkdir(parents=True)
         monkeypatch.chdir(tmp_path)
         [failure] = load_netdb_dir(given).failures
-        assert failure.error == f"unreadable: [Errno 21] Is a directory: '{shown}'"
+        assert failure.error == f"unreadable: not a regular file: '{shown}'"
 
     def test_file_removed_after_the_walk_is_unreadable(self, tmp_path, monkeypatch):
         rng = random.Random(15)
@@ -166,7 +183,7 @@ class TestSnapshotWalk:
             gone.name, f"unreadable: [Errno 2] No such file or directory: '{gone}'")]
 
     def test_record_past_one_read_is_read_whole(self, tmp_path):
-        # 200 KiB of signature: more than three 64 KiB reads.
+        # 200 KiB of signature: more than three 64 KiB chunks.
         record = synth_record(random.Random(16), 3)
         padded = dataclasses.replace(record, signature=bytes(range(256)) * 800)
         _record_file(tmp_path, padded)
@@ -178,18 +195,36 @@ class TestSnapshotWalk:
         # Opening a FIFO for reading waits for a writer unless it is opened
         # non-blocking, so the load runs in a child that a timeout can end.
         _record_file(tmp_path, synth_record(random.Random(17), 1))
-        os.mkfifo(tmp_path / "routerInfo-fifo.dat")
-        src = str(Path(netdb.__file__).resolve().parents[1])
-        script = ("import json, sys; from shadescope.netdb import load_netdb_dir; "
-                  "s = load_netdb_dir(sys.argv[1]); "
-                  "print(json.dumps([len(s.records), [[f.filename, f.error] for f in s.failures]]))")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                              capture_output=True, text=True, timeout=20)
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == [
-            1, [["routerInfo-fifo.dat", "truncated identity (at offset 0)"]]]
+        fifo = tmp_path / "routerInfo-fifo.dat"
+        os.mkfifo(fifo)
+        assert _load_in_child(tmp_path) == [
+            1, [[fifo.name, f"unreadable: not a regular file: '{fifo}'"]]]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_symlink_to_endless_device_is_not_read(self, tmp_path):
+        # Read to its end, /dev/zero never ends: the child's address-space
+        # limit turns that into a MemoryError instead of a full host.
+        _record_file(tmp_path, synth_record(random.Random(18), 1))
+        link = tmp_path / "routerInfo-zero.dat"
+        link.symlink_to("/dev/zero")
+        assert _load_in_child(tmp_path) == [
+            1, [[link.name, f"unreadable: not a regular file: '{link}'"]]]
+
+    def test_file_grown_after_its_fstat_is_read_whole(self, tmp_path, monkeypatch):
+        # A file larger than its fstat said fills the first read, so reading
+        # goes on until a read comes back short.
+        record = synth_record(random.Random(19), 2)
+        padded = dataclasses.replace(record, signature=bytes(range(256)) * 300)
+        _record_file(tmp_path, padded)
+        fstat = os.fstat
+
+        def stale_fstat(fd):
+            info = list(fstat(fd))
+            info[6] = 10  # st_size
+            return os.stat_result(info)
+
+        monkeypatch.setattr(os, "fstat", stale_fstat)
+        assert load_netdb_dir(tmp_path).records == {record.hash: padded}
 
     def test_symlinked_subdirectory_is_not_followed(self, tmp_path):
         rng = random.Random(14)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import shadescope
 from shadescope.classify import classify
 from shadescope.dht import routing_key
+from shadescope.encoding import hash_to_b64
 from shadescope.protocol import ProbePlan
 from shadescope.sim import (
     HitCurve,
@@ -27,8 +29,8 @@ from shadescope.sim import (
     synth_record,
 )
 
-from fixtures import (load_curves, oracle_nearest, oracle_synth_record, random_record,
-                      write_fixture_corpus)
+from fixtures import (load_curves, oracle_export_curves, oracle_nearest, oracle_synth_record,
+                      random_record, write_fixture_corpus)
 
 
 def small_spec(seed=0, n=60, k=2):
@@ -550,6 +552,29 @@ class TestCurveExport:
     def test_empty_export_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export_curves([], tmp_path / "x.csv")
+
+    def test_curve_without_points_writes_no_row(self, tmp_path):
+        a, b = bytes(32), bytes([1]) * 32
+        path = tmp_path / "curves.csv"
+        export_curves([HitCurve(target=a, points=()), HitCurve(target=b, points=((5, 0),))], path)
+        assert path.read_bytes() == (b"target,cumulative_probes,hits\r\n"
+                                     + hash_to_b64(b).encode() + b",5,0\r\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.builds(HitCurve,
+                  target=st.sampled_from([bytes([i]) * 32 for i in (0, 7, 62, 63, 255)])
+                  | st.binary(min_size=32, max_size=32),
+                  points=st.lists(st.tuples(st.integers(-2**70, 2**70) | st.integers(-3, 12),
+                                            st.integers(-2**70, 2**70) | st.integers(-1, 2)),
+                                  max_size=8).map(tuple)),
+        min_size=1, max_size=12))
+    def test_bytes_equal_oracle(self, curves):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
+            export_curves(curves, new)
+            oracle_export_curves(curves, old)
+            assert new.read_bytes() == old.read_bytes()
 
 
 class TestFixtureHelpers:
