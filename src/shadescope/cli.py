@@ -21,7 +21,7 @@ from .classify import EvidenceSource, ShadeReport, classify
 from .dht import association_rows, derive_b32, normalize_date
 from .encoding import EncodingError, hash_to_b64, parse_hash_text
 from .model import Destination, DestinationError, SHADES
-from .netdb import NetDbError, load_leasesets, load_netdb_dir
+from .netdb import NetDbError, _read_file, load_leasesets, load_netdb_dir
 from .protocol import (
     ProbePlan,
     SnapshotSource,
@@ -351,7 +351,7 @@ _B64_FILE_CHARS = frozenset(
 
 
 def _read_destination(path: str) -> Destination:
-    data = Path(path).read_bytes()
+    data = _read_file(path)
     try:
         text = data.decode("ascii").strip()
     except UnicodeDecodeError:

@@ -17,7 +17,7 @@ RECORD_GLOB = "routerInfo-*.dat"
 
 
 class NetDbError(Exception):
-    """Raised when a snapshot directory or fixture file cannot be read."""
+    """A snapshot path that is not a directory, or a leaseset file that is not UTF-8."""
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,11 @@ def load_netdb_dir(path: Union[str, Path]) -> NetDbSnapshot:
     The walk is recursive and does not follow symlinked directories. Files
     load in path-component order (``a/x`` before ``a-b/x``), and when two
     files hold the same router hash the later one replaces the earlier,
-    with a warning. Only regular files are read, symlinked ones included:
-    each is read whole through its descriptor, in one ``os.read`` sized from
-    its ``fstat`` unless it has grown since. A file that cannot be read or
-    strictly decoded is counted as a :class:`ParseFailure` with its error;
-    one bad file never affects the others. Anything else named like a record
+    with a warning. Only regular files are read, symlinked ones included,
+    by :func:`_read_file`. A file that cannot be read or strictly decoded is
+    counted as a :class:`ParseFailure` with its error and its path below
+    ``path``, which the duplicate warning names too; one bad file never
+    affects the others. Anything else named like a record
     (a directory, a FIFO, a device) is ``unreadable: not a regular file:``
     and the path, and a read error (a file removed after the walk) is
     ``unreadable:`` and the OS error naming the path.
@@ -84,19 +84,22 @@ def load_netdb_dir(path: Union[str, Path]) -> NetDbSnapshot:
     if not directory.is_dir():
         raise NetDbError(f"not a readable directory: {directory}")
     snapshot = NetDbSnapshot(source_dir=directory)
-    for entry in _record_paths(str(directory)):
+    top = str(directory)
+    # Each entry is this prefix and then its path below the snapshot root.
+    below = 0 if top == os.curdir else len(os.path.join(top, ""))
+    for entry in _record_paths(top):
         try:
             data = _read_file(entry)
         except OSError as exc:
-            snapshot.failures.append(ParseFailure(os.path.basename(entry), f"unreadable: {exc}"))
+            snapshot.failures.append(ParseFailure(entry[below:], f"unreadable: {exc}"))
             continue
         try:
             record = decode_router_info(data)
         except DecodeError as exc:
-            snapshot.failures.append(ParseFailure(os.path.basename(entry), str(exc)))
+            snapshot.failures.append(ParseFailure(entry[below:], str(exc)))
             continue
         if record.hash in snapshot.records:
-            snapshot.warnings.append(f"duplicate record replaced: {os.path.basename(entry)}")
+            snapshot.warnings.append(f"duplicate record replaced: {entry[below:]}")
         snapshot.records[record.hash] = record
     return snapshot
 
@@ -106,11 +109,12 @@ _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_NONBLOCK
 _READ_CHUNK = 1 << 16
 
 
-def _read_file(path: str) -> bytes:
-    """The bytes of the regular file at ``path``. The first read asks for one
-    byte more than its size, so a short read is the end of the file, and only
-    a file that grew meanwhile takes a second. An error names ``path``, as
-    ``open`` does."""
+def _read_file(path: Union[str, Path]) -> bytes:
+    """The bytes of the regular file at ``path``; every input file is read
+    here. Anything else raises ``OSError("not a regular file: '<path>'")``
+    unread. The first read asks for one byte more than the ``fstat`` size, so
+    only a file that grew meanwhile takes a second. Errors name ``path``."""
+    path = os.fspath(path)
     fd = os.open(path, _READ_FLAGS)
     try:
         info = os.fstat(fd)
@@ -152,15 +156,15 @@ def load_leasesets(path: Union[str, Path]) -> tuple[list[LeaseSet], list[str]]:
     Line form: ``<dest_hash_b64> <b32> <gw_b64>:<tunnel_id>:<expiry_ms>[,...]``
     A b32 column other than '-' must name the destination hash, in any case.
     The lease column may be '-' or absent for a descriptor with no leases;
-    '#' starts a comment. Malformed lines become warnings, not errors.
+    '#' starts a comment. Malformed lines become warnings, not errors. The
+    file is read by :func:`_read_file`, so one that cannot be read, or is not
+    a regular file, raises its ``OSError``; bytes that are not UTF-8 raise
+    :class:`NetDbError`.
     """
-    file = Path(path)
-    if not file.is_file():
-        raise NetDbError(f"no such leaseset file: {file}")
     try:
-        text = file.read_text(encoding="utf-8")
+        text = _read_file(path).decode("utf-8")
     except UnicodeDecodeError:
-        raise NetDbError(f"leaseset file is not UTF-8 text: {file}") from None
+        raise NetDbError(f"leaseset file is not UTF-8 text: {path}") from None
     leasesets: list[LeaseSet] = []
     warnings: list[str] = []
     for lineno, raw_line in enumerate(text.splitlines(), start=1):

@@ -43,6 +43,7 @@ from .model import (
     hash_identity,
     shade_for_level,
 )
+from .netdb import _read_file
 from .protocol import ProbePlan, ProbeTransportError, classify_sweep
 
 EPOCH_2025_MS = 1_735_689_600_000
@@ -51,6 +52,11 @@ _VERSIONS = ("0.9.67", "0.9.68", "2.12.0")
 
 class InfeasibleSpecError(ValueError):
     """The network spec cannot be realized (bad fractions, missing mass)."""
+
+
+# The largest network and replication a spec may ask for; see NetworkSpec.
+MAX_ROUTERS = 100_000
+MAX_K = 100
 
 
 # The JSON type of each spec-file key; true and false are not numbers here.
@@ -62,7 +68,18 @@ _SPEC_TYPES = {"n_routers": int, "floodfill_fraction": (int, float),
 class NetworkSpec:
     """Generation parameters. shade_distribution maps levels "1".."8" to
     fractions of n_routers; level "1" may be omitted and is then implied
-    by floodfill_fraction."""
+    by floodfill_fraction.
+
+    :func:`generate_network` rejects an ``n_routers`` over
+    :data:`MAX_ROUTERS` or a ``k`` over :data:`MAX_K` before it allocates
+    anything, so that the worst spec allowed peaks under 1 GB. The limits
+    come from measured peaks: simulate takes about 3 KB per router at k = 4
+    (58.7 MB at 3,242 routers, 148.3 MB at 32,420), so MAX_ROUTERS routers
+    peak near 0.35 GB; each record is stored on min(k, floodfills)
+    floodfills at about 55 bytes a copy (generation at 32,420 routers peaked
+    at 103 MB with k = 4 and 268 MB with k = 100), so a k of MAX_K adds
+    about 0.55 GB at MAX_ROUTERS.
+    """
 
     n_routers: int
     floodfill_fraction: float
@@ -73,8 +90,12 @@ class NetworkSpec:
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "NetworkSpec":
+        """The spec in the JSON object at ``path``. A file that cannot be
+        read, or is not a regular file, raises the ``OSError`` of
+        :func:`~shadescope.netdb._read_file`; any other fault in the file
+        raises :class:`InfeasibleSpecError`."""
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            raw = json.loads(_read_file(path).decode("utf-8"))
         except UnicodeDecodeError:
             raise InfeasibleSpecError(f"spec file is not UTF-8 text: {path}") from None
         except (ValueError, RecursionError) as exc:  # bad JSON, too deep or too long a number
@@ -137,8 +158,8 @@ class HitCurve:
 def _allocate_counts(spec: NetworkSpec) -> dict[int, int]:
     """Largest-remainder allocation of router counts per shade level."""
     n = spec.n_routers
-    if n < 1:
-        raise InfeasibleSpecError("n_routers must be >= 1")
+    if not 1 <= n <= MAX_ROUTERS:
+        raise InfeasibleSpecError(f"n_routers must lie in [1, {MAX_ROUTERS}]")
     if not 0.0 <= spec.floodfill_fraction <= 1.0:
         raise InfeasibleSpecError("floodfill_fraction must lie in [0, 1]")
     fractions: dict[int, float] = {}
@@ -280,8 +301,8 @@ def generate_network(spec: NetworkSpec) -> NetworkModel:
         normalize_date(spec.date)
     except ValueError as exc:
         raise InfeasibleSpecError(str(exc)) from None
-    if spec.k < 1:
-        raise InfeasibleSpecError("replication k must be >= 1")
+    if not 1 <= spec.k <= MAX_K:
+        raise InfeasibleSpecError(f"replication k must lie in [1, {MAX_K}]")
     counts = _allocate_counts(spec)
     enabled = gc.isenabled()
     promote = gc.get_freeze_count() == 0

@@ -14,6 +14,7 @@ import shadescope
 from shadescope.cli import build_parser, main
 from shadescope.encoding import hash_to_b32, hash_to_b64
 from shadescope.netdb import load_netdb_dir
+from shadescope.sim import MAX_K, MAX_ROUTERS
 
 from fixtures import write_fixture_corpus
 
@@ -25,6 +26,26 @@ NON_UTF8 = b'{"n_routers": 50, "seed": "\xff\xfe"}\n'
 def assert_one_line_error(err: str) -> None:
     assert err.startswith("error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _child_env() -> dict:
+    """The environment for a child that imports this checkout's package."""
+    src = str(Path(shadescope.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _main_in_child(argv: list[str]) -> tuple[int, str]:
+    """``main(argv)`` in a child process, under a 20 s timeout and a 1 GiB
+    address-space limit set after its imports: its exit code and stderr.
+    An input that blocks or allocates without end fails the caller's test
+    instead of stalling it or filling the host."""
+    script = ("import resource, sys; from shadescope.cli import main; "
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=20)
+    return done.returncode, done.stderr
 
 
 class TestScan:
@@ -319,6 +340,8 @@ class TestXorAssoc:
             "--date", date,
         ])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: '/nonexistent/file.txt'\n")
 
     def test_non_utf8_leaseset_file_is_input_error(self, assoc_fixture, tmp_path, capsys):
         netdb, _, target, _, date = assoc_fixture
@@ -541,7 +564,21 @@ def test_bad_spec_or_fail_rate_is_input_error(tmp_path, capsys, command, spec, f
     assert_one_line_error(capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("command", ["simulate", "xor-assoc"])
+def _named_input_argv(command: str, path: str, corpus_dir, workdir) -> list[str]:
+    """The argv of ``command`` with ``path`` as its named input file."""
+    return {
+        "simulate": ["simulate", path, "--out", str(workdir / "curves.csv")],
+        "xor-assoc": ["xor-assoc", "00" * 32, "--leasesets", path,
+                      "--netdb", str(corpus_dir), "--date", "20250101"],
+        "b32": ["b32", path],
+        "lookup": ["lookup", "00" * 32, "--simulate", path],
+    }[command]
+
+
+NAMED_INPUT_COMMANDS = ["simulate", "xor-assoc", "b32", "lookup"]
+
+
+@pytest.mark.parametrize("command", NAMED_INPUT_COMMANDS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.one_of(st.binary(max_size=300), st.text(max_size=300).map(str.encode)))
 def test_arbitrary_input_file_exits_0_or_2(tmp_path_factory, corpus_dir, command, data):
@@ -549,17 +586,49 @@ def test_arbitrary_input_file_exits_0_or_2(tmp_path_factory, corpus_dir, command
     workdir.mkdir(exist_ok=True)
     path = workdir / "input"
     path.write_bytes(data)
-    if command == "simulate":
-        argv = ["simulate", str(path), "--out", str(workdir / "curves.csv")]
-    else:
-        argv = ["xor-assoc", "00" * 32, "--leasesets", str(path),
-                "--netdb", str(corpus_dir), "--date", "20250101"]
+    argv = _named_input_argv(command, str(path), corpus_dir, workdir)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2)
     if code == 2:
         assert_one_line_error(err.getvalue())
+
+
+@pytest.mark.parametrize("kind", [
+    pytest.param("fifo", marks=pytest.mark.skipif(not hasattr(os, "mkfifo"),
+                                                  reason="no named pipes")),
+    pytest.param("dev-zero", marks=pytest.mark.skipif(not os.path.exists("/dev/zero"),
+                                                      reason="no /dev/zero")),
+    "directory",
+])
+@pytest.mark.parametrize("command", NAMED_INPUT_COMMANDS)
+def test_named_input_must_be_a_regular_file(tmp_path, corpus_dir, command, kind):
+    # A FIFO without a writer blocks whoever opens it for reading, and
+    # /dev/zero never ends; neither may be read, and neither is.
+    path = tmp_path / "input"
+    if kind == "fifo":
+        os.mkfifo(path)
+    elif kind == "dev-zero":
+        path.symlink_to("/dev/zero")
+    else:
+        path.mkdir()
+    code, err = _main_in_child(_named_input_argv(command, str(path), corpus_dir, tmp_path))
+    assert (code, err) == (2, f"error: not a regular file: {str(path)!r}\n")
+
+
+@pytest.mark.parametrize("key, limit", [("n_routers", MAX_ROUTERS), ("k", MAX_K)])
+def test_oversized_spec_exits_2_before_allocating(tmp_path, key, limit):
+    # A billion routers would take terabytes to generate; the child's
+    # address-space limit turns any attempt into a failure of this test.
+    spec_path = tmp_path / "net.json"
+    spec_path.write_text(json.dumps({**SMALL_SPEC, key: 10**9}))
+    for command in (["simulate", str(spec_path), "--out", str(tmp_path / "curves.csv")],
+                    ["lookup", "00" * 32, "--simulate", str(spec_path)]):
+        code, err = _main_in_child(command)
+        assert code == 2, err
+        assert_one_line_error(err)
+        assert f"must lie in [1, {limit}]" in err
 
 
 @pytest.mark.parametrize("argv", [["lookup", "00" * 32], ["simulate", "net.json"],
@@ -603,10 +672,7 @@ def test_commands_that_never_rank_leave_numpy_unloaded(corpus_dir, tmp_path):
               "from shadescope.dht import FloodfillTable; "
               "FloodfillTable([bytes(32)]).nearest([bytes(32)], 1); "
               "print(json.dumps([codes, unranked, 'numpy' in sys.modules]))")
-    src = str(Path(shadescope.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script, *map(json.dumps, commands)],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=_child_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == [[0] * len(commands), False, True]

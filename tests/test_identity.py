@@ -16,11 +16,15 @@ ranking must give the same routers, records, shades and placement.
 The damaged-snapshot digests were recorded from the decoder that read
 through a cursor object and the loader that sorted ``Path.rglob``
 results; the offset-local decoder and the string-keyed walk must give
-the same ``scan``/``xor-assoc`` output and the same failure list.
+the same ``scan``/``xor-assoc`` output and the same failure list. The
+failure-list digest was re-recorded when failures began naming their path
+below the snapshot root instead of the base name; with the ``sub/`` prefix
+taken off its names, the new listing is the old one, byte for byte.
 """
 
 import hashlib
 import json
+import os
 import random
 
 import pytest
@@ -64,7 +68,7 @@ DAMAGED_XOR_ASSOC_JSON_SHA256 = (
     "9f5044603dd5bda57270749d8399c16ba25413ded147a573c96a2e70a959e789"
 )
 DAMAGED_FAILURES_SHA256 = (
-    "2bddf7e5666b225f4bb5ec4eb0bc3517fb2e4c5bbf15ff72f16379aa248fd91b"
+    "95c0ff859fa50aa67b715b6794012f93f33209499fd8d299be956227587f1335"
 )
 
 
@@ -206,6 +210,8 @@ def test_damaged_snapshot_failures_unchanged(damaged_snapshot, monkeypatch):
     monkeypatch.chdir(root)
     snapshot = load_netdb_dir("netdb")
     assert len(snapshot.failures) >= 12
+    # Names are paths below the snapshot root, so copies in sub/ read apart.
+    assert {f.filename.rpartition(os.sep)[0] for f in snapshot.failures} == {"", "sub"}
     listing = "".join(f"{f.filename}\t{f.error}\n" for f in snapshot.failures)
     assert _sha256(listing.encode()) == DAMAGED_FAILURES_SHA256
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -125,9 +126,11 @@ class TestSnapshotWalk:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(b"\x00" * i)
         snapshot = load_netdb_dir(tmp_path)
+        # Each failure names its path below the snapshot root.
         assert [f.filename for f in snapshot.failures] == [
-            "routerInfo-2.dat", "routerInfo-6.dat", "routerInfo-3.dat",
-            "routerInfo-1.dat", "routerInfo-4.dat", "routerInfo-5.dat",
+            os.path.join(*rel.split("/")) for rel in (
+                "a/routerInfo-2.dat", "a/routerInfo-6.dat", "a/z/routerInfo-3.dat",
+                "a-b/routerInfo-1.dat", "a.b/routerInfo-4.dat", "routerInfo-5.dat")
         ]
         assert all("truncated identity (at offset 0)" == f.error for f in snapshot.failures)
 
@@ -141,9 +144,12 @@ class TestSnapshotWalk:
                                      signature=tag * 64)
             _record_file(tmp_path / sub, copies[sub], name)
         snapshot = load_netdb_dir(tmp_path)
-        # Loaded as a/, a/z/, a-b/: the last one read replaces the others.
+        # Loaded as a/, a/z/, a-b/: the last one read replaces the others,
+        # and each warning names the copy that replaced, by its path.
         assert snapshot.records == {record.hash: copies["a-b"]}
-        assert snapshot.warnings == [f"duplicate record replaced: {name}"] * 2
+        assert snapshot.warnings == [f"duplicate record replaced: {os.path.join(sub, name)}"
+                                     for sub in ("a/z", "a-b")]
+        assert len(set(snapshot.warnings)) == 2
 
     def test_directory_with_record_name_is_unreadable(self, tmp_path):
         _record_file(tmp_path, synth_record(random.Random(13), 2))
@@ -251,8 +257,33 @@ class TestLeaseSets:
         assert leasesets == [] and warnings == []
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(NetDbError):
-            load_leasesets(tmp_path / "missing.txt")
+        # A file that cannot be read raises the OSError naming it, as a spec does.
+        missing = tmp_path / "missing.txt"
+        with pytest.raises(FileNotFoundError, match=re.escape(repr(str(missing)))):
+            load_leasesets(missing)
+
+    def test_not_a_regular_file(self, tmp_path):
+        with pytest.raises(OSError, match=re.escape(f"not a regular file: {str(tmp_path)!r}")):
+            load_leasesets(tmp_path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "ls.txt"
+        path.write_bytes(b"\xff\n")
+        with pytest.raises(NetDbError, match="not UTF-8"):
+            load_leasesets(path)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_endings_keep_line_numbers(self, tmp_path, newline):
+        dest, gw = _hashes(2, seed=8)
+        lines = ["# services", f"{hash_to_b64(dest)} - {hash_to_b64(gw)}:5:100",
+                 "nonsense", "", f"{hash_to_b64(gw)} {hash_to_b32(dest)} -"]
+        unix, other = tmp_path / "unix.txt", tmp_path / "other.txt"
+        unix.write_bytes("\n".join(lines).encode())
+        other.write_bytes(newline.join(lines).encode())
+        assert load_leasesets(other) == load_leasesets(unix)
+        assert load_leasesets(unix)[1] == [
+            "line 3: expected 2 or 3 columns, got 1",
+            "line 5: b32 column does not match destination hash"]
 
     def test_single_line_two_leases(self, tmp_path):
         dest, gw1, gw2 = _hashes(3, seed=1)

@@ -19,6 +19,8 @@ from shadescope.protocol import ProbePlan
 from shadescope.sim import (
     HitCurve,
     InfeasibleSpecError,
+    MAX_K,
+    MAX_ROUTERS,
     NetworkSpec,
     SimulatedSource,
     completeness_metrics,
@@ -326,8 +328,10 @@ class TestSpecValidation:
         "kwargs",
         [
             {"n_routers": 0},
+            {"n_routers": MAX_ROUTERS + 1},
             {"floodfill_fraction": 1.5},
             {"k": 0},
+            {"k": MAX_K + 1},
         ],
     )
     def test_bad_scalars(self, kwargs):

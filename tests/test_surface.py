@@ -1,6 +1,6 @@
 """The public surface: the package root's exports, the README examples,
-the rule that only the CLI prints, and the module boundaries the benchmark
-harness traces."""
+the rules that only the CLI prints and that one function reads input files,
+and the module boundaries the benchmark harness traces."""
 
 import ast
 import importlib
@@ -65,6 +65,44 @@ def test_library_prints_nothing():
             if printing or streams:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _reads_a_file(node: ast.AST) -> bool:
+    """Whether ``node`` calls ``read_text``, ``read_bytes``, ``os.open``, or an
+    ``open`` given no literal write mode ("w", "a" or "x", without "+")."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("read_text", "read_bytes"):
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "os":
+        return True
+    modes = [arg.value for arg in [*node.args, *(kw.value for kw in node.keywords)]
+             if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+             and arg.value and set(arg.value) <= set("rwaxbt+")]
+    return not any(set(mode) & set("wax") and not set(mode) & set("r+") for mode in modes)
+
+
+def test_one_reader_for_input_files():
+    # netdb._read_file alone reads input files, so one rule decides which
+    # files are read (regular ones only) and how. Writers are not readers.
+    package = Path(shadescope.__file__).parent
+    offenders, in_reader = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        reader = set()
+        if path.name == "netdb.py":
+            [function] = [node for node in ast.walk(tree)
+                          if isinstance(node, ast.FunctionDef) and node.name == "_read_file"]
+            reader = {id(node) for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if _reads_a_file(node):
+                (in_reader if id(node) in reader else offenders).append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+    assert len(in_reader) == 1  # the reader's own os.open: the check sees it
 
 
 def test_traced_boundaries_resolve(monkeypatch):
