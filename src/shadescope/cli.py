@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from pathlib import Path
 from typing import Optional
 
 from . import profiles
@@ -21,7 +20,7 @@ from .classify import EvidenceSource, ShadeReport, classify
 from .dht import association_rows, derive_b32, normalize_date
 from .encoding import EncodingError, hash_to_b64, parse_hash_text
 from .model import Destination, DestinationError, SHADES
-from .netdb import NetDbError, _read_file, load_leasesets, load_netdb_dir
+from .netdb import NetDbError, _open_output, _read_file, load_leasesets, load_netdb_dir
 from .protocol import (
     ProbePlan,
     SnapshotSource,
@@ -462,7 +461,8 @@ def cmd_simulate(args) -> int:
 def cmd_genconfig(args) -> int:
     text = profiles.render_profile(args.profile)
     if args.out:
-        Path(args.out).write_text(text)
+        with _open_output(args.out) as fh:
+            fh.write(text)
     facts = {
         "profile": args.profile,
         "parameters": [

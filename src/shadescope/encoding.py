@@ -52,7 +52,9 @@ def hash_to_b64(value: bytes) -> str:
 
 
 def hash_from_b64(text: str) -> bytes:
-    """Decode the base64 variant; the trailing '=' may be omitted."""
+    """Decode the base64 variant; the trailing '=' may be omitted. A text
+    that does not re-encode to itself (nonzero unused low bits in its last
+    character) is rejected, so each hash has one spelling."""
     if not _B64_RE.fullmatch(text):
         raise EncodingError(f"not a base64-variant hash: {text!r}")
     padded = text if text.endswith("=") else text + "="
@@ -60,7 +62,9 @@ def hash_from_b64(text: str) -> bytes:
         value = base64.b64decode(padded, _B64_ALTCHARS, validate=True)
     except binascii.Error as exc:
         raise EncodingError(f"not a base64-variant hash: {text!r}") from exc
-    return check_hash(value)
+    if hash_to_b64(value) != padded:
+        raise EncodingError(f"not the canonical base64-variant form of a hash: {text!r}")
+    return value
 
 
 def hash_to_b32(value: bytes) -> str:
@@ -70,7 +74,9 @@ def hash_to_b32(value: bytes) -> str:
 
 
 def hash_from_b32(text: str) -> bytes:
-    """Decode 52 base32 chars; mixed case accepted, suffix not handled here."""
+    """Decode 52 base32 chars; mixed case accepted, suffix not handled here.
+    A text whose case-folded form does not re-encode to itself (nonzero
+    unused low bits in its last character) is rejected."""
     folded = text.lower()
     if len(folded) != B32_LEN:
         raise EncodingError(
@@ -80,7 +86,9 @@ def hash_from_b32(text: str) -> bytes:
         raise EncodingError(f"not a base32 hash: {text!r}")
     # 52 chars carry 260 bits; pad to the 56-char block base32 expects.
     value = base64.b32decode(folded.upper() + "====")
-    return check_hash(value)
+    if hash_to_b32(value) != folded:
+        raise EncodingError(f"not the canonical base32 form of a hash: {text!r}")
+    return value
 
 
 def service_address(value: bytes) -> str:

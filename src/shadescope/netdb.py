@@ -1,4 +1,6 @@
-"""Directory-snapshot loading and the textual LeaseSet fixture format."""
+"""Directory-snapshot loading, the textual LeaseSet fixture format, and the
+one reader (:func:`_read_file`) and one writer (:func:`_open_output`) of
+every file the package names."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ import os
 import stat
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, TextIO, Union
 
 from .encoding import EncodingError, hash_from_b64, service_hash
 from .model import Lease, LeaseSet, RouterInfo
@@ -104,16 +106,18 @@ def load_netdb_dir(path: Union[str, Path]) -> NetDbSnapshot:
     return snapshot
 
 
+_BINARY, _NONBLOCK = getattr(os, "O_BINARY", 0), getattr(os, "O_NONBLOCK", 0)
 # Non-blocking: a FIFO opens at once, so that its fstat can reject it.
-_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0) | getattr(os, "O_NONBLOCK", 0)
+_READ_FLAGS = os.O_RDONLY | _BINARY | _NONBLOCK
 _READ_CHUNK = 1 << 16
 
 
 def _read_file(path: Union[str, Path]) -> bytes:
     """The bytes of the regular file at ``path``; every input file is read
-    here. Anything else raises ``OSError("not a regular file: '<path>'")``
-    unread. The first read asks for one byte more than the ``fstat`` size, so
-    only a file that grew meanwhile takes a second. Errors name ``path``."""
+    here, as every output file is opened by :func:`_open_output`. Anything
+    else raises ``OSError("not a regular file: '<path>'")`` unread. The first
+    read asks for one byte more than the ``fstat`` size, so only a file that
+    grew meanwhile takes a second. Errors name ``path``."""
     path = os.fspath(path)
     fd = os.open(path, _READ_FLAGS)
     try:
@@ -133,6 +137,21 @@ def _read_file(path: Union[str, Path]) -> bytes:
     finally:
         os.close(fd)
     return b"".join(chunks)
+
+
+# Non-blocking: a FIFO with no reader fails at once instead of waiting for one.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _BINARY | _NONBLOCK
+
+
+def _open_output(path: Union[str, Path]) -> TextIO:
+    """A UTF-8 text stream, untranslated newlines, on ``path`` created or
+    truncated; every output file is opened here. A FIFO with no reader raises
+    ``OSError`` (``ENXIO``) naming ``path`` instead of blocking until one comes;
+    a regular file, ``/dev/null`` and a FIFO with a reader are written."""
+    fd = os.open(os.fspath(path), _WRITE_FLAGS, 0o666)
+    if _NONBLOCK:
+        os.set_blocking(fd, True)  # writes wait for a slow reader, as plain open's do
+    return open(fd, "w", encoding="utf-8", newline="")
 
 
 def _record_paths(top: str) -> list[str]:

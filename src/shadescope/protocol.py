@@ -18,6 +18,7 @@ from typing import Iterator, Mapping, Optional, Protocol, Sequence, Union
 from .classify import EvidenceSource, ShadeReport
 from .encoding import _check_hashes, check_hash, hash_to_b64
 from .model import RouterInfo
+from .netdb import _open_output
 
 
 class ProbeTransportError(Exception):
@@ -191,7 +192,7 @@ def write_probe_log(report: ShadeReport, plan: ProbePlan, path: Union[str, Path]
     and ``ok`` otherwise.
     """
     failed = set(report.failed_at)
-    with open(Path(path), "w", newline="") as fh:
+    with _open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["probe_index", "floodfill_b64", "result"])
         for index, floodfill in enumerate(plan.floodfills[: report.probes_used], 1):

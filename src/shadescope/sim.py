@@ -43,7 +43,7 @@ from .model import (
     hash_identity,
     shade_for_level,
 )
-from .netdb import _read_file
+from .netdb import _open_output, _read_file
 from .protocol import ProbePlan, ProbeTransportError, classify_sweep
 
 EPOCH_2025_MS = 1_735_689_600_000
@@ -58,6 +58,9 @@ class InfeasibleSpecError(ValueError):
 MAX_ROUTERS = 100_000
 MAX_K = 100
 
+
+# The one spelling of each shade level as a shade_distribution key.
+_LEVEL_KEYS = {str(level): level for level in range(1, 9)}
 
 # The JSON type of each spec-file key; true and false are not numbers here.
 _SPEC_TYPES = {"n_routers": int, "floodfill_fraction": (int, float),
@@ -93,9 +96,10 @@ class NetworkSpec:
         """The spec in the JSON object at ``path``. A file that cannot be
         read, or is not a regular file, raises the ``OSError`` of
         :func:`~shadescope.netdb._read_file`; any other fault in the file
-        raises :class:`InfeasibleSpecError`."""
+        raises :class:`InfeasibleSpecError`, a key given twice in one
+        object included."""
         try:
-            raw = json.loads(_read_file(path).decode("utf-8"))
+            raw = json.loads(_read_file(path).decode("utf-8"), object_pairs_hook=_unique_keys)
         except UnicodeDecodeError:
             raise InfeasibleSpecError(f"spec file is not UTF-8 text: {path}") from None
         except (ValueError, RecursionError) as exc:  # bad JSON, too deep or too long a number
@@ -112,6 +116,17 @@ class NetworkSpec:
             return cls(**raw)
         except TypeError as exc:  # a required key is missing
             raise InfeasibleSpecError(f"incomplete spec: {exc}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of ``pairs``; a key given twice raises ``ValueError``,
+    where ``json.loads`` alone would keep the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 class SimRouter(NamedTuple):
@@ -164,12 +179,12 @@ def _allocate_counts(spec: NetworkSpec) -> dict[int, int]:
         raise InfeasibleSpecError("floodfill_fraction must lie in [0, 1]")
     fractions: dict[int, float] = {}
     for key, value in spec.shade_distribution.items():
+        level = _LEVEL_KEYS.get(str(key))
         numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (str(key).isdecimal() and numeric):
+        if level is None or not numeric:
             raise InfeasibleSpecError(f"bad shade_distribution entry {key!r}: {value!r}")
-        level = int(key)
-        if not 1 <= level <= 8:
-            raise InfeasibleSpecError(f"shade level out of range: {key}")
+        if level in fractions:
+            raise InfeasibleSpecError(f"shade level {level} given twice")
         if not 0 <= value <= 1:  # also rejects NaN
             raise InfeasibleSpecError(f"fraction for shade {key} must lie in [0, 1]: {value!r}")
         fractions[level] = float(value)
@@ -482,7 +497,7 @@ def export_curves(curves: Sequence[HitCurve], path: Union[str, Path]) -> None:
     # checkpoints, so a target's rows are its name joined with the cached
     # ",probes,hits" tails of its points.
     cells: dict[tuple[int, int], str] = {}
-    with open(Path(path), "w", newline="") as fh:
+    with _open_output(path) as fh:
         fh.write("target,cumulative_probes,hits\r\n")
         for target, points in keyed:
             if not points:

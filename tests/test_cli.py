@@ -197,6 +197,14 @@ class TestLookup:
         assert_one_line_error(err)
         assert "unrecognized hash form" in err
 
+    def test_second_spelling_of_a_hash_is_input_error(self, corpus_dir, capsys):
+        # "a" * 52 is the hash of 32 zero bytes; the set low bit is unused.
+        text = "a" * 51 + "b"
+        assert main(["lookup", text, "--netdb", str(corpus_dir)]) == 2
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert repr(text) in err
+
     def test_bad_xor_assoc_target_is_input_error(self, assoc_fixture, capsys):
         netdb, ls_file, _, _, date = assoc_fixture
         code = main([
@@ -548,6 +556,16 @@ SMALL_SPEC = {"n_routers": 50, "floodfill_fraction": 0.5,
                  id="fraction-nan"),
     pytest.param({**SMALL_SPEC, "shade_distribution": {"2": 10**400, "8": 0.1}}, [],
                  id="fraction-huge-int"),
+    pytest.param({**SMALL_SPEC, "n_routers": 100, "floodfill_fraction": 0.48,
+                  "shade_distribution": {"01": 0.3, "1": 0.48, "2": 0.42, "8": 0.1}}, [],
+                 id="level-leading-zero"),
+    pytest.param({**SMALL_SPEC, "shade_distribution": {"\uff11": 0.5, "2": 0.4, "8": 0.1}}, [],
+                 id="level-full-width"),
+    pytest.param(b'{"n_routers": 50, "floodfill_fraction": 0.5, "seed": 1, "seed": 2,'
+                 b' "shade_distribution": {"2": 0.4, "8": 0.1}}', [], id="duplicate-key"),
+    pytest.param(b'{"n_routers": 50, "floodfill_fraction": 0.5,'
+                 b' "shade_distribution": {"2": 0.1, "8": 0.1, "2": 0.4}}', [],
+                 id="duplicate-level"),
     pytest.param({"n_routers": 50}, [], id="missing-keys"),
     pytest.param([SMALL_SPEC], [], id="not-an-object"),
     pytest.param(NON_UTF8, [], id="non-utf8"),
@@ -615,6 +633,36 @@ def test_named_input_must_be_a_regular_file(tmp_path, corpus_dir, command, kind)
         path.mkdir()
     code, err = _main_in_child(_named_input_argv(command, str(path), corpus_dir, tmp_path))
     assert (code, err) == (2, f"error: not a regular file: {str(path)!r}\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_output_fifo_without_reader_fails_at_once(tmp_path):
+    # Opening a FIFO for writing waits for a reader; an output file is never
+    # waited on, and /dev/null still takes its write.
+    fifo = tmp_path / "F"
+    os.mkfifo(fifo)
+    spec_path = tmp_path / "net.json"
+    spec_path.write_text(json.dumps(SMALL_SPEC))
+    for command in (["genconfig", "exclusive"], ["simulate", str(spec_path)],
+                    ["lookup", "00" * 32, "--simulate", str(spec_path)]):
+        code, err = _main_in_child([*command, "--out", str(fifo)])
+        assert code == 2, err
+        assert_one_line_error(err)
+        assert repr(str(fifo)) in err
+    assert main(["simulate", str(spec_path), "--out", os.devnull]) == 0
+    script = ("import sys\n"
+              "from shadescope.classify import ShadeReport\n"
+              "from shadescope.protocol import ProbePlan, write_probe_log\n"
+              "from shadescope.sim import HitCurve, export_curves\n"
+              "for write in (lambda: export_curves([HitCurve(bytes(32), ((5, 0),))], sys.argv[1]),\n"
+              "              lambda: write_probe_log(ShadeReport(bytes(32)), ProbePlan(()), sys.argv[1])):\n"
+              "    try:\n"
+              "        write()\n"
+              "    except OSError as exc:\n"
+              "        print(type(exc).__name__, exc.filename)\n")
+    done = subprocess.run([sys.executable, "-c", script, str(fifo)], env=_child_env(),
+                          capture_output=True, text=True, timeout=20)
+    assert done.stdout.splitlines() == [f"OSError {fifo}"] * 2, done.stderr
 
 
 @pytest.mark.parametrize("key, limit", [("n_routers", MAX_ROUTERS), ("k", MAX_K)])

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -77,6 +78,20 @@ class TestHashText:
     def test_b32_rejects_wrong_length(self):
         with pytest.raises(EncodingError):
             hash_from_b32("a" * 51)
+
+    @pytest.mark.parametrize("text", ["A" * 42 + "B=", "A" * 42 + "B", "A" * 42 + "D=",
+                                      RANGE32_B64[:42] + "9="])
+    def test_b64_rejects_a_second_spelling(self, text):
+        # The last of 43 characters carries 2 unused bits, which must be zero.
+        with pytest.raises(EncodingError, match=re.escape(repr(text))):
+            hash_from_b64(text)
+
+    @pytest.mark.parametrize("text", ["a" * 51 + "b", "A" * 51 + "B", "a" * 51 + "r",
+                                      "a" * 51 + "7"])
+    def test_b32_rejects_a_second_spelling(self, text):
+        # The last of 52 characters carries 4 unused bits, which must be zero.
+        with pytest.raises(EncodingError, match=re.escape(repr(text))):
+            hash_from_b32(text)
 
     def test_b32_case_folds(self):
         value = b"\xab" * 32

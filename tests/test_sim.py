@@ -324,6 +324,16 @@ class TestSpecValidation:
         with pytest.raises(InfeasibleSpecError):
             generate_network(spec)
 
+    @pytest.mark.parametrize("distribution, message", [
+        ({2: 0.1, "2": 0.4, "8": 0.1}, "shade level 2 given twice"),
+        ({"01": 0.5, "2": 0.4, "8": 0.1}, "bad shade_distribution entry '01'"),
+    ])
+    def test_each_level_has_one_key(self, distribution, message):
+        spec = NetworkSpec(n_routers=10, floodfill_fraction=0.5,
+                           shade_distribution=distribution)
+        with pytest.raises(InfeasibleSpecError, match=message):
+            generate_network(spec)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

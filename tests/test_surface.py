@@ -1,6 +1,6 @@
 """The public surface: the package root's exports, the README examples,
-the rules that only the CLI prints and that one function reads input files,
-and the module boundaries the benchmark harness traces."""
+the rules that only the CLI prints and that one function reads and one
+writes every file, and the module boundaries the benchmark harness traces."""
 
 import ast
 import importlib
@@ -67,42 +67,40 @@ def test_library_prints_nothing():
     assert offenders == []
 
 
-def _reads_a_file(node: ast.AST) -> bool:
-    """Whether ``node`` calls ``read_text``, ``read_bytes``, ``os.open``, or an
-    ``open`` given no literal write mode ("w", "a" or "x", without "+")."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    if name in ("read_text", "read_bytes"):
-        return True
-    if name != "open":
-        return False
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id == "os":
-        return True
-    modes = [arg.value for arg in [*node.args, *(kw.value for kw in node.keywords)]
-             if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
-             and arg.value and set(arg.value) <= set("rwaxbt+")]
-    return not any(set(mode) & set("wax") and not set(mode) & set("r+") for mode in modes)
+FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+FILE_FUNCTIONS = ("_read_file", "_open_output")
 
 
-def test_one_reader_for_input_files():
-    # netdb._read_file alone reads input files, so one rule decides which
-    # files are read (regular ones only) and how. Writers are not readers.
+def test_one_reader_and_one_writer_for_files():
+    # netdb._read_file alone reads files and netdb._open_output alone opens
+    # them for writing, so one rule decides which files are read and written
+    # (no FIFO is waited on) and how. Any open, os.open, io.open or Path
+    # read/write call elsewhere in the package is an offender.
     package = Path(shadescope.__file__).parent
-    offenders, in_reader = [], []
+    offenders, os_opens = [], {name: 0 for name in FILE_FUNCTIONS}
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        reader = set()
+        owner = {}
         if path.name == "netdb.py":
-            [function] = [node for node in ast.walk(tree)
-                          if isinstance(node, ast.FunctionDef) and node.name == "_read_file"]
-            reader = {id(node) for node in ast.walk(function)}
+            functions = {node.name: node for node in ast.walk(tree)
+                         if isinstance(node, ast.FunctionDef) and node.name in FILE_FUNCTIONS}
+            assert sorted(functions) == sorted(FILE_FUNCTIONS)
+            owner = {id(node): name for name, function in functions.items()
+                     for node in ast.walk(function)}
         for node in ast.walk(tree):
-            if _reads_a_file(node):
-                (in_reader if id(node) in reader else offenders).append(f"{path.name}:{node.lineno}")
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in FILE_CALLS:
+                continue
+            if id(node) not in owner:
+                offenders.append(f"{path.name}:{node.lineno}")
+            elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+                os_opens[owner[id(node)]] += 1
     assert offenders == []
-    assert len(in_reader) == 1  # the reader's own os.open: the check sees it
+    # Each function's own os.open: the check sees what it exempts.
+    assert os_opens == {name: 1 for name in FILE_FUNCTIONS}
 
 
 def test_traced_boundaries_resolve(monkeypatch):
