@@ -162,7 +162,9 @@ class HitCurve:
 
     ``points`` are (cumulative probes, hits) at the end of each plan batch
     the run reached, derived from the plan's batch ends, the report's
-    ``probes_used`` and whether it found the record.
+    ``probes_used`` and whether it found the record. Curves from one
+    :func:`run_probe_experiment` call with the same outcome (probes used,
+    hit) share one immutable ``points`` tuple.
     """
 
     target: bytes
@@ -462,6 +464,8 @@ def run_probe_experiment(
     A curve has one point per plan batch the run reached: (batch end, 0)
     for each batch before the last, then (probes used, 1 for a hit or 0).
     A run that ends before any probe ran gives the single point (0, 0).
+    The points depend only on that outcome, so each distinct one is built
+    once and its tuple is shared by every curve that reached it.
     """
     if not set(model.floodfills).issuperset(plan.floodfills):
         raise ValueError("plan includes a hash outside the model's floodfills")
@@ -472,17 +476,34 @@ def run_probe_experiment(
     reports = classify_sweep(targets, source, plan)
     ends = tuple(accumulate(len(batch) for batch in plan.batches()))
     misses = tuple((end, 0) for end in ends)
+    shared: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     curves: list[HitCurve] = []
     for target, report in zip(targets, reports):
-        used = report.probes_used
-        hit = int(report.record is not None)
-        points = misses[: bisect_left(ends, used)] + ((used, hit),)
+        outcome = (report.probes_used, int(report.record is not None))
+        points = shared.get(outcome)
+        if points is None:
+            points = misses[: bisect_left(ends, report.probes_used)] + (outcome,)
+            shared[outcome] = points
         curves.append(HitCurve(target=target, points=points, report=report))
     return curves
 
 
+class _Cells(dict):
+    """Row tails ``,probes,hits`` and CRLF, keyed by ``(probes, hits)`` point;
+    each is formatted on its first lookup and stored."""
+
+    def __missing__(self, point: tuple[int, int]) -> str:
+        probes, hits = point
+        cell = self[point] = f",{probes},{hits}\r\n"
+        return cell
+
+
 def export_curves(curves: Sequence[HitCurve], path: Union[str, Path]) -> None:
-    """CSV rows target,cumulative_probes,hits ordered by target then probes.
+    """CSV rows target,cumulative_probes,hits: one row per point, after a header.
+
+    Curves are ordered by base64 target in a stable sort, so curves with one
+    target keep their given order; a curve's rows keep its points in the
+    order given, unsorted, and a curve without points writes no row.
 
     Points are ``(int, int)`` pairs, as :class:`HitCurve` types them. Each
     distinct point is formatted once per call and reused by value, so a
@@ -496,17 +517,9 @@ def export_curves(curves: Sequence[HitCurve], path: Union[str, Path]) -> None:
     # formatted directly: the bytes are csv.writer's. Curves share their
     # checkpoints, so a target's rows are its name joined with the cached
     # ",probes,hits" tails of its points.
-    cells: dict[tuple[int, int], str] = {}
+    cell = _Cells().__getitem__
     with _open_output(path) as fh:
         fh.write("target,cumulative_probes,hits\r\n")
         for target, points in keyed:
-            if not points:
-                continue
-            row = []
-            for point in points:
-                cell = cells.get(point)
-                if cell is None:
-                    probes, hits = point
-                    cell = cells[point] = f",{probes},{hits}\r\n"
-                row.append(cell)
-            fh.write(target + target.join(row))
+            if points:
+                fh.write(target + target.join(map(cell, points)))

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shadescope
+from shadescope.classify import ShadeReport
 from shadescope.cli import build_parser, main
 from shadescope.encoding import hash_to_b32, hash_to_b64
 from shadescope.netdb import load_netdb_dir
-from shadescope.sim import MAX_K, MAX_ROUTERS
+from shadescope.protocol import ProbePlan, write_probe_log
+from shadescope.sim import MAX_K, MAX_ROUTERS, HitCurve, export_curves
 
 from fixtures import write_fixture_corpus
 
@@ -663,6 +665,26 @@ def test_output_fifo_without_reader_fails_at_once(tmp_path):
     done = subprocess.run([sys.executable, "-c", script, str(fifo)], env=_child_env(),
                           capture_output=True, text=True, timeout=20)
     assert done.stdout.splitlines() == [f"OSError {fifo}"] * 2, done.stderr
+
+
+@pytest.mark.skipif(not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+                    reason="no /dev/full or /proc/self/fd")
+def test_full_disk_is_an_error(tmp_path, capsys):
+    # Buffered writes to /dev/full fail with ENOSPC at a flush, at the
+    # latest when the file is closed; the error still reaches the caller,
+    # and the descriptor is closed.
+    spec_path = tmp_path / "net.json"
+    spec_path.write_text(json.dumps(SMALL_SPEC))
+    assert main(["simulate", str(spec_path), "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert_one_line_error(err)
+    assert err.startswith("error: [Errno 28] ")
+    open_fds = len(os.listdir("/proc/self/fd"))
+    for write in (lambda: export_curves([HitCurve(bytes(32), ((5, 0),))], "/dev/full"),
+                  lambda: write_probe_log(ShadeReport(bytes(32)), ProbePlan(()), "/dev/full")):
+        with pytest.raises(OSError):
+            write()
+        assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
 @pytest.mark.parametrize("key, limit", [("n_routers", MAX_ROUTERS), ("k", MAX_K)])

@@ -5,6 +5,8 @@ import random
 import subprocess
 import sys
 import tempfile
+from bisect import bisect_left
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -524,6 +526,34 @@ class TestProbeExperiment:
                 assert curve.report.shade.level == 8
                 assert all(h == 0 for _, h in curve.points)
 
+    @pytest.mark.parametrize("failure_rate", [0.0, 0.3, 1.0])
+    def test_points_are_the_outcome_formula_shared_per_outcome(self, failure_rate):
+        # Shuffled plans of random batch sizes and budgets over random models:
+        # each curve's points are the per-target formula, curves that used as
+        # many probes with the same hit hold one tuple, and no tuple is shared
+        # across two outcomes.
+        shared_curves = 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            model = generate_network(small_spec(seed=seed, n=rng.randint(30, 90), k=rng.randint(1, 4)))
+            floodfills = list(model.floodfills)
+            rng.shuffle(floodfills)
+            plan = ProbePlan(tuple(floodfills), batch_size=rng.randint(1, 7),
+                             max_probes=rng.choice([None, 0, rng.randint(1, len(floodfills))]))
+            ends = tuple(accumulate(len(batch) for batch in plan.batches()))
+            misses = tuple((end, 0) for end in ends)
+            curves = run_probe_experiment(model, list(model.routers), plan,
+                                          failure_rate=failure_rate, failure_seed=seed)
+            by_outcome = {}
+            for curve in curves:
+                used = curve.report.probes_used
+                hit = int(curve.report.record is not None)
+                assert curve.points == misses[:bisect_left(ends, used)] + ((used, hit),)
+                assert curve.points is by_outcome.setdefault((used, hit), curve.points)
+            assert len({id(points) for points in by_outcome.values()}) == len(by_outcome)
+            shared_curves += len(curves) - len(by_outcome)
+        assert shared_curves > 0
+
 
 class TestCurveExport:
     def test_flat_zero_row_count(self, tmp_path):
@@ -589,6 +619,40 @@ class TestCurveExport:
             export_curves(curves, new)
             oracle_export_curves(curves, old)
             assert new.read_bytes() == old.read_bytes()
+
+    def test_export_past_the_buffer_equals_oracle(self, tmp_path):
+        # 400 targets x 100 points is about 2 MB, so the output buffer
+        # flushes several times before close.
+        rng = random.Random(20)
+        curves = [HitCurve(target=rng.randbytes(32),
+                           points=tuple((rng.randrange(10**6), rng.randrange(2)) for _ in range(100)))
+                  for _ in range(400)]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        export_curves(curves, new)
+        oracle_export_curves(curves, old)
+        assert new.stat().st_size > 2 * (1 << 20)
+        assert new.read_bytes() == old.read_bytes()
+
+    def test_export_makes_few_write_calls(self, tmp_path):
+        # About 9 MB of rows: one write(2) per target's block, as through an
+        # 8 KiB buffer, would be about 2,000 calls. Only this process's own
+        # counters are read.
+        def write_calls():
+            fields = dict(line.split(": ") for line in Path("/proc/self/io").read_text().splitlines())
+            return int(fields["syscw"])
+
+        rng = random.Random(21)
+        points = tuple((5 * i, int(i == 99)) for i in range(1, 101))
+        curves = [HitCurve(target=rng.randbytes(32), points=points) for _ in range(2000)]
+        path = tmp_path / "curves.csv"
+        try:
+            before = write_calls()
+        except OSError:
+            pytest.skip("/proc/self/io cannot be read")
+        export_curves(curves, path)
+        calls = write_calls() - before
+        assert path.stat().st_size > 9 * 10**6
+        assert calls <= 16
 
 
 class TestFixtureHelpers:
