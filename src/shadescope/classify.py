@@ -8,7 +8,7 @@ assigned only from absence, never from capability flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -123,6 +123,18 @@ class ShadeReport:
         return self.shade is None
 
     @property
+    def certificate(self) -> Optional[str]:
+        """The level-8 certificate: ``"issued"`` when at least one floodfill
+        was probed and none failed, so local, console and every probe missed;
+        otherwise ``"no_probes"`` or ``"failed_probes"``, the evidence it
+        lacks. None for any verdict but level 8."""
+        if self.shade is None or self.shade.level != 8:
+            return None
+        if self.probes_used == 0:
+            return "no_probes"
+        return "failed_probes" if self.failed_probes else "issued"
+
+    @property
     def evidence(self) -> tuple[Evidence, ...]:
         """The lookups in source order, cut off at ``found_by``; the probe
         entry carries ``probes_used``."""
@@ -136,16 +148,9 @@ class ShadeReport:
         return tuple(chain)
 
     def to_dict(self) -> dict:
-        shade = None
-        if self.shade is not None:
-            shade = {
-                "level": self.shade.level,
-                "name": self.shade.name,
-                "layer": self.shade.layer,
-            }
         return {
             "subject": hash_to_b64(self.subject),
-            "shade": shade,
+            "shade": None if self.shade is None else asdict(self.shade),
             "inconclusive": self.inconclusive,
             "evidence": [
                 {
@@ -160,5 +165,6 @@ class ShadeReport:
             "iota": self.profile.iota if self.profile else None,
             "probes_used": self.probes_used,
             "failed_probes": self.failed_probes,
+            "certificate": self.certificate,
             "diagnostics": list(self.diagnostics),
         }

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import argparse
 import base64
+import contextlib
+import dataclasses
 import datetime as dt
 import json
 import os
@@ -16,24 +18,18 @@ import sys
 from typing import Optional
 
 from . import profiles
-from .classify import EvidenceSource, ShadeReport, classify
+from .classify import EvidenceSource, classify
 from .dht import association_rows, derive_b32, normalize_date
 from .encoding import EncodingError, hash_to_b64, parse_hash_text
 from .model import Destination, DestinationError, SHADES
 from .netdb import NetDbError, _open_output, _read_file, load_leasesets, load_netdb_dir
-from .protocol import (
-    ProbePlan,
-    SnapshotSource,
-    classify_remote,
-    shade8_certificate,
-    write_probe_log,
-)
+from .protocol import ProbePlan, SnapshotSource, _write_probe_log, classify_remote
 from .sim import (
     InfeasibleSpecError,
     NetworkSpec,
     SimulatedSource,
+    _write_curves,
     completeness_metrics,
-    export_curves,
     generate_network,
     run_probe_experiment,
 )
@@ -71,7 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_probe_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--batch", type=int, default=5, help="probe batch size (default 5)")
         p.add_argument("--max-probes", type=int, default=None, help="probe budget (default: all)")
-        p.add_argument("--seed", type=int, default=None, help="shuffle probe order with this seed")
+        p.add_argument("--seed", type=int, default=None,
+                       help="seed of the probe-order shuffle and of the probe-failure draws "
+                            "(default: plan order, failures drawn from seed 0)")
         p.add_argument("--fail-rate", type=float, default=0.0, help="injected probe failure rate")
 
     p = sub.add_parser("scan", help="summarize a netdb directory snapshot")
@@ -132,15 +130,37 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT
 
 
-def _emit(args, facts: dict, table_lines: list[str], csv_rows: list[list] | None = None) -> None:
+def _emit(args, facts: dict, table, csv_rows: list[list] | None = None) -> None:
+    """Print ``facts`` as JSON, the CSV rows, or the lines of ``table(facts)``.
+
+    Each table is rendered from its command's JSON-ready facts alone, so it
+    states nothing that the JSON output does not carry."""
     if args.format == "json":
         print(json.dumps(facts, indent=2))
     elif args.format == "csv":  # offered only by commands that pass rows
         for row in csv_rows:
             print(",".join(str(c) for c in row))
     else:
-        for line in table_lines:
+        for line in table(facts):
             print(line)
+
+
+@contextlib.contextmanager
+def _output(path):
+    """``--out`` opened by ``_open_output`` before any work, or None without
+    one. If the work or the write fails, a file this run created is removed."""
+    if path is None:
+        yield None
+        return
+    created = not os.path.lexists(path)
+    try:
+        with _open_output(path) as fh:
+            yield fh
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
 
 
 def _load_snapshot(directory):
@@ -172,104 +192,123 @@ def cmd_scan(args) -> int:
         "floodfill_pct": round(pct, 1),
         "shade_histogram": {str(k): v for k, v in histogram.items()},
     }
-    lines = [
-        f"netdb dir: {facts['netdb_dir']}",
-        f"records: {facts['records']}   parse failures: {stats.parse_failures}   total: {stats.total}",
-        f"floodfill: {stats.floodfill_count} ({pct:.1f}%)",
-        "shade histogram:",
-    ]
-    for level in range(1, 8):
-        lines.append(f"  {level} {SHADES[level].name:<9} {histogram[level]}")
     csv_rows = [["shade", "name", "count"]] + [
         [level, SHADES[level].name, histogram[level]] for level in range(1, 8)
     ]
-    _emit(args, facts, lines, csv_rows)
+    _emit(args, facts, _scan_table, csv_rows)
     return EXIT_OK
+
+
+def _scan_table(facts: dict) -> list[str]:
+    lines = [
+        f"netdb dir: {facts['netdb_dir']}",
+        f"records: {facts['records']}   parse failures: {facts['parse_failures']}   "
+        f"total: {facts['total']}",
+        f"floodfill: {facts['floodfill_count']} ({facts['floodfill_pct']:.1f}%)",
+        "shade histogram:",
+    ]
+    for level, count in facts["shade_histogram"].items():
+        lines.append(f"  {level} {SHADES[int(level)].name:<9} {count}")
+    return lines
 
 
 # -- lookup -------------------------------------------------------------
 
 
-def _check_fail_rate(args) -> None:
+def _plan_options(args) -> ProbePlan:
+    """An empty plan of ``--batch`` and ``--max-probes``; these and
+    ``--fail-rate`` are checked here, before any work."""
     if not 0.0 <= args.fail_rate <= 1.0:
         raise CliError(f"--fail-rate must lie in [0, 1], got {args.fail_rate}")
+    try:
+        return ProbePlan((), batch_size=args.batch, max_probes=args.max_probes)
+    except ValueError as exc:  # --batch or --max-probes out of range
+        raise CliError(str(exc)) from exc
 
 
-def _probe_plan(floodfills, args) -> ProbePlan:
-    """The probe plan of ``--batch``/``--max-probes``, in ``--seed`` shuffled order."""
+def _probe_plan(options: ProbePlan, floodfills, args) -> ProbePlan:
+    """``options`` over ``floodfills``, in ``--seed`` shuffled order."""
     if args.seed is not None:
         floodfills = list(floodfills)
         random.Random(args.seed).shuffle(floodfills)
-    try:
-        return ProbePlan(tuple(floodfills), batch_size=args.batch, max_probes=args.max_probes)
-    except ValueError as exc:  # --batch or --max-probes out of range
-        raise CliError(str(exc)) from exc
+    return dataclasses.replace(options, floodfills=tuple(floodfills))
+
+
+def _failure_seed(args) -> int:
+    """The seed of the probe-failure draws of ``lookup`` and ``simulate``
+    alike: ``--seed``, else 0."""
+    return 0 if args.seed is None else args.seed
 
 
 def cmd_lookup(args) -> int:
     subject = parse_hash_text(args.hash)
     if not args.netdb and not args.simulate:
         raise CliError("need at least one source: --netdb and/or --simulate")
-    _check_fail_rate(args)
-    snapshot = _load_snapshot(args.netdb) if args.netdb else None
+    options = _plan_options(args)
+    spec = NetworkSpec.from_file(args.simulate) if args.simulate else None
 
-    sim_source = None
-    floodfills: tuple[bytes, ...] = ()
-    if args.simulate:
-        model = generate_network(NetworkSpec.from_file(args.simulate))
-        sim_source = SimulatedSource(
-            model,
-            failure_rate=args.fail_rate,
-            rng=random.Random(args.seed if args.seed is not None else 0),
-        )
-        floodfills = model.floodfills
+    with _output(args.out) as out:
+        snapshot = _load_snapshot(args.netdb) if args.netdb else None
+        sim_source = None
+        floodfills: tuple[bytes, ...] = ()
+        if spec is not None:
+            model = generate_network(spec)
+            sim_source = SimulatedSource(
+                model, failure_rate=args.fail_rate, rng=random.Random(_failure_seed(args))
+            )
+            floodfills = model.floodfills
+        plan = _probe_plan(options, floodfills, args)
+        report = classify_remote(subject, SnapshotSource(snapshot, sim_source), plan)
+        if out is not None:
+            _write_probe_log(report, plan, out)
 
-    plan = _probe_plan(floodfills, args)
-    report = classify_remote(subject, SnapshotSource(snapshot, sim_source), plan)
-
-    if args.out:
-        write_probe_log(report, plan, args.out)
-    _emit(args, report.to_dict(), _report_lines(report, plan))
+    facts = {
+        **report.to_dict(),
+        "batch": plan.batch_size,
+        "seed": args.seed,
+        "fail_rate": args.fail_rate,
+    }
+    _emit(args, facts, _lookup_table)
     return EXIT_INCONCLUSIVE if report.inconclusive else EXIT_OK
 
 
-def _report_lines(report: ShadeReport, plan: ProbePlan) -> list[str]:
-    lines = [f"target: {hash_to_b64(report.subject)}"]
-    labels = {
-        EvidenceSource.LOCAL_NETDB: "local netdb",
-        EvidenceSource.CONSOLE_CACHE: "console cache",
-        EvidenceSource.FLOODFILL_PROBE: "floodfill probes",
-    }
-    for ev in report.evidence:
-        name = labels[ev.source]
-        if ev.source is EvidenceSource.FLOODFILL_PROBE:
-            detail = f"{'HIT' if ev.hit else 'no hit'} ({ev.probes_used} probes"
-            if report.failed_probes:
-                detail += f", {report.failed_probes} failed"
-            detail += f", batch {plan.batch_size})"
+_SOURCE_LABELS = {
+    EvidenceSource.LOCAL_NETDB.value: "local netdb",
+    EvidenceSource.CONSOLE_CACHE.value: "console cache",
+    EvidenceSource.FLOODFILL_PROBE.value: "floodfill probes",
+}
+_CERTIFICATES = {
+    "issued": "zero-hit conjunction holds over {} probed floodfills",
+    "no_probes": "not issued (no floodfill probed)",
+    "failed_probes": "not issued (incomplete probe evidence)",
+}
+
+
+def _lookup_table(facts: dict) -> list[str]:
+    lines = [f"target: {facts['subject']}"]
+    for ev in facts["evidence"]:
+        if ev["source"] == EvidenceSource.FLOODFILL_PROBE.value:
+            detail = f"{'HIT' if ev['hit'] else 'no hit'} ({ev['probes_used']} probes"
+            if facts["failed_probes"]:
+                detail += f", {facts['failed_probes']} failed"
+            detail += f", batch {facts['batch']})"
         else:
-            detail = "HIT" if ev.hit else "MISS"
-        lines.append(f"  {name:<16}: {detail}")
-    if report.inconclusive:
+            detail = "HIT" if ev["hit"] else "MISS"
+        lines.append(f"  {_SOURCE_LABELS[ev['source']]:<16}: {detail}")
+    shade, certificate = facts["shade"], facts["certificate"]
+    if shade is None:
         lines.append("verdict: inconclusive (every probe failed; absence not certified)")
     else:
-        shade = report.shade
-        verdict = f"verdict: Shade {shade.level}: {shade.name} (layer {shade.layer})"
-        if shade.level == 8 and report.probes_used == 0:
+        verdict = f"verdict: Shade {shade['level']}: {shade['name']} (layer {shade['layer']})"
+        if certificate == "no_probes":
             verdict += ", from the local and console views only: no floodfill was probed"
-            certificate = "not issued (no floodfill probed)"
-        elif shade8_certificate(report):
-            certificate = f"zero-hit conjunction holds over {report.probes_used} probed floodfills"
-        else:
-            certificate = "not issued (incomplete probe evidence)"
         lines.append(verdict)
-        if shade.level == 8:
-            lines.append(f"certificate: {certificate}")
-    if report.caps is not None:
-        prof = report.profile
-        lines.append(f"caps: {report.caps}  alpha: {prof.alpha}  iota: {prof.iota}")
-    for note in report.diagnostics:
-        lines.append(f"note: {note}")
+        if certificate is not None:
+            text = _CERTIFICATES[certificate].format(facts["probes_used"])
+            lines.append(f"certificate: {text}")
+    if facts["caps"] is not None:
+        lines.append(f"caps: {facts['caps']}  alpha: {facts['alpha']}  iota: {facts['iota']}")
+    lines.extend(f"note: {note}" for note in facts["diagnostics"])
     return lines
 
 
@@ -306,25 +345,30 @@ def cmd_xor_assoc(args) -> int:
         "candidates": len(eepsites),
         "matched": matched,
     }
+    if args.distances:
+        facts["distances"] = _distance_table(rows)
+    csv_rows = [["b32", "matched"]] + [[row.address, row.responsible] for row in rows]
+    _emit(args, facts, _xor_assoc_table, csv_rows)
+    return EXIT_OK
+
+
+def _xor_assoc_table(facts: dict) -> list[str]:
     lines = [
         f"target: {facts['target']}",
-        f"date: {date}   floodfills: {len(floodfills)}   candidates: {len(eepsites)}",
-        f"responsible for {len(matched)} service address(es):",
+        f"date: {facts['date']}   floodfills: {facts['floodfills']}   "
+        f"candidates: {facts['candidates']}",
+        f"responsible for {len(facts['matched'])} service address(es):",
     ]
-    lines.extend(f"  {addr}" for addr in matched)
-    csv_rows = [["b32", "matched"]] + [[row.address, row.responsible] for row in rows]
-    if args.distances:
-        table = _distance_table(rows)
-        facts["distances"] = table
+    lines.extend(f"  {addr}" for addr in facts["matched"])
+    if "distances" in facts:
         lines.append("distance table (top-16 hex digits):")
-        for row in table:
+        for row in facts["distances"]:
             lines.append(
                 f"  {row['b32']}  target {row['target_distance'][:16]}  "
                 f"best-other {str(row['nearest_other_distance'])[:16]}  "
                 f"{'<-- responsible' if row['responsible'] else ''}"
             )
-    _emit(args, facts, lines, csv_rows)
-    return EXIT_OK
+    return lines
 
 
 def _distance_table(rows) -> list[dict]:
@@ -375,53 +419,67 @@ def cmd_b32(args) -> int:
         "cert_len": dest.cert_len,
         "b32": address,
     }
-    lines = [
-        f"destination file: {args.dest_file}",
-        f"size: {dest.size} bytes (certificate type {dest.cert_type}, length {dest.cert_len})",
-        f"b32: {address}",
-    ]
-    _emit(args, facts, lines)
+    _emit(args, facts, _b32_table)
     return EXIT_OK
+
+
+def _b32_table(facts: dict) -> list[str]:
+    return [
+        f"destination file: {facts['file']}",
+        f"size: {facts['size']} bytes (certificate type {facts['cert_type']}, "
+        f"length {facts['cert_len']})",
+        f"b32: {facts['b32']}",
+    ]
 
 
 # -- simulate -----------------------------------------------------------
 
 
-def _select_targets(model, selector: str) -> list[bytes]:
+def _target_selector(text: str):
+    """``--targets``, checked before any work: "all", a shade level, or a hash."""
+    if text == "all":
+        return text
+    if text.startswith("shade"):
+        try:
+            level = int(text[len("shade"):])
+        except ValueError:
+            level = 0
+        if not 1 <= level <= 8:
+            raise CliError(f"bad target selector: {text!r}")
+        return level
+    try:
+        return parse_hash_text(text)
+    except EncodingError as exc:
+        raise CliError(f"bad target selector: {text!r} ({exc})") from exc
+
+
+def _select_targets(model, selector) -> list[bytes]:
+    if isinstance(selector, bytes):
+        if selector not in model.routers:
+            raise CliError("target hash not present in the generated network")
+        return [selector]
     if selector == "all":
         return list(model.routers)
-    if selector.startswith("shade"):
-        try:
-            level = int(selector[len("shade"):])
-        except ValueError:
-            raise CliError(f"bad target selector: {selector!r}") from None
-        if not 1 <= level <= 8:
-            raise CliError(f"bad target selector: {selector!r}")
-        return [h for h, r in model.routers.items() if r.shade.level == level]
-    try:
-        wanted = parse_hash_text(selector)
-    except EncodingError as exc:
-        raise CliError(f"bad target selector: {selector!r} ({exc})") from exc
-    if wanted not in model.routers:
-        raise CliError("target hash not present in the generated network")
-    return [wanted]
+    return [h for h, r in model.routers.items() if r.shade.level == selector]
 
 
 def cmd_simulate(args) -> int:
-    _check_fail_rate(args)
+    options = _plan_options(args)
+    selector = _target_selector(args.targets)
     spec = NetworkSpec.from_file(args.spec_file)
-    model = generate_network(spec)
+
+    with _output(args.out) as out:
+        model = generate_network(spec)
+        targets = _select_targets(model, selector)
+        if not targets:
+            raise CliError(f"selector {args.targets!r} matches no routers")
+        plan = _probe_plan(options, model.floodfills, args)
+        curves = run_probe_experiment(
+            model, targets, plan, failure_rate=args.fail_rate, failure_seed=_failure_seed(args)
+        )
+        _write_curves(curves, out)
+
     metrics = completeness_metrics(model)
-    targets = _select_targets(model, args.targets)
-    if not targets:
-        raise CliError(f"selector {args.targets!r} matches no routers")
-
-    plan = _probe_plan(model.floodfills, args)
-    curves = run_probe_experiment(
-        model, targets, plan, failure_rate=args.fail_rate
-    )
-    export_curves(curves, args.out)
-
     facts = {
         "spec_file": args.spec_file,
         "n_routers": len(model.routers),
@@ -433,26 +491,40 @@ def cmd_simulate(args) -> int:
         "targets": [hash_to_b64(t) for t in targets],
         "probes": plan.probe_limit,
         "batch": plan.batch_size,
+        "seed": args.seed,
+        "fail_rate": args.fail_rate,
         "curve_file": args.out,
+        "results": [
+            {
+                "shade": None if c.report.shade is None else dataclasses.asdict(c.report.shade),
+                "probes_used": c.report.probes_used,
+                "failed_probes": c.report.failed_probes,
+                "hits": c.points[-1][1],
+            }
+            for c in curves
+        ],
     }
-    lines = [
-        f"network: {len(model.routers)} routers, {len(model.floodfills)} floodfills, "
-        f"{len(model.exclusive)} exclusive",
-        f"rho = {metrics.rho:.3f} ({len(model.published)}/{len(model.routers)})",
-        f"xi = {metrics.xi:.3f} ({len(model.exclusive)}/{len(model.routers)})",
-        f"targets: {len(targets)}   probes: {plan.probe_limit} (batch {plan.batch_size})",
-        f"curves written to {args.out}",
-    ]
-    for curve in curves:
-        final = curve.points[-1]
-        shade = curve.report.shade
-        verdict = "inconclusive" if shade is None else f"Shade {shade.level}: {shade.name}"
-        lines.append(
-            f"  {hash_to_b64(curve.target)}  {verdict}  "
-            f"probes {curve.report.probes_used}  hits {final[1]}"
-        )
-    _emit(args, facts, lines)
+    _emit(args, facts, _simulate_table)
     return EXIT_OK
+
+
+def _simulate_table(facts: dict) -> list[str]:
+    # rho and xi from their counts: the 6-digit JSON fields may round differently.
+    n, published, exclusive = facts["n_routers"], facts["published"], facts["exclusive"]
+    lines = [
+        f"network: {n} routers, {facts['floodfills']} floodfills, {exclusive} exclusive",
+        f"rho = {published / n:.3f} ({published}/{n})",
+        f"xi = {(n - published) / n:.3f} ({exclusive}/{n})",
+        f"targets: {len(facts['targets'])}   probes: {facts['probes']} (batch {facts['batch']})",
+        f"curves written to {facts['curve_file']}",
+    ]
+    for target, result in zip(facts["targets"], facts["results"]):
+        shade = result["shade"]
+        verdict = "inconclusive" if shade is None else f"Shade {shade['level']}: {shade['name']}"
+        lines.append(
+            f"  {target}  {verdict}  probes {result['probes_used']}  hits {result['hits']}"
+        )
+    return lines
 
 
 # -- genconfig ----------------------------------------------------------
@@ -461,17 +533,22 @@ def cmd_simulate(args) -> int:
 def cmd_genconfig(args) -> int:
     text = profiles.render_profile(args.profile)
     if args.out:
-        with _open_output(args.out) as fh:
-            fh.write(text)
+        with _output(args.out) as out:
+            out.write(text)
     facts = {
         "profile": args.profile,
         "parameters": [
             {"key": k, "value": v} for k, v in profiles.profile_parameters(text)
         ],
         "text": text,
+        "out": args.out,
     }
-    _emit(args, facts, [] if args.out else text.splitlines())
+    _emit(args, facts, _genconfig_table)
     return EXIT_OK
+
+
+def _genconfig_table(facts: dict) -> list[str]:
+    return [] if facts["out"] else facts["text"].splitlines()
 
 
 if __name__ == "__main__":

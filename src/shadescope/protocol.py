@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Protocol, Sequence, Union
+from typing import Iterator, Mapping, Optional, Protocol, Sequence, TextIO, Union
 
 from .classify import EvidenceSource, ShadeReport
 from .encoding import _check_hashes, check_hash, hash_to_b64
@@ -168,20 +168,10 @@ def classify_sweep(
 
 
 def shade8_certificate(report: ShadeReport) -> bool:
-    """True only for a conclusive level-8 report over at least one probe,
-    none of which failed.
-
-    The certificate is the full conjunction: local miss, console miss,
-    and a miss from every probed floodfill. A run that probed nothing,
-    or any failed probe, leaves the evidence incomplete, so no
-    certificate is issued.
-    """
-    return (
-        report.shade is not None
-        and report.shade.level == 8
-        and report.probes_used > 0
-        and report.failed_probes == 0
-    )
+    """True only when the report's level-8 certificate is issued
+    (:attr:`ShadeReport.certificate`): a conclusive level 8 over at least
+    one probe, none of which failed."""
+    return report.certificate == "issued"
 
 
 def write_probe_log(report: ShadeReport, plan: ProbePlan, path: Union[str, Path]) -> None:
@@ -191,11 +181,16 @@ def write_probe_log(report: ShadeReport, plan: ProbePlan, path: Union[str, Path]
     a row's result is ``failed`` when its index is in ``report.failed_at``
     and ``ok`` otherwise.
     """
-    failed = set(report.failed_at)
     with _open_output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["probe_index", "floodfill_b64", "result"])
-        for index, floodfill in enumerate(plan.floodfills[: report.probes_used], 1):
-            writer.writerow(
-                [index, hash_to_b64(floodfill), "failed" if index in failed else "ok"]
-            )
+        _write_probe_log(report, plan, fh)
+
+
+def _write_probe_log(report: ShadeReport, plan: ProbePlan, fh: TextIO) -> None:
+    """:func:`write_probe_log` into ``fh``, a stream from ``_open_output``."""
+    failed = set(report.failed_at)
+    writer = csv.writer(fh)
+    writer.writerow(["probe_index", "floodfill_b64", "result"])
+    for index, floodfill in enumerate(plan.floodfills[: report.probes_used], 1):
+        writer.writerow(
+            [index, hash_to_b64(floodfill), "failed" if index in failed else "ok"]
+        )

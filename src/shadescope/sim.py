@@ -27,7 +27,7 @@ from itertools import accumulate
 from math import floor
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .classify import ShadeReport, classify
 from .dht import FloodfillTable, normalize_date, routing_keys
@@ -512,14 +512,19 @@ def export_curves(curves: Sequence[HitCurve], path: Union[str, Path]) -> None:
     """
     if not curves:
         raise ValueError("no curves to export")
+    with _open_output(path) as fh:
+        _write_curves(curves, fh)
+
+
+def _write_curves(curves: Sequence[HitCurve], fh: TextIO) -> None:
+    """:func:`export_curves` into ``fh``, a stream from ``_open_output``."""
     keyed = sorted(((hash_to_b64(c.target), c.points) for c in curves), key=itemgetter(0))
     # Base64 hashes and integers never need quoting, so the lines are
     # formatted directly: the bytes are csv.writer's. Curves share their
     # checkpoints, so a target's rows are its name joined with the cached
     # ",probes,hits" tails of its points.
     cell = _Cells().__getitem__
-    with _open_output(path) as fh:
-        fh.write("target,cumulative_probes,hits\r\n")
-        for target, points in keyed:
-            if points:
-                fh.write(target + target.join(map(cell, points)))
+    fh.write("target,cumulative_probes,hits\r\n")
+    for target, points in keyed:
+        if points:
+            fh.write(target + target.join(map(cell, points)))

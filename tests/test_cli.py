@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shadescope
+from shadescope import cli
 from shadescope.classify import ShadeReport
 from shadescope.cli import build_parser, main
-from shadescope.encoding import hash_to_b32, hash_to_b64
+from shadescope.encoding import hash_to_b32, hash_to_b64, parse_hash_text
+from shadescope.model import RouterInfo
 from shadescope.netdb import load_netdb_dir
 from shadescope.protocol import ProbePlan, write_probe_log
-from shadescope.sim import MAX_K, MAX_ROUTERS, HitCurve, export_curves
+from shadescope.sim import MAX_K, MAX_ROUTERS, HitCurve, export_curves, synth_record
+from shadescope.wire import encode_router_info
 
 from fixtures import write_fixture_corpus
 
@@ -228,20 +232,20 @@ class TestLookup:
             "certificate: not issued (no floodfill probed)",
         ]
 
-    @pytest.mark.parametrize("flags, verdict, certificate", [
+    @pytest.mark.parametrize("flags, verdict, certificate, status", [
         (["--max-probes", "0"],
          "verdict: Shade 8: Exclusive (layer 2), from the local and console views only: "
          "no floodfill was probed",
-         "certificate: not issued (no floodfill probed)"),
+         "certificate: not issued (no floodfill probed)", "no_probes"),
         (["--max-probes", "20"],
          "verdict: Shade 8: Exclusive (layer 2)",
-         "certificate: zero-hit conjunction holds over 20 probed floodfills"),
+         "certificate: zero-hit conjunction holds over 20 probed floodfills", "issued"),
         (["--max-probes", "20", "--fail-rate", "0.5"],
          "verdict: Shade 8: Exclusive (layer 2)",
-         "certificate: not issued (incomplete probe evidence)"),
+         "certificate: not issued (incomplete probe evidence)", "failed_probes"),
     ], ids=["no-probes", "probed", "probes-failed"])
     def test_level8_verdict_says_whether_floodfills_were_probed(
-        self, sim_spec_file, sim_model, capsys, flags, verdict, certificate
+        self, sim_spec_file, sim_model, capsys, flags, verdict, certificate, status
     ):
         target = sorted(sim_model.exclusive)[0]
         argv = ["lookup", hash_to_b64(target), "--simulate", str(sim_spec_file), *flags]
@@ -251,10 +255,12 @@ class TestLookup:
         main([*argv, "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert sorted(payload) == [
-            "alpha", "caps", "diagnostics", "evidence", "failed_probes", "inconclusive",
-            "iota", "probes_used", "shade", "subject",
+            "alpha", "batch", "caps", "certificate", "diagnostics", "evidence",
+            "fail_rate", "failed_probes", "inconclusive", "iota", "probes_used", "seed",
+            "shade", "subject",
         ]
         assert payload["shade"] == {"level": 8, "name": "Exclusive", "layer": 2}
+        assert payload["certificate"] == status
 
     @pytest.mark.parametrize("flags", [["--batch", "0"], ["--max-probes", "-1"]])
     def test_bad_probe_plan_is_input_error(self, corpus_dir, flags, capsys):
@@ -746,3 +752,174 @@ def test_commands_that_never_rank_leave_numpy_unloaded(corpus_dir, tmp_path):
                           env=_child_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == [[0] * len(commands), False, True]
+
+
+# -- one facts record per command ---------------------------------------
+
+TABLES = {
+    "scan": cli._scan_table,
+    "lookup": cli._lookup_table,
+    "xor-assoc": cli._xor_assoc_table,
+    "b32": cli._b32_table,
+    "simulate": cli._simulate_table,
+    "genconfig": cli._genconfig_table,
+}
+
+
+def table_of_json(argv: list[str], capsys, code: int = 0) -> str:
+    """The table output of ``argv``, checked to equal its command's renderer
+    applied to ``json.loads`` of its JSON output, byte for byte."""
+    assert main([*argv, "--format", "table"]) == code
+    table = capsys.readouterr().out
+    assert main([*argv, "--format", "json"]) == code
+    facts = json.loads(capsys.readouterr().out)
+    assert table == "".join(f"{line}\n" for line in TABLES[argv[0]](facts))
+    return table
+
+
+def write_netdb(directory: Path, records) -> Path:
+    directory.mkdir()
+    for record in records:
+        path = directory / f"routerInfo-{hash_to_b64(record.hash)}.dat"
+        path.write_bytes(encode_router_info(record))
+    return directory
+
+
+@pytest.fixture
+def noted_netdb(tmp_path):
+    """A snapshot of one record whose hidden flag contradicts its address."""
+    base = synth_record(random.Random(4), 2)
+    record = RouterInfo(base.identity, base.published_ms, base.addresses,
+                        {**base.options, "caps": "HOR"}, base.signature)
+    return write_netdb(tmp_path / "noted", [record]), record.hash
+
+
+@pytest.mark.parametrize("case, shown", [
+    ("snapshot-note", "note: hidden flag set but a direct address is published"),
+    ("probe-hit", "  floodfill probes: HIT ("),
+    ("certified", "certificate: zero-hit conjunction holds over 20 probed floodfills"),
+    ("no-probes", "certificate: not issued (no floodfill probed)"),
+    ("failed-probes", "certificate: not issued (incomplete probe evidence)"),
+    ("inconclusive", "verdict: inconclusive"),
+])
+def test_lookup_table_is_its_json_rendered(sim_spec_file, sim_model, noted_netdb, capsys,
+                                           case, shown):
+    exclusive = sorted(sim_model.exclusive)[0].hex()
+    simulated = ["--simulate", str(sim_spec_file)]
+    argv = {
+        "snapshot-note": [noted_netdb[1].hex(), "--netdb", str(noted_netdb[0])],
+        "probe-hit": [sim_model.published[0].hex(), *simulated],
+        "certified": [exclusive, *simulated, "--max-probes", "20"],
+        "no-probes": [exclusive, *simulated, "--max-probes", "0"],
+        "failed-probes": [exclusive, *simulated, "--max-probes", "20", "--fail-rate", "0.5"],
+        "inconclusive": [exclusive, *simulated, "--max-probes", "20", "--fail-rate", "1"],
+    }[case]
+    table = table_of_json(["lookup", *argv], capsys, 3 if case == "inconclusive" else 0)
+    assert shown in table
+
+
+@pytest.mark.parametrize("case, shown", [
+    ("hit", "hits 1"), ("miss", "Shade 8: Exclusive"), ("inconclusive", "  inconclusive  "),
+])
+def test_simulate_table_is_its_json_rendered(sim_spec_file, sim_model, tmp_path, capsys,
+                                             case, shown):
+    flags = {
+        "hit": ["--targets", sim_model.published[0].hex()],
+        "miss": ["--targets", "shade8", "--max-probes", "30"],
+        "inconclusive": ["--targets", "shade8", "--max-probes", "30", "--fail-rate", "1"],
+    }[case]
+    argv = ["simulate", str(sim_spec_file), *flags, "--out", str(tmp_path / "c.csv")]
+    assert shown in table_of_json(argv, capsys)
+
+
+@pytest.mark.parametrize("case", ["matched", "distances", "null-other"])
+def test_xor_assoc_table_is_its_json_rendered(assoc_fixture, tmp_path, capsys, case):
+    netdb, ls_file, target, expected_b32, date = assoc_fixture
+    if case == "null-other":  # the target is the only floodfill: no other is nearest
+        only = synth_record(random.Random(5), 1)
+        netdb, target = write_netdb(tmp_path / "one-floodfill", [only]), only.hash
+    argv = ["xor-assoc", target.hex(), "--leasesets", str(ls_file),
+            "--netdb", str(netdb), "--date", date]
+    table = table_of_json([*argv, *(["--distances"] if case != "matched" else [])], capsys)
+    assert ("distance table" in table) == (case != "matched")
+    assert ("best-other None" in table) == (case == "null-other")
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out-file"])
+def test_genconfig_table_is_its_json_rendered(tmp_path, capsys, out):
+    argv = ["genconfig", "ghost", *(["--out", str(tmp_path / "router.config")] if out else [])]
+    table = table_of_json(argv, capsys)
+    assert (table == "") == out
+
+
+def test_scan_and_b32_tables_are_their_json_rendered(corpus_dir, tmp_path, capsys):
+    assert "48 (48.0%)" in table_of_json(["scan", "--netdb", str(corpus_dir)], capsys)
+    dest = tmp_path / "dest.dat"
+    dest.write_bytes(DEST_391)
+    assert "391 bytes" in table_of_json(["b32", str(dest)], capsys)
+
+
+@pytest.mark.parametrize("kind", ["published", "exclusive"])
+def test_lookup_and_simulate_draw_failures_by_one_rule(sim_spec_file, sim_model, tmp_path,
+                                                       capsys, kind):
+    # Both commands seed probe-failure draws from --seed, so one target
+    # replayed by either gets one verdict from one failure pattern.
+    flags = ["--seed", "5", "--fail-rate", "0.2", "--max-probes", "40", "--format", "json"]
+    spec, out = str(sim_spec_file), str(tmp_path / "c.csv")
+    main(["simulate", spec, "--targets", "all", *flags, "--out", out])
+    swept = json.loads(capsys.readouterr().out)
+    level = 8 if kind == "exclusive" else 2
+    target = next(t for t, r in zip(swept["targets"], swept["results"])
+                  if r["shade"]["level"] == level and r["hits"] == (kind == "published"))
+    target = parse_hash_text(target).hex()
+    keys = ("shade", "probes_used", "failed_probes")
+
+    assert main(["lookup", target, "--simulate", spec, *flags]) == 0
+    looked = json.loads(capsys.readouterr().out)
+    assert main(["simulate", spec, "--targets", target, *flags, "--out", out]) == 0
+    simulated = json.loads(capsys.readouterr().out)["results"][0]
+    assert {k: looked[k] for k in keys} == {k: simulated[k] for k in keys}
+    assert looked["failed_probes"] > 0
+
+
+EARLY_CASES = [
+    (command, flags)
+    for command in ("simulate", "lookup")
+    for flags in (["--batch", "0"], ["--max-probes", "-1"], ["--fail-rate", "2"],
+                  ["--targets", "shade9"], ["--targets", "zz"], ["--out", "missing/x.csv"])
+    if command == "simulate" or flags[0] != "--targets"
+]
+
+
+@pytest.mark.parametrize("command, flags", EARLY_CASES,
+                         ids=[f"{c}{''.join(f)}" for c, f in EARLY_CASES])
+def test_bad_input_exits_2_before_generation(tmp_path, capsys, monkeypatch, command, flags):
+    def refuse(spec):
+        raise AssertionError("the network was generated")
+
+    monkeypatch.setattr(cli, "generate_network", refuse)
+    spec_path = tmp_path / "net.json"
+    spec_path.write_text(json.dumps(SMALL_SPEC))
+    argv = (["simulate", str(spec_path)] if command == "simulate"
+            else ["lookup", "00" * 32, "--simulate", str(spec_path)])
+    if flags[0] == "--out":
+        flags = ["--out", str(tmp_path / flags[1])]
+    assert main([*argv, *flags]) == 2
+    assert_one_line_error(capsys.readouterr().err)
+
+
+def test_failed_run_removes_only_the_out_file_it_created(tmp_path, corpus_dir, capsys):
+    # SMALL_SPEC has no Shade 4 router, and the lookup's --netdb is missing:
+    # both fail after --out was opened.
+    spec_path = tmp_path / "net.json"
+    spec_path.write_text(json.dumps(SMALL_SPEC))
+    commands = (["simulate", str(spec_path), "--targets", "shade4"],
+                ["lookup", "00" * 32, "--simulate", str(spec_path),
+                 "--netdb", str(tmp_path / "absent")])
+    for command in commands:
+        new, old = tmp_path / "new.out", tmp_path / "old.out"
+        old.write_text("kept\n")
+        for out in (new, old):
+            assert main([*command, "--out", str(out)]) == 2
+            assert_one_line_error(capsys.readouterr().err)
+        assert not new.exists() and old.exists()

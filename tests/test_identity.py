@@ -20,6 +20,10 @@ the same ``scan``/``xor-assoc`` output and the same failure list. The
 failure-list digest was re-recorded when failures began naming their path
 below the snapshot root instead of the base name; with the ``sub/`` prefix
 taken off its names, the new listing is the old one, byte for byte.
+The ``simulate --targets all`` digest was re-recorded when ``simulate``
+began drawing probe failures from ``--seed``, as ``lookup`` does, instead
+of from seed 0: the new bytes are those of ``run_probe_experiment`` with
+``failure_seed=5`` on the replay that preceded the change.
 """
 
 import hashlib
@@ -53,7 +57,7 @@ LOOKUP_PROBE_CSV_SHA256 = (
     "a08b4519e3d9b5123bb3b513120d18bf6e093bd2dc23154e0a864fa248cbf7ee"
 )
 SIMULATE_ALL_CURVES_SHA256 = (
-    "70081cc4f6f8b6089837278b8be57bbbe16b3e73f2b36662e8e626824b7ed1c6"
+    "ab8c348f14d710f66c187bf77a9430058bf22ce805b7db68505282f6139f26e0"
 )
 DUPLICATE_TARGETS_CURVES_SHA256 = (
     "66b355af673788643fd5a5013f1f61aed5e7c5de7e6dc6823d87d23aa2e69310"
@@ -120,7 +124,8 @@ def test_lookup_probe_csv_unchanged(sim_spec_file, sim_model, tmp_path, capsys):
 
 def test_simulate_all_curves_unchanged(sim_spec_file, tmp_path, capsys):
     # Every router is a target: published targets hit after one of the
-    # eight batches or run out of budget, under 20% failed probes.
+    # eight batches or run out of budget, under 20% failed probes drawn
+    # from --seed.
     out = tmp_path / "curves.csv"
     code = main([
         "simulate", str(sim_spec_file),
