@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, ("table", "json", "csv"))
 
     p = sub.add_parser("lookup", help="classify a router hash across sources")
-    p.add_argument("hash", help="router hash (hex, base64 variant, or base32)")
+    p.add_argument("hash", help="router hash (hex, base64 variant, or base32); "
+                                "one starting with '-' goes after '--', or in hex")
     p.add_argument("--netdb", default=os.environ.get(NETDB_ENV), help="local netdb directory")
     p.add_argument("--simulate", help="network spec JSON backing console+probe sources")
     add_probe_options(p)
@@ -85,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("xor-assoc", help="services a target is responsible for storing")
-    p.add_argument("target", help="target router hash")
+    p.add_argument("target", help="target router hash; one starting with '-' goes "
+                                  "after '--', or in hex")
     p.add_argument("--leasesets", required=True, help="leaseset fixture file")
     p.add_argument("--netdb", default=os.environ.get(NETDB_ENV), help="netdb directory (floodfill set)")
     p.add_argument("--date", default=_utc_today(), help="UTC date yyyyMMdd (default: today)")
@@ -99,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a network and run probe experiments")
     p.add_argument("spec_file", help="network spec JSON")
     p.add_argument("--targets", default="shade8",
-                   help="'shadeN', 'all', or an explicit hash (default: shade8)")
+                   help="'shadeN', 'all', or an explicit hash (default: shade8); a hash "
+                        "starting with '-' is given as --targets=HASH, or in hex")
     add_probe_options(p)
     p.add_argument("--out", default="curves.csv", help="curve CSV path (default curves.csv)")
     add_common(p)

@@ -18,7 +18,6 @@ generator exactly as those methods would, without their argument handling.
 
 from __future__ import annotations
 
-import gc
 import json
 import random
 from bisect import bisect_left
@@ -43,7 +42,7 @@ from .model import (
     hash_identity,
     shade_for_level,
 )
-from .netdb import _open_output, _read_file
+from .netdb import _bulk_build, _open_output, _read_file
 from .protocol import ProbePlan, ProbeTransportError, classify_sweep
 
 EPOCH_2025_MS = 1_735_689_600_000
@@ -304,15 +303,13 @@ def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
 def generate_network(spec: NetworkSpec) -> NetworkModel:
     """Build the full ground-truth model for a spec, deterministically.
 
-    Process-global effect: once the spec is valid, cyclic garbage
-    collection is paused for the rest of the call, and the caller's
-    enabled flag is restored on return, also when the call raises. On
-    return, every tracked object in the process, the new model included,
-    moves to the oldest generation unscanned and the generation counts
-    restart from zero, unless the caller holds frozen objects
-    (``gc.get_freeze_count() > 0``), which stay frozen. Collections during
-    the build would re-walk the records already made, and the first young
-    collection after it would walk the whole model.
+    Process-global effect: once the spec is valid, the build runs inside
+    :func:`~shadescope.netdb._bulk_build`. Garbage in the young generations
+    is collected first if the collector is enabled, cyclic garbage
+    collection is paused for the rest of the call, and the caller's enabled
+    flag is restored on return, also when the call raises. On return, every
+    tracked object in the process, the new model included, moves to the
+    oldest generation unscanned, unless the caller holds frozen objects.
     """
     try:
         normalize_date(spec.date)
@@ -321,20 +318,8 @@ def generate_network(spec: NetworkSpec) -> NetworkModel:
     if not 1 <= spec.k <= MAX_K:
         raise InfeasibleSpecError(f"replication k must lie in [1, {MAX_K}]")
     counts = _allocate_counts(spec)
-    enabled = gc.isenabled()
-    promote = gc.get_freeze_count() == 0
-    gc.disable()
-    try:
+    with _bulk_build():
         return _build_network(spec, counts)
-    finally:
-        if promote:
-            # freeze() moves every tracked object to the permanent generation
-            # and zeroes the generation counts; unfreeze() hands them all to
-            # the oldest generation.
-            gc.freeze()
-            gc.unfreeze()
-        if enabled:
-            gc.enable()
 
 
 def _build_network(spec: NetworkSpec, counts: dict[int, int]) -> NetworkModel:

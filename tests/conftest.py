@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -22,6 +23,15 @@ ACCEPTANCE_TITLES = {
 }
 
 _acceptance_results: dict[str, str] = {}
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """Run the test with the cyclic collector on, then off; restore it after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import math
 import random
 import statistics
 import time
+from fractions import Fraction
 
 from shadescope.classify import classify
 from shadescope.dht import routing_key, xor_association, derive_b32
@@ -300,6 +301,18 @@ def test_criterion_8_curve_properties_and_mean_probes_to_hit():
     oracle_mean = statistics.mean(draws)
     mean = statistics.mean(measured)
     assert abs(mean - oracle_mean) <= 0.05 * oracle_mean, (mean, oracle_mean)
+
+    # Exact oracle: the first of the k holders sits at probe position j with
+    # probability C(F-j, k-1) / C(F, k), and is seen at the end of its batch.
+    # At F = 1,556 and k = 4 the mean is 313.405. The Monte-Carlo mean must
+    # agree within 4 standard errors (each about 0.57 probes here): a wrong
+    # sampler or closed form misses that, while a correct pair does so with
+    # probability below 1e-4.
+    exact_mean = sum(Fraction(math.comb(pool - j, 3), math.comb(pool, 4)) * 5 * math.ceil(j / 5)
+                     for j in range(1, pool - 2))
+    assert round(float(exact_mean), 3) == 313.405
+    standard_error = statistics.stdev(draws) / math.sqrt(len(draws))
+    assert abs(oracle_mean - exact_mean) <= 4 * standard_error, (oracle_mean, float(exact_mean))
 
 
 def test_criterion_9_exclusive_profile_parameters():

@@ -923,3 +923,37 @@ def test_failed_run_removes_only_the_out_file_it_created(tmp_path, corpus_dir, c
             assert main([*command, "--out", str(out)]) == 2
             assert_one_line_error(capsys.readouterr().err)
         assert not new.exists() and old.exists()
+
+
+@pytest.mark.parametrize("command", ["lookup", "xor-assoc", "simulate"])
+def test_hash_starting_with_dash_is_passed_after_double_dash_or_in_hex(
+        sim_spec_file, sim_model, assoc_fixture, tmp_path, capsys, command):
+    # About one base64 hash in 64 starts with "-", which argparse reads as an
+    # option. The help and README name the forms that pass it through.
+    subject = next(h for h in sim_model.published if hash_to_b64(h).startswith("-"))
+    shown = hash_to_b64(subject)
+    spec, out = str(sim_spec_file), str(tmp_path / "c.csv")
+    netdb, ls_file, _, _, date = assoc_fixture
+    options = {
+        "lookup": ["--simulate", spec],
+        "xor-assoc": ["--leasesets", str(ls_file), "--netdb", str(netdb), "--date", date],
+        "simulate": [spec, "--out", out],
+    }[command] + ["--format", "json"]
+    if command == "simulate":
+        bare = ["simulate", *options, "--targets", shown]
+        forms = [["simulate", *options, f"--targets={shown}"],
+                 ["simulate", *options, "--targets", subject.hex()]]
+    else:
+        bare = [command, shown, *options]
+        forms = [[command, *options, "--", shown], [command, subject.hex(), *options]]
+
+    with pytest.raises(SystemExit) as exc:
+        main(bare)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    printed = []
+    for argv in forms:
+        assert main(argv) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert f'"{shown}"' in printed[0]

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from shadescope.model import Lease, LeaseSet, RouterInfo
 from shadescope import netdb
 from shadescope.netdb import NetDbError, load_leasesets, load_netdb_dir
 from shadescope.sim import synth_record
-from shadescope.wire import encode_router_info
+from shadescope.wire import decode_router_info, encode_router_info
 
 from fixtures import write_fixture_corpus, write_leasesets
 
@@ -75,6 +77,70 @@ class TestLoadNetDbDir:
         recount = sum(1 for r in snapshot.records.values() if "f" in r.caps)
         assert recount == snapshot.stats.floodfill_count
         assert snapshot.stats.total == len(snapshot.records) + len(snapshot.failures)
+
+
+class _Node:
+    """A weak-referenceable object for building reference cycles."""
+
+
+class TestLoadCollector:
+    """A snapshot load builds by the one collector rule, netdb._bulk_build."""
+
+    def test_decoding_runs_with_the_collector_paused(self, collector, corpus_dir, monkeypatch):
+        seen = []
+
+        def recording_decode(data):
+            seen.append(gc.isenabled())
+            return decode_router_info(data)
+
+        monkeypatch.setattr(netdb, "decode_router_info", recording_decode)
+        assert len(load_netdb_dir(corpus_dir).records) == 100
+        assert seen == [False] * 100
+        assert gc.isenabled() is collector
+
+    def test_collector_flag_restored_when_decoding_raises(self, collector, corpus_dir,
+                                                          monkeypatch):
+        seen = []
+
+        def failing_decode(data):
+            seen.append(gc.isenabled())
+            raise RuntimeError("decode failed")
+
+        monkeypatch.setattr(netdb, "decode_router_info", failing_decode)
+        with pytest.raises(RuntimeError, match="decode failed"):
+            load_netdb_dir(corpus_dir)
+        assert seen == [False]  # raised inside the pause
+        assert gc.isenabled() is collector
+
+    def test_caller_frozen_objects_stay_frozen(self, corpus_dir):
+        kept = [[i] for i in range(1000)]
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen >= len(kept)
+            load_netdb_dir(corpus_dir)
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
+    def test_snapshot_is_promoted_unscanned(self, collector, corpus_dir):
+        # The new records leave the young generation without a scan, so the
+        # next young collection does not walk them.
+        snapshot = load_netdb_dir(corpus_dir)
+        assert gc.get_count()[0] < gc.get_threshold()[0]
+        assert any(obj is snapshot.records for obj in gc.get_objects(generation=2))
+
+    def test_garbage_made_before_the_load_is_freed_not_promoted(self, collector, tmp_path):
+        # An empty snapshot allocates too little to trigger a collection of
+        # its own, so only the young collection before the build frees the
+        # cycle; with the collector off, the caller's choice stands.
+        gc.collect()
+        node = _Node()
+        node.self = node
+        ref = weakref.ref(node)
+        del node
+        load_netdb_dir(tmp_path)
+        assert (ref() is None) is collector
 
 
 def _record_file(directory, record, name=None):

@@ -58,15 +58,6 @@ def census_spec():
     )
 
 
-@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
-def collector(request):
-    """Run the test with the cyclic collector on, then off; restore it after."""
-    was = gc.isenabled()
-    (gc.enable if request.param else gc.disable)()
-    yield request.param
-    (gc.enable if was else gc.disable)()
-
-
 # Every width synthesis draws below, 1, and powers of two: at 2**j the
 # stdlib draws j + 1 bits, one more than a width of 2**j - 1 needs.
 SYNTH_WIDTHS = (2, 3, 4, 7, 10, 254, 256, 401, 8501, 22000, 86_400_001, 2**31)

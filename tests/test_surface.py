@@ -1,6 +1,7 @@
 """The public surface: the package root's exports, the README examples,
-the rules that only the CLI prints and that one function reads and one
-writes every file, and the module boundaries the benchmark harness traces."""
+the rules that only the CLI prints, that one function reads and one writes
+every file and that one helper drives the garbage collector, and the module
+boundaries the benchmark harness traces."""
 
 import ast
 import importlib
@@ -101,6 +102,38 @@ def test_one_reader_and_one_writer_for_files():
     assert offenders == []
     # Each function's own os.open: the check sees what it exempts.
     assert os_opens == {name: 1 for name in FILE_FUNCTIONS}
+
+
+GC_CALLS = {"disable", "enable", "freeze", "unfreeze", "collect"}
+
+
+def test_one_collector_rule():
+    # netdb._bulk_build alone pauses, resumes, freezes or runs the cyclic
+    # collector, so every builder follows one rule. A gc call of those names
+    # anywhere else in the package, or a name imported from gc, is an offender.
+    package = Path(shadescope.__file__).parent
+    offenders, helper_calls = [], set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        helper = set()
+        if path.name == "netdb.py":
+            function, = [node for node in ast.walk(tree)
+                         if isinstance(node, ast.FunctionDef) and node.name == "_bulk_build"]
+            helper = {id(node) for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                offenders.append(f"{path.name}:{node.lineno}")
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and getattr(node.func.value, "id", None) == "gc"
+                    and node.func.attr in GC_CALLS):
+                continue
+            if id(node) in helper:
+                helper_calls.add(node.func.attr)
+            else:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+    # The check sees what it exempts.
+    assert helper_calls == GC_CALLS
 
 
 def test_traced_boundaries_resolve(monkeypatch):
