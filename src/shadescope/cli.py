@@ -28,6 +28,7 @@ from .sim import (
     InfeasibleSpecError,
     NetworkSpec,
     SimulatedSource,
+    _LEVEL_KEYS,
     _write_curves,
     completeness_metrics,
     generate_network,
@@ -148,26 +149,11 @@ def _emit(args, facts: dict, table, csv_rows: list[list] | None = None) -> None:
             print(line)
 
 
-@contextlib.contextmanager
-def _output(path):
-    """``--out`` opened by ``_open_output`` before any work, or None without
-    one. If the work or the write fails, a file this run created is removed."""
-    if path is None:
-        yield None
-        return
-    created = not os.path.lexists(path)
-    try:
-        with _open_output(path) as fh:
-            yield fh
-    except BaseException:
-        if created:
-            with contextlib.suppress(OSError):
-                os.unlink(path)
-        raise
-
-
 def _load_snapshot(directory):
-    """Load a netdb directory, reporting its warnings (duplicate records) on stderr."""
+    """Load the ``--netdb`` directory, reporting its warnings (duplicate
+    records) on stderr; without one given, an input error."""
+    if not directory:
+        raise CliError(f"no netdb directory given (flag --netdb or ${NETDB_ENV})")
     snapshot = load_netdb_dir(directory)
     for warning in snapshot.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -178,8 +164,6 @@ def _load_snapshot(directory):
 
 
 def cmd_scan(args) -> int:
-    if not args.netdb:
-        raise CliError(f"no netdb directory given (flag --netdb or ${NETDB_ENV})")
     snapshot = _load_snapshot(args.netdb)
     stats = snapshot.stats
     histogram = {level: 0 for level in range(1, 8)}
@@ -218,23 +202,19 @@ def _scan_table(facts: dict) -> list[str]:
 # -- lookup -------------------------------------------------------------
 
 
-def _plan_options(args) -> ProbePlan:
-    """An empty plan of ``--batch`` and ``--max-probes``; these and
-    ``--fail-rate`` are checked here, before any work."""
+def _probe_plan(args, floodfills=()) -> ProbePlan:
+    """The plan of ``--batch`` and ``--max-probes`` over ``floodfills``, in
+    ``--seed`` shuffled order. Called with no floodfills before any work, it
+    checks these options and ``--fail-rate``."""
     if not 0.0 <= args.fail_rate <= 1.0:
         raise CliError(f"--fail-rate must lie in [0, 1], got {args.fail_rate}")
-    try:
-        return ProbePlan((), batch_size=args.batch, max_probes=args.max_probes)
-    except ValueError as exc:  # --batch or --max-probes out of range
-        raise CliError(str(exc)) from exc
-
-
-def _probe_plan(options: ProbePlan, floodfills, args) -> ProbePlan:
-    """``options`` over ``floodfills``, in ``--seed`` shuffled order."""
     if args.seed is not None:
         floodfills = list(floodfills)
         random.Random(args.seed).shuffle(floodfills)
-    return dataclasses.replace(options, floodfills=tuple(floodfills))
+    try:
+        return ProbePlan(tuple(floodfills), batch_size=args.batch, max_probes=args.max_probes)
+    except ValueError as exc:  # --batch or --max-probes out of range
+        raise CliError(str(exc)) from exc
 
 
 def _failure_seed(args) -> int:
@@ -247,20 +227,16 @@ def cmd_lookup(args) -> int:
     subject = parse_hash_text(args.hash)
     if not args.netdb and not args.simulate:
         raise CliError("need at least one source: --netdb and/or --simulate")
-    options = _plan_options(args)
+    plan = _probe_plan(args)
     spec = NetworkSpec.from_file(args.simulate) if args.simulate else None
 
-    with _output(args.out) as out:
+    with contextlib.nullcontext() if args.out is None else _open_output(args.out) as out:
         snapshot = _load_snapshot(args.netdb) if args.netdb else None
         sim_source = None
-        floodfills: tuple[bytes, ...] = ()
         if spec is not None:
             model = generate_network(spec)
-            sim_source = SimulatedSource(
-                model, failure_rate=args.fail_rate, rng=random.Random(_failure_seed(args))
-            )
-            floodfills = model.floodfills
-        plan = _probe_plan(options, floodfills, args)
+            sim_source = SimulatedSource(model, args.fail_rate, _failure_seed(args))
+            plan = _probe_plan(args, model.floodfills)
         report = classify_remote(subject, SnapshotSource(snapshot, sim_source), plan)
         if out is not None:
             _write_probe_log(report, plan, out)
@@ -324,8 +300,6 @@ def cmd_xor_assoc(args) -> int:
         date = normalize_date(args.date)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if not args.netdb:
-        raise CliError(f"no netdb directory given (flag --netdb or ${NETDB_ENV})")
     snapshot = _load_snapshot(args.netdb)
     leasesets, warnings = load_leasesets(args.leasesets)
     floodfills = snapshot.floodfill_hashes
@@ -443,11 +417,8 @@ def _target_selector(text: str):
     if text == "all":
         return text
     if text.startswith("shade"):
-        try:
-            level = int(text[len("shade"):])
-        except ValueError:
-            level = 0
-        if not 1 <= level <= 8:
+        level = _LEVEL_KEYS.get(text[len("shade"):])
+        if level is None:
             raise CliError(f"bad target selector: {text!r}")
         return level
     try:
@@ -467,16 +438,16 @@ def _select_targets(model, selector) -> list[bytes]:
 
 
 def cmd_simulate(args) -> int:
-    options = _plan_options(args)
+    _probe_plan(args)
     selector = _target_selector(args.targets)
     spec = NetworkSpec.from_file(args.spec_file)
 
-    with _output(args.out) as out:
+    with _open_output(args.out) as out:
         model = generate_network(spec)
         targets = _select_targets(model, selector)
         if not targets:
             raise CliError(f"selector {args.targets!r} matches no routers")
-        plan = _probe_plan(options, model.floodfills, args)
+        plan = _probe_plan(args, model.floodfills)
         curves = run_probe_experiment(
             model, targets, plan, failure_rate=args.fail_rate, failure_seed=_failure_seed(args)
         )
@@ -536,7 +507,7 @@ def _simulate_table(facts: dict) -> list[str]:
 def cmd_genconfig(args) -> int:
     text = profiles.render_profile(args.profile)
     if args.out:
-        with _output(args.out) as out:
+        with _open_output(args.out) as out:
             out.write(text)
     facts = {
         "profile": args.profile,

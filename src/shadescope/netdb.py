@@ -9,7 +9,7 @@ import fnmatch
 import gc
 import os
 import stat
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, TextIO, Union
@@ -194,19 +194,32 @@ _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _BINARY | _NONBLOCK
 _WRITE_BUFFER = 1 << 20
 
 
-def _open_output(path: Union[str, Path]) -> TextIO:
+@contextmanager
+def _open_output(path: Union[str, Path]) -> Iterator[TextIO]:
     """A UTF-8 text stream, untranslated newlines, on ``path`` created or
-    truncated; every output file is opened here. A FIFO with no reader raises
-    ``OSError`` (``ENXIO``) naming ``path`` instead of blocking until one comes;
-    a regular file, ``/dev/null`` and a FIFO with a reader are written.
+    truncated, for one ``with``; every output file is opened here. A FIFO
+    with no reader raises ``OSError`` (``ENXIO``) naming ``path`` instead of
+    blocking until one comes; a regular file, ``/dev/null`` and a FIFO with a
+    reader are written.
 
-    Writes go through a 1 MiB (``_WRITE_BUFFER``) buffer, so an error such as
-    ``ENOSPC`` may surface only when the stream is flushed at close: still
-    inside the caller's ``with``, which closes the descriptor either way."""
-    fd = os.open(os.fspath(path), _WRITE_FLAGS, 0o666)
-    if _NONBLOCK:
-        os.set_blocking(fd, True)  # writes wait for a slow reader, as plain open's do
-    return open(fd, "w", buffering=_WRITE_BUFFER, encoding="utf-8", newline="")
+    The call owns the file's whole life. If the ``with`` body raises, or the
+    flush at close does, the file is removed when this call created it; a
+    file that was there before is left, truncated. Writes go through a 1 MiB
+    (``_WRITE_BUFFER``) buffer, so an error such as ``ENOSPC`` may surface
+    only at that flush, and the descriptor is closed either way."""
+    path = os.fspath(path)
+    created = not os.path.lexists(path)
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        if _NONBLOCK:
+            os.set_blocking(fd, True)  # writes wait for a slow reader, as plain open's do
+        with open(fd, "w", buffering=_WRITE_BUFFER, encoding="utf-8", newline="") as fh:
+            yield fh
+    except BaseException:
+        if created:
+            with suppress(OSError):
+                os.unlink(path)
+        raise
 
 
 def _record_paths(top: str) -> list[str]:

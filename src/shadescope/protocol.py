@@ -179,7 +179,8 @@ def write_probe_log(report: ShadeReport, plan: ProbePlan, path: Union[str, Path]
 
     The probed floodfills are the first ``report.probes_used`` of the plan;
     a row's result is ``failed`` when its index is in ``report.failed_at``
-    and ``ok`` otherwise.
+    and ``ok`` otherwise. If writing fails, a file this call created is
+    removed, as :func:`~shadescope.netdb._open_output` rules.
     """
     with _open_output(path) as fh:
         _write_probe_log(report, plan, fh)

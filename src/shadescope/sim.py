@@ -400,20 +400,19 @@ class SimulatedSource:
     The local and console views are empty: an initially unknown record
     becomes visible only in a probe's answer, the floodfill's entry in
     ``model.knowledge``, which callers read and never change. With a nonzero
-    ``failure_rate``, each probe draws once from ``rng`` and fails when the
-    draw falls below the rate, so which probes fail depends only on the
-    seed and on each probe's place in the sequence of probes.
+    ``failure_rate``, each probe draws once from the source's one
+    ``random.Random(failure_seed)`` and fails when the draw falls below the
+    rate, so which probes fail depends only on the seed and on each probe's
+    place in the sequence of probes. A rate outside [0, 1], NaN included,
+    raises ``ValueError``.
     """
 
-    def __init__(
-        self,
-        model: NetworkModel,
-        failure_rate: float = 0.0,
-        rng: Optional[random.Random] = None,
-    ):
+    def __init__(self, model: NetworkModel, failure_rate: float = 0.0, failure_seed: int = 0):
+        if not 0.0 <= failure_rate <= 1.0:
+            raise ValueError(f"failure_rate must lie in [0, 1], got {failure_rate}")
         self._model = model
         self._failure_rate = failure_rate
-        self._rng = rng if rng is not None else random.Random(0)
+        self._rng = random.Random(failure_seed)
 
     def lookup_local(self, router_hash: bytes) -> Optional[RouterInfo]:
         return None
@@ -439,12 +438,13 @@ def run_probe_experiment(
 ) -> list[HitCurve]:
     """Replay every target against one simulated pass over the plan.
 
-    One :class:`SimulatedSource` seeded with ``failure_seed`` serves every
-    target, and :func:`~shadescope.protocol.classify_sweep` probes each
-    planned floodfill once. So there is one failure pattern, and every
-    target sees it, as in one pass over the probing pool: probe *i* fails
-    for every target or for none. Each report is the one a fresh source
-    seeded alike would give that target alone.
+    One ``SimulatedSource(model, failure_rate, failure_seed)`` serves every
+    target (a rate outside [0, 1] raises ``ValueError``), and
+    :func:`~shadescope.protocol.classify_sweep` probes each planned
+    floodfill once. So there is one failure pattern, and every target sees
+    it, as in one pass over the probing pool: probe *i* fails for every
+    target or for none. Each report is the one a fresh source seeded alike
+    would give that target alone.
 
     A curve has one point per plan batch the run reached: (batch end, 0)
     for each batch before the last, then (probes used, 1 for a hit or 0).
@@ -457,7 +457,7 @@ def run_probe_experiment(
     for target in targets:
         if target not in model.routers:
             raise ValueError(f"target not in model: {hash_to_b64(target)}")
-    source = SimulatedSource(model, failure_rate, random.Random(failure_seed))
+    source = SimulatedSource(model, failure_rate, failure_seed)
     reports = classify_sweep(targets, source, plan)
     ends = tuple(accumulate(len(batch) for batch in plan.batches()))
     misses = tuple((end, 0) for end in ends)
@@ -494,6 +494,10 @@ def export_curves(curves: Sequence[HitCurve], path: Union[str, Path]) -> None:
     distinct point is formatted once per call and reused by value, so a
     point given as ``(True, 5.0)`` would print as the ``(1, 5)`` that
     compares equal to it, if that was formatted first.
+
+    ``path`` is opened by :func:`~shadescope.netdb._open_output`: if writing
+    fails, a file this call created is removed, and one that was there
+    before is left, truncated.
     """
     if not curves:
         raise ValueError("no curves to export")

@@ -886,7 +886,10 @@ EARLY_CASES = [
     (command, flags)
     for command in ("simulate", "lookup")
     for flags in (["--batch", "0"], ["--max-probes", "-1"], ["--fail-rate", "2"],
-                  ["--targets", "shade9"], ["--targets", "zz"], ["--out", "missing/x.csv"])
+                  ["--targets", "shade9"], ["--targets", "zz"], ["--out", "missing/x.csv"],
+                  # Level 8 is spelled shade8 alone.
+                  *(["--targets", text] for text in
+                    ("shade+8", "shade 8", "shade08", "shade\u0668", "shade8 ")))
     if command == "simulate" or flags[0] != "--targets"
 ]
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadescope import protocol
 from shadescope.classify import Evidence, EvidenceSource, classify
 from shadescope.encoding import EncodingError, hash_to_b64
 from shadescope.model import SHADE_EXCLUSIVE
@@ -269,7 +270,7 @@ class TestClassifySweep:
         model, plan, targets, local = case
 
         def fresh_source():
-            simulated = SimulatedSource(model, failure_rate, random.Random(failure_seed))
+            simulated = SimulatedSource(model, failure_rate, failure_seed)
             if not snapshot:
                 return simulated
             records = {h: model.routers[h].record for h in local}
@@ -377,6 +378,26 @@ class TestSnapshotSourceAndLog:
             f"3,{hash_to_b64(floodfills[2])},failed",
             f"4,{hash_to_b64(floodfills[3])},ok",
         ]
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["new path", "existing path"])
+    def test_failed_probe_log_removes_only_a_file_it_created(self, tmp_path, monkeypatch,
+                                                             existed):
+        plan = ProbePlan(tuple(_hashes(3, seed=9)), batch_size=2)
+        report = classify_remote(bytes(32), ScriptedSource(), plan)
+        out = tmp_path / "probes.csv"
+        if existed:
+            out.write_text("kept\n")
+
+        def refuse(router_hash):
+            raise RuntimeError("encoder failed")
+
+        monkeypatch.setattr(protocol, "hash_to_b64", refuse)
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            write_probe_log(report, plan, out)
+        if existed:  # left, truncated, holding what was written before the failure
+            assert out.read_text() == "probe_index,floodfill_b64,result\n"
+        else:
+            assert not out.exists()
 
     def test_probe_log_stops_at_the_hit(self, tmp_path):
         record = record_for(2, seed=3)

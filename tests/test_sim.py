@@ -17,7 +17,7 @@ import shadescope
 from shadescope.classify import classify
 from shadescope.dht import routing_key
 from shadescope.encoding import hash_to_b64
-from shadescope.protocol import ProbePlan
+from shadescope.protocol import ProbePlan, ProbeTransportError
 from shadescope.sim import (
     HitCurve,
     InfeasibleSpecError,
@@ -429,9 +429,35 @@ class TestSimulatedSource:
         assert source.lookup_local(target) is None
         assert source.lookup_console(target) is None
 
-    def test_probing_non_floodfill_fails(self):
-        from shadescope.protocol import ProbeTransportError
+    @pytest.mark.parametrize("rate", [float("nan"), -1.0, 1.5, float("inf")])
+    def test_failure_rate_outside_unit_interval_rejected(self, rate):
+        # Unchecked, NaN or a negative rate fails no probe, so a level-8 run
+        # would be certified under a rate that means nothing.
+        model = generate_network(small_spec(seed=3))
+        with pytest.raises(ValueError, match="failure_rate"):
+            SimulatedSource(model, rate)
+        plan = ProbePlan(model.floodfills, batch_size=5)
+        with pytest.raises(ValueError, match="failure_rate"):
+            run_probe_experiment(model, sorted(model.exclusive)[:1], plan, failure_rate=rate)
 
+    @pytest.mark.parametrize("seed", [None, 7], ids=["default", "seed 7"])
+    def test_failures_are_draws_from_the_failure_seed(self, seed):
+        # Probe i fails when draw i of random.Random(failure_seed) falls
+        # below the rate; the seed defaults to 0.
+        model = generate_network(small_spec(seed=3))
+        source = (SimulatedSource(model, 0.5) if seed is None
+                  else SimulatedSource(model, 0.5, failure_seed=seed))
+        draws = random.Random(seed or 0)
+        for floodfill in model.floodfills * 3:
+            expected = draws.random() < 0.5
+            try:
+                source.probe_floodfill(floodfill)
+                failed = False
+            except ProbeTransportError:
+                failed = True
+            assert failed == expected
+
+    def test_probing_non_floodfill_fails(self):
         model = generate_network(small_spec(seed=3))
         source = SimulatedSource(model)
         with pytest.raises(ProbeTransportError):
@@ -583,6 +609,22 @@ class TestCurveExport:
         export_curves(curves, path)
         reloaded = {c.target: c.points for c in load_curves(path)}
         assert reloaded == {c.target: c.points for c in curves}
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["new path", "existing path"])
+    def test_failed_export_removes_only_a_file_it_created(self, tmp_path, existed):
+        # The second curve's point cannot be formatted, so the export fails
+        # after the header and the first curve's row were written.
+        good, bad = HitCurve(bytes(32), ((5, 0),)), HitCurve(bytes([1]) * 32, (None,))
+        path = tmp_path / "curves.csv"
+        if existed:
+            path.write_text("kept\n")
+        with pytest.raises(TypeError):
+            export_curves([good, bad], path)
+        if existed:  # left, truncated, holding what was written before the failure
+            assert path.read_bytes() == (b"target,cumulative_probes,hits\r\n"
+                                         + hash_to_b64(bytes(32)).encode() + b",5,0\r\n")
+        else:
+            assert not path.exists()
 
     def test_empty_export_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,11 +1,10 @@
 """The public surface: the package root's exports, the README examples,
 the rules that only the CLI prints, that one function reads and one writes
-every file and that one helper drives the garbage collector, and the module
-boundaries the benchmark harness traces."""
+(and removes) every file and that one helper drives the garbage collector,
+and the module boundaries the benchmark harness traces."""
 
 import ast
 import importlib
-import random
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -70,15 +69,27 @@ def test_library_prints_nothing():
 
 FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
 FILE_FUNCTIONS = ("_read_file", "_open_output")
+REMOVE_CALLS = {"unlink", "remove"}
+
+
+def _removes_file(func) -> bool:
+    # os.unlink, os.remove, or any .unlink() such as Path.unlink.
+    if not isinstance(func, ast.Attribute) or func.attr not in REMOVE_CALLS:
+        return False
+    return func.attr == "unlink" or getattr(func.value, "id", None) == "os"
 
 
 def test_one_reader_and_one_writer_for_files():
     # netdb._read_file alone reads files and netdb._open_output alone opens
-    # them for writing, so one rule decides which files are read and written
-    # (no FIFO is waited on) and how. Any open, os.open, io.open or Path
-    # read/write call elsewhere in the package is an offender.
+    # them for writing and removes what a failed write created, so one rule
+    # decides which files are read and written (no FIFO is waited on), how,
+    # and what a failure leaves. Any open, os.open, io.open or Path
+    # read/write call elsewhere in the package is an offender, and so is
+    # any os.unlink, os.remove or Path.unlink outside _open_output, or a
+    # removal imported from os.
     package = Path(shadescope.__file__).parent
     offenders, os_opens = [], {name: 0 for name in FILE_FUNCTIONS}
+    removals = 0
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         owner = {}
@@ -89,9 +100,18 @@ def test_one_reader_and_one_writer_for_files():
             owner = {id(node): name for name, function in functions.items()
                      for node in ast.walk(function)}
         for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                    alias.name in REMOVE_CALLS for alias in node.names):
+                offenders.append(f"{path.name}:{node.lineno}")
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
+            if _removes_file(func):
+                if owner.get(id(node)) == "_open_output":
+                    removals += 1
+                else:
+                    offenders.append(f"{path.name}:{node.lineno}")
+                continue
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name not in FILE_CALLS:
                 continue
@@ -100,8 +120,10 @@ def test_one_reader_and_one_writer_for_files():
             elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
                 os_opens[owner[id(node)]] += 1
     assert offenders == []
-    # Each function's own os.open: the check sees what it exempts.
+    # Each function's own os.open, and _open_output's one removal: the
+    # check sees what it exempts.
     assert os_opens == {name: 1 for name in FILE_FUNCTIONS}
+    assert removals == 1
 
 
 GC_CALLS = {"disable", "enable", "freeze", "unfreeze", "collect"}
@@ -154,7 +176,7 @@ def test_perfbench_report_counters(sim_model, monkeypatch, kind):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spans = importlib.import_module("spans")
     subject = sim_model.published[0] if kind == "probe hit" else sorted(sim_model.exclusive)[0]
-    source = SimulatedSource(sim_model, 1.0 if kind == "inconclusive" else 0.0, random.Random(0))
+    source = SimulatedSource(sim_model, 1.0 if kind == "inconclusive" else 0.0, 0)
     plan = shadescope.ProbePlan(sim_model.floodfills, batch_size=5)
     report = shadescope.classify_remote(subject, source, plan)
     counts = defaultdict(int)
