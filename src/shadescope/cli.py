@@ -1,7 +1,8 @@
 """Operator-facing command surface.
 
 Exit codes are stable across commands: 0 success or classified,
-2 input error, 3 inconclusive classification.
+2 input error, 3 inconclusive classification, 141 output pipe closed
+by its reader.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from typing import Optional
 from . import profiles
 from .classify import EvidenceSource, classify
 from .dht import association_rows, derive_b32, normalize_date
-from .encoding import EncodingError, hash_to_b64, parse_hash_text
-from .model import Destination, DestinationError, SHADES
-from .netdb import NetDbError, _open_output, _read_file, load_leasesets, load_netdb_dir
-from .protocol import ProbePlan, SnapshotSource, _write_probe_log, classify_remote
+from .encoding import EncodingError, InputError, hash_to_b64, parse_hash_text
+from .model import Destination, SHADES
+from .netdb import _open_output, _read_file, load_leasesets, load_netdb_dir
+from .protocol import NetDbSource, ProbePlan, SnapshotSource, _write_probe_log, classify_remote
 from .sim import (
-    InfeasibleSpecError,
     NetworkSpec,
     SimulatedSource,
     _LEVEL_KEYS,
@@ -40,18 +40,23 @@ NETDB_ENV = "SHADESCOPE_NETDB"
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
-
-
-class CliError(Exception):
-    """Input problem; maps to exit code 2."""
+EXIT_BROKEN_PIPE = 141  # as a filter killed by SIGPIPE reports
 
 
 def _utc_today() -> str:
     return dt.datetime.now(dt.timezone.utc).strftime("%Y%m%d")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a command-line error as an :class:`InputError`, so it leaves
+    through ``main`` like every other input error, not by argparse's exit."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shadescope",
         description="Directory-visibility analysis for I2P-style overlays.",
     )
@@ -117,19 +122,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {
-        "scan": cmd_scan,
-        "lookup": cmd_lookup,
-        "xor-assoc": cmd_xor_assoc,
-        "b32": cmd_b32,
-        "simulate": cmd_simulate,
-        "genconfig": cmd_genconfig,
-    }[args.command]
     try:
-        return handler(args)
-    except (CliError, NetDbError, EncodingError, DestinationError,
-            InfeasibleSpecError, OSError) as exc:
+        args = build_parser().parse_args(argv)
+        handler = {
+            "scan": cmd_scan,
+            "lookup": cmd_lookup,
+            "xor-assoc": cmd_xor_assoc,
+            "b32": cmd_b32,
+            "simulate": cmd_simulate,
+            "genconfig": cmd_genconfig,
+        }[args.command]
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        if sys.stdout is sys.__stdout__:
+            # The interpreter's last flush goes to /dev/null, not the closed pipe.
+            with _open_output(os.devnull) as sink:
+                os.dup2(sink.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -153,7 +165,7 @@ def _load_snapshot(directory):
     """Load the ``--netdb`` directory, reporting its warnings (duplicate
     records) on stderr; without one given, an input error."""
     if not directory:
-        raise CliError(f"no netdb directory given (flag --netdb or ${NETDB_ENV})")
+        raise InputError(f"no netdb directory given (flag --netdb or ${NETDB_ENV})")
     snapshot = load_netdb_dir(directory)
     for warning in snapshot.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -207,14 +219,11 @@ def _probe_plan(args, floodfills=()) -> ProbePlan:
     ``--seed`` shuffled order. Called with no floodfills before any work, it
     checks these options and ``--fail-rate``."""
     if not 0.0 <= args.fail_rate <= 1.0:
-        raise CliError(f"--fail-rate must lie in [0, 1], got {args.fail_rate}")
+        raise InputError(f"--fail-rate must lie in [0, 1], got {args.fail_rate}")
     if args.seed is not None:
         floodfills = list(floodfills)
         random.Random(args.seed).shuffle(floodfills)
-    try:
-        return ProbePlan(tuple(floodfills), batch_size=args.batch, max_probes=args.max_probes)
-    except ValueError as exc:  # --batch or --max-probes out of range
-        raise CliError(str(exc)) from exc
+    return ProbePlan(tuple(floodfills), batch_size=args.batch, max_probes=args.max_probes)
 
 
 def _failure_seed(args) -> int:
@@ -226,18 +235,18 @@ def _failure_seed(args) -> int:
 def cmd_lookup(args) -> int:
     subject = parse_hash_text(args.hash)
     if not args.netdb and not args.simulate:
-        raise CliError("need at least one source: --netdb and/or --simulate")
+        raise InputError("need at least one source: --netdb and/or --simulate")
     plan = _probe_plan(args)
     spec = NetworkSpec.from_file(args.simulate) if args.simulate else None
 
     with contextlib.nullcontext() if args.out is None else _open_output(args.out) as out:
         snapshot = _load_snapshot(args.netdb) if args.netdb else None
-        sim_source = None
+        backing = NetDbSource()
         if spec is not None:
             model = generate_network(spec)
-            sim_source = SimulatedSource(model, args.fail_rate, _failure_seed(args))
+            backing = SimulatedSource(model, args.fail_rate, _failure_seed(args))
             plan = _probe_plan(args, model.floodfills)
-        report = classify_remote(subject, SnapshotSource(snapshot, sim_source), plan)
+        report = classify_remote(subject, SnapshotSource(snapshot, backing), plan)
         if out is not None:
             _write_probe_log(report, plan, out)
 
@@ -296,10 +305,7 @@ def _lookup_table(facts: dict) -> list[str]:
 
 def cmd_xor_assoc(args) -> int:
     target = parse_hash_text(args.target)
-    try:
-        date = normalize_date(args.date)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    date = normalize_date(args.date)
     snapshot = _load_snapshot(args.netdb)
     leasesets, warnings = load_leasesets(args.leasesets)
     floodfills = snapshot.floodfill_hashes
@@ -381,7 +387,7 @@ def _read_destination(path: str) -> Destination:
         normalized += "=" * (-len(normalized) % 4)
         try:
             return Destination(base64.b64decode(normalized))
-        except (ValueError, DestinationError):
+        except ValueError:  # not base64, or a DestinationError
             pass
     return Destination(data)
 
@@ -419,18 +425,16 @@ def _target_selector(text: str):
     if text.startswith("shade"):
         level = _LEVEL_KEYS.get(text[len("shade"):])
         if level is None:
-            raise CliError(f"bad target selector: {text!r}")
+            raise InputError(f"bad target selector: {text!r}")
         return level
     try:
         return parse_hash_text(text)
     except EncodingError as exc:
-        raise CliError(f"bad target selector: {text!r} ({exc})") from exc
+        raise InputError(f"bad target selector: {text!r} ({exc})") from exc
 
 
 def _select_targets(model, selector) -> list[bytes]:
-    if isinstance(selector, bytes):
-        if selector not in model.routers:
-            raise CliError("target hash not present in the generated network")
+    if isinstance(selector, bytes):  # run_probe_experiment checks it is in the model
         return [selector]
     if selector == "all":
         return list(model.routers)
@@ -446,7 +450,7 @@ def cmd_simulate(args) -> int:
         model = generate_network(spec)
         targets = _select_targets(model, selector)
         if not targets:
-            raise CliError(f"selector {args.targets!r} matches no routers")
+            raise InputError(f"selector {args.targets!r} matches no routers")
         plan = _probe_plan(args, model.floodfills)
         curves = run_probe_experiment(
             model, targets, plan, failure_rate=args.fail_rate, failure_seed=_failure_seed(args)
@@ -506,7 +510,7 @@ def _simulate_table(facts: dict) -> list[str]:
 
 def cmd_genconfig(args) -> int:
     text = profiles.render_profile(args.profile)
-    if args.out:
+    if args.out is not None:
         with _open_output(args.out) as out:
             out.write(text)
     facts = {
@@ -522,7 +526,7 @@ def cmd_genconfig(args) -> int:
 
 
 def _genconfig_table(facts: dict) -> list[str]:
-    return [] if facts["out"] else facts["text"].splitlines()
+    return [] if facts["out"] is not None else facts["text"].splitlines()
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Seque
 from .encoding import (
     HASH_LEN,
     EncodingError,
+    InputError,
     _check_hashes,
     check_hash,
     service_address,
@@ -28,11 +29,11 @@ _DATE_RE = re.compile(r"\d{8}$")
 def normalize_date(date: str) -> str:
     """Return ``date``, checked to be a UTC calendar date in the 8-char 'yyyyMMdd' form."""
     if not isinstance(date, str) or not _DATE_RE.fullmatch(date):
-        raise ValueError(f"date must be yyyyMMdd, got {date!r}")
+        raise InputError(f"date must be yyyyMMdd, got {date!r}")
     try:
         dt.datetime.strptime(date, "%Y%m%d")
     except ValueError:
-        raise ValueError(f"not a calendar date: {date!r}") from None
+        raise InputError(f"not a calendar date: {date!r}") from None
     return date
 
 

@@ -28,7 +28,11 @@ _B64_RE = re.compile(r"[A-Za-z0-9\-~]{43}=?$")
 _B32_RE = re.compile(r"[a-z2-7]{52}$")
 
 
-class EncodingError(ValueError):
+class InputError(ValueError):
+    """A bad input value; the CLI reports it as one ``error:`` line, exit 2."""
+
+
+class EncodingError(InputError):
     """Raised for malformed hash text forms."""
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Mapping, Optional
 
-from .encoding import check_hash, service_address
+from .encoding import InputError, check_hash, service_address
 
 # Minimum destination size: 256-byte pubkey + 128-byte signing key +
 # 3-byte certificate header (type, 16-bit length).
@@ -32,7 +32,7 @@ BANDWIDTH_LETTERS = LOW_BANDWIDTH + HIGH_BANDWIDTH
 _set = object.__setattr__
 
 
-class DestinationError(ValueError):
+class DestinationError(InputError):
     """Raised when destination bytes cannot be parsed."""
 
 

@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, TextIO, Union
 
-from .encoding import EncodingError, hash_from_b64, service_hash
+from .encoding import EncodingError, InputError, hash_from_b64, service_hash
 from .model import Lease, LeaseSet, RouterInfo
 from .wire import DecodeError, decode_router_info
 
 RECORD_GLOB = "routerInfo-*.dat"
 
 
-class NetDbError(Exception):
+class NetDbError(InputError):
     """A snapshot path that is not a directory, or a leaseset file that is not UTF-8."""
 
 

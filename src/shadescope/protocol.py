@@ -13,10 +13,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Protocol, Sequence, TextIO, Union
+from typing import Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 from .classify import EvidenceSource, ShadeReport
-from .encoding import _check_hashes, check_hash, hash_to_b64
+from .encoding import InputError, _check_hashes, check_hash, hash_to_b64
 from .model import RouterInfo
 from .netdb import _open_output
 
@@ -25,30 +25,33 @@ class ProbeTransportError(Exception):
     """A floodfill probe could not be delivered or answered."""
 
 
-class NetDbSource(Protocol):
-    """Pluggable record source: local view, console cache, floodfill probes."""
+class NetDbSource:
+    """Record source: local view, console cache, floodfill probes. This base
+    is the empty one, and a subclass overrides what it answers."""
 
-    def lookup_local(self, router_hash: bytes) -> Optional[RouterInfo]: ...
+    def lookup_local(self, router_hash: bytes) -> Optional[RouterInfo]:
+        return None
 
-    def lookup_console(self, router_hash: bytes) -> Optional[RouterInfo]: ...
+    def lookup_console(self, router_hash: bytes) -> Optional[RouterInfo]:
+        return None
 
     def probe_floodfill(self, floodfill: bytes) -> Mapping[bytes, RouterInfo]:
         """The records the floodfill answers with, by router hash.
 
         Raises :class:`ProbeTransportError` when the probe cannot complete.
         """
-        ...
+        raise ProbeTransportError("no probe transport configured")
 
 
-class SnapshotSource:
+class SnapshotSource(NetDbSource):
     """Local lookups from a loaded snapshot; console lookups and probes go
-    to an optional backing source, such as a simulated network.
+    to a backing source, such as a simulated network.
 
-    Without a backing source, console lookups miss and probes raise
-    :class:`ProbeTransportError`. Without a snapshot, local lookups miss.
+    The default backing is the empty source: console lookups miss and probes
+    raise :class:`ProbeTransportError`. Without a snapshot, local lookups miss.
     """
 
-    def __init__(self, local, backing: Optional[NetDbSource] = None):
+    def __init__(self, local, backing: NetDbSource = NetDbSource()):
         self._local = local
         self._backing = backing
 
@@ -56,13 +59,9 @@ class SnapshotSource:
         return None if self._local is None else self._local.lookup(router_hash)
 
     def lookup_console(self, router_hash: bytes) -> Optional[RouterInfo]:
-        if self._backing is None:
-            return None
         return self._backing.lookup_console(router_hash)
 
     def probe_floodfill(self, floodfill: bytes) -> Mapping[bytes, RouterInfo]:
-        if self._backing is None:
-            raise ProbeTransportError("no probe transport configured")
         return self._backing.probe_floodfill(floodfill)
 
 
@@ -76,9 +75,9 @@ class ProbePlan:
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
-            raise ValueError("batch size must be positive")
+            raise InputError("batch size must be positive")
         if self.max_probes is not None and self.max_probes < 0:
-            raise ValueError("max_probes must be non-negative")
+            raise InputError("max_probes must be non-negative")
         _check_hashes(self.floodfills, "planned floodfill")
 
     @property

@@ -30,7 +30,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .classify import ShadeReport, classify
 from .dht import FloodfillTable, normalize_date, routing_keys
-from .encoding import hash_to_b64
+from .encoding import InputError, hash_to_b64
 from .model import (
     BANDWIDTH_LETTERS,
     HIGH_BANDWIDTH,
@@ -43,13 +43,13 @@ from .model import (
     shade_for_level,
 )
 from .netdb import _bulk_build, _open_output, _read_file
-from .protocol import ProbePlan, ProbeTransportError, classify_sweep
+from .protocol import NetDbSource, ProbePlan, ProbeTransportError, classify_sweep
 
 EPOCH_2025_MS = 1_735_689_600_000
 _VERSIONS = ("0.9.67", "0.9.68", "2.12.0")
 
 
-class InfeasibleSpecError(ValueError):
+class InfeasibleSpecError(InputError):
     """The network spec cannot be realized (bad fractions, missing mass)."""
 
 
@@ -394,7 +394,7 @@ def completeness_metrics(model: NetworkModel) -> VisibilityMetrics:
     return VisibilityMetrics(rho=published / total, xi=(total - published) / total)
 
 
-class SimulatedSource:
+class SimulatedSource(NetDbSource):
     """Directory source backed by a generated model.
 
     The local and console views are empty: an initially unknown record
@@ -404,21 +404,15 @@ class SimulatedSource:
     ``random.Random(failure_seed)`` and fails when the draw falls below the
     rate, so which probes fail depends only on the seed and on each probe's
     place in the sequence of probes. A rate outside [0, 1], NaN included,
-    raises ``ValueError``.
+    raises :class:`~shadescope.encoding.InputError`.
     """
 
     def __init__(self, model: NetworkModel, failure_rate: float = 0.0, failure_seed: int = 0):
         if not 0.0 <= failure_rate <= 1.0:
-            raise ValueError(f"failure_rate must lie in [0, 1], got {failure_rate}")
+            raise InputError(f"failure_rate must lie in [0, 1], got {failure_rate}")
         self._model = model
         self._failure_rate = failure_rate
         self._rng = random.Random(failure_seed)
-
-    def lookup_local(self, router_hash: bytes) -> Optional[RouterInfo]:
-        return None
-
-    def lookup_console(self, router_hash: bytes) -> Optional[RouterInfo]:
-        return None
 
     def probe_floodfill(self, floodfill: bytes) -> Mapping[bytes, RouterInfo]:
         stored = self._model.knowledge.get(floodfill)
@@ -439,7 +433,8 @@ def run_probe_experiment(
     """Replay every target against one simulated pass over the plan.
 
     One ``SimulatedSource(model, failure_rate, failure_seed)`` serves every
-    target (a rate outside [0, 1] raises ``ValueError``), and
+    target (a rate outside [0, 1] raises ``InputError``, as does a target
+    outside the model or a planned hash outside its floodfills), and
     :func:`~shadescope.protocol.classify_sweep` probes each planned
     floodfill once. So there is one failure pattern, and every target sees
     it, as in one pass over the probing pool: probe *i* fails for every
@@ -453,10 +448,10 @@ def run_probe_experiment(
     once and its tuple is shared by every curve that reached it.
     """
     if not set(model.floodfills).issuperset(plan.floodfills):
-        raise ValueError("plan includes a hash outside the model's floodfills")
+        raise InputError("plan includes a hash outside the model's floodfills")
     for target in targets:
         if target not in model.routers:
-            raise ValueError(f"target not in model: {hash_to_b64(target)}")
+            raise InputError(f"target not in model: {hash_to_b64(target)}")
     source = SimulatedSource(model, failure_rate, failure_seed)
     reports = classify_sweep(targets, source, plan)
     ends = tuple(accumulate(len(batch) for batch in plan.batches()))

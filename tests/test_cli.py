@@ -711,10 +711,10 @@ def test_oversized_spec_exits_2_before_allocating(tmp_path, key, limit):
                                   ["b32", "dest.dat"], ["genconfig", "exclusive"]],
                          ids=lambda argv: argv[0])
 def test_csv_only_on_commands_with_rows(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--format", "csv"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    assert main([*argv, "--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert_one_line_error(err)
+    assert "invalid choice: 'csv'" in err
 
 
 PROBE_OPTIONS = ("--batch", "--max-probes", "--seed", "--fail-rate")
@@ -950,13 +950,133 @@ def test_hash_starting_with_dash_is_passed_after_double_dash_or_in_hex(
         bare = [command, shown, *options]
         forms = [[command, *options, "--", shown], [command, subject.hex(), *options]]
 
-    with pytest.raises(SystemExit) as exc:
-        main(bare)
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert main(bare) == 2
+    assert_one_line_error(capsys.readouterr().err)
     printed = []
     for argv in forms:
         assert main(argv) == 0
         printed.append(capsys.readouterr().out)
     assert printed[0] == printed[1]
     assert f'"{shown}"' in printed[0]
+
+
+# -- one exit for every input error -------------------------------------
+
+# A command line each command accepts, up to its options.
+COMMAND_LINES = {
+    "scan": ["scan"],
+    "lookup": ["lookup", "00" * 32],
+    "xor-assoc": ["xor-assoc", "00" * 32, "--leasesets", "ls.txt"],
+    "b32": ["b32", "dest.dat"],
+    "simulate": ["simulate", "net.json"],
+    "genconfig": ["genconfig", "exclusive"],
+}
+
+
+def _command_line_errors():
+    """(argv, program named in the error) for each bad command line. A
+    subcommand's parser names its command; an option no parser knows is
+    reported by the top parser, as are a missing or unknown command."""
+    yield pytest.param([], "shadescope", id="no-command")
+    yield pytest.param(["bogus"], "shadescope", id="unknown-command")
+    for command, argv in COMMAND_LINES.items():
+        prog = f"shadescope {command}"
+        if len(argv) > 1:
+            yield pytest.param([command], prog, id=f"missing-positional-{command}")
+        if command in ("lookup", "simulate"):
+            yield pytest.param([*argv, "--batch", "abc"], prog, id=f"batch-abc-{command}")
+        yield pytest.param([*argv, "--format", "xml"], prog, id=f"format-xml-{command}")
+        yield pytest.param([*argv, "--bogus"], "shadescope", id=f"unknown-option-{command}")
+
+
+@pytest.mark.parametrize("argv, prog", _command_line_errors())
+def test_bad_command_line_is_one_error_line(argv, prog, capsys):
+    # main returns; a SystemExit from argparse would fail the test.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert_one_line_error(captured.err)
+    assert captured.err.startswith(f"error: {prog}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [None, *COMMAND_LINES])
+def test_help_still_prints_usage_and_exits_0(command, capsys):
+    parser = build_parser()
+    if command is not None:
+        parser = parser._subparsers._group_actions[0].choices[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out == parser.format_help() and captured.err == ""
+
+
+def test_target_absent_from_the_model_is_one_error_line(sim_spec_file, sim_model,
+                                                        tmp_path, capsys):
+    absent = bytes(32)
+    assert absent not in sim_model.routers
+    out = tmp_path / "new.csv"
+    argv = ["simulate", str(sim_spec_file), "--targets", absent.hex(), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert_one_line_error(err)
+    assert err == f"error: target not in model: {hash_to_b64(absent)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["genconfig", "lookup", "simulate"])
+def test_empty_out_is_an_input_error_on_every_command(command, sim_spec_file, capsys):
+    argv = {
+        "genconfig": ["genconfig", "exclusive"],
+        "lookup": ["lookup", "00" * 32, "--simulate", str(sim_spec_file)],
+        "simulate": ["simulate", str(sim_spec_file)],
+    }[command]
+    assert main([*argv, "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert_one_line_error(captured.err)
+    assert captured.out == ""
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_pipe_in_process_exits_141_quietly(monkeypatch, capsys):
+    fd_before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["genconfig", "exclusive"]) == 141
+    assert capsys.readouterr().err == ""
+    # The caller's own descriptors are left alone.
+    fd_after = os.fstat(1)
+    assert (fd_after.st_dev, fd_after.st_ino) == (fd_before.st_dev, fd_before.st_ino)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_broken_pipe_in_child_exits_141_quietly(sim_spec_file, tmp_path, unbuffered):
+    # The JSON of every target is over 64 KiB, more than a pipe buffers, so
+    # the child is still writing when the reader closes the pipe.
+    env = {k: v for k, v in _child_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["simulate", str(sim_spec_file), "--targets", "all", "--format", "json",
+            "--out", str(tmp_path / "c.csv")]
+    with subprocess.Popen([sys.executable, "-m", "shadescope.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline() == b"{\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=20) == 141
+    assert err == b""
+
+    # A short output still in the stdout buffer when main returns, into a
+    # pipe whose reader is already gone: the interpreter's last flush must
+    # not report the closed pipe either.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "shadescope.cli", "genconfig", "exclusive"],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=20)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")

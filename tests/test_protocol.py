@@ -11,6 +11,7 @@ from shadescope.encoding import EncodingError, hash_to_b64
 from shadescope.model import SHADE_EXCLUSIVE
 from shadescope.netdb import NetDbSnapshot
 from shadescope.protocol import (
+    NetDbSource,
     ProbePlan,
     ProbeTransportError,
     SnapshotSource,
@@ -342,6 +343,18 @@ class TestCertificate:
 
 
 class TestSnapshotSourceAndLog:
+    def test_base_source_is_empty_and_sources_state_only_what_they_answer(self):
+        source = NetDbSource()
+        assert source.lookup_local(bytes(32)) is None
+        assert source.lookup_console(bytes(32)) is None
+        with pytest.raises(ProbeTransportError, match="no probe transport configured"):
+            source.probe_floodfill(bytes(32))
+        # The empty lookups are inherited, not restated.
+        for cls in (SnapshotSource, SimulatedSource):
+            assert issubclass(cls, NetDbSource)
+        assert "lookup_local" not in vars(SimulatedSource)
+        assert "lookup_console" not in vars(SimulatedSource)
+
     def test_snapshot_source_has_no_probe_transport(self):
         source = SnapshotSource(None)
         assert source.lookup_console(bytes(32)) is None

@@ -1,5 +1,6 @@
 """The public surface: the package root's exports, the README examples,
-the rules that only the CLI prints, that one function reads and one writes
+the rules that only the CLI prints, that one exception type marks a bad
+input and one handler reports it, that one function reads and one writes
 (and removes) every file and that one helper drives the garbage collector,
 and the module boundaries the benchmark harness traces."""
 
@@ -12,9 +13,13 @@ from pathlib import Path
 import pytest
 
 import shadescope
+from shadescope import cli
 from shadescope.classify import EvidenceSource
 from shadescope.cli import main
-from shadescope.sim import SimulatedSource
+from shadescope.encoding import EncodingError, InputError
+from shadescope.model import DestinationError
+from shadescope.netdb import NetDbError
+from shadescope.sim import InfeasibleSpecError, SimulatedSource
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,6 +70,25 @@ def test_library_prints_nothing():
             if printing or streams:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_one_input_error_type_and_one_handler():
+    # Every library error a bad input raises is an InputError, so the CLI
+    # needs no error type of its own and main's one handler catches them all.
+    for error in (EncodingError, DestinationError, NetDbError, InfeasibleSpecError):
+        assert issubclass(error, InputError)
+    assert issubclass(InputError, ValueError)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert classes and not [name for name in classes
+                            if issubclass(getattr(cli, name), BaseException)]
+    # Only main prints an "error:" line; each other top-level statement of
+    # the module is an offender if any of its strings starts with one.
+    reporters = [getattr(statement, "name", f"line {statement.lineno}")
+                 for statement in tree.body for node in ast.walk(statement)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                 and node.value.startswith("error:")]
+    assert reporters == ["main"]
 
 
 FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
