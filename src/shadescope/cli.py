@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hash", help="router hash (hex, base64 variant, or base32); "
                                 "one starting with '-' goes after '--', or in hex")
     p.add_argument("--netdb", default=os.environ.get(NETDB_ENV), help="local netdb directory")
-    p.add_argument("--simulate", help="network spec JSON backing console+probe sources")
+    p.add_argument("--simulate", help="network spec JSON of a simulated network to probe")
     add_probe_options(p)
     p.add_argument("--out", help="write per-probe CSV log here")
     add_common(p)
@@ -123,7 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:  # the top parser's spelling would not name the command
+            raise InputError(f"{parser.prog} {args.command}: unrecognized arguments: "
+                             f"{' '.join(unknown)}")
         handler = {
             "scan": cmd_scan,
             "lookup": cmd_lookup,

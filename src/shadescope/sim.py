@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from math import floor
 from operator import itemgetter
@@ -61,7 +61,7 @@ MAX_K = 100
 # The one spelling of each shade level as a shade_distribution key.
 _LEVEL_KEYS = {str(level): level for level in range(1, 9)}
 
-# The JSON type of each spec-file key; true and false are not numbers here.
+# The type of each spec field and spec-file key; true and false are not numbers.
 _SPEC_TYPES = {"n_routers": int, "floodfill_fraction": (int, float),
                "shade_distribution": dict, "k": int, "seed": int, "date": str}
 
@@ -70,11 +70,12 @@ _SPEC_TYPES = {"n_routers": int, "floodfill_fraction": (int, float),
 class NetworkSpec:
     """Generation parameters. shade_distribution maps levels "1".."8" to
     fractions of n_routers; level "1" may be omitted and is then implied
-    by floodfill_fraction.
+    by floodfill_fraction. ``counts`` is the router count of each level.
 
-    :func:`generate_network` rejects an ``n_routers`` over
-    :data:`MAX_ROUTERS` or a ``k`` over :data:`MAX_K` before it allocates
-    anything, so that the worst spec allowed peaks under 1 GB. The limits
+    The constructor raises :class:`InfeasibleSpecError` for a field of the
+    wrong type (true and false are not numbers), a bad date or distribution,
+    an ``n_routers`` over :data:`MAX_ROUTERS` or a ``k`` over :data:`MAX_K`,
+    so that the worst spec allowed peaks under 1 GB. The limits
     come from measured peaks: simulate takes about 3 KB per router at k = 4
     (58.7 MB at 3,242 routers, 148.3 MB at 32,420), so MAX_ROUTERS routers
     peak near 0.35 GB; each record is stored on min(k, floodfills)
@@ -89,6 +90,20 @@ class NetworkSpec:
     k: int = 4
     seed: int = 0
     date: str = "20250101"
+    counts: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for key, types in _SPEC_TYPES.items():
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise InfeasibleSpecError(f"spec key {key!r} has the wrong type: {value!r}")
+        try:
+            normalize_date(self.date)
+        except ValueError as exc:
+            raise InfeasibleSpecError(str(exc)) from None
+        if not 1 <= self.k <= MAX_K:
+            raise InfeasibleSpecError(f"replication k must lie in [1, {MAX_K}]")
+        object.__setattr__(self, "counts", _allocate_counts(self))
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "NetworkSpec":
@@ -108,9 +123,6 @@ class NetworkSpec:
         unknown = set(raw) - set(_SPEC_TYPES)
         if unknown:
             raise InfeasibleSpecError(f"unknown spec keys: {sorted(unknown)}")
-        for key, value in raw.items():
-            if isinstance(value, bool) or not isinstance(value, _SPEC_TYPES[key]):
-                raise InfeasibleSpecError(f"spec key {key!r} has the wrong type: {value!r}")
         try:
             return cls(**raw)
         except TypeError as exc:  # a required key is missing
@@ -303,7 +315,7 @@ def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
 def generate_network(spec: NetworkSpec) -> NetworkModel:
     """Build the full ground-truth model for a spec, deterministically.
 
-    Process-global effect: once the spec is valid, the build runs inside
+    Process-global effect: the build runs inside
     :func:`~shadescope.netdb._bulk_build`. Garbage in the young generations
     is collected first if the collector is enabled, cyclic garbage
     collection is paused for the rest of the call, and the caller's enabled
@@ -311,51 +323,37 @@ def generate_network(spec: NetworkSpec) -> NetworkModel:
     tracked object in the process, the new model included, moves to the
     oldest generation unscanned, unless the caller holds frozen objects.
     """
-    try:
-        normalize_date(spec.date)
-    except ValueError as exc:
-        raise InfeasibleSpecError(str(exc)) from None
-    if not 1 <= spec.k <= MAX_K:
-        raise InfeasibleSpecError(f"replication k must lie in [1, {MAX_K}]")
-    counts = _allocate_counts(spec)
     with _bulk_build():
-        return _build_network(spec, counts)
+        rng = random.Random(spec.seed)
+        levels = [level for level in sorted(spec.counts) for _ in range(spec.counts[level])]
+        rng.shuffle(levels)
 
+        routers: dict[bytes, SimRouter] = {}
+        records: list[RouterInfo] = []
+        floodfills: list[bytes] = []
+        exclusive: list[bytes] = []
+        for level in levels:
+            if level == 8:
+                identity = _synth_identity(rng)
+                router = SimRouter(hash_identity(identity), shade_for_level(8), None)
+                exclusive.append(router.hash)
+            else:
+                record = synth_record(rng, level)
+                router = SimRouter(record.hash, shade_for_level(level), record)
+                records.append(record)
+                if level == 1:
+                    floodfills.append(router.hash)
+            routers[router.hash] = router
 
-def _build_network(spec: NetworkSpec, counts: dict[int, int]) -> NetworkModel:
-    rng = random.Random(spec.seed)
-
-    levels: list[int] = []
-    for level in sorted(counts):
-        levels.extend([level] * counts[level])
-    rng.shuffle(levels)
-
-    routers: dict[bytes, SimRouter] = {}
-    records: list[RouterInfo] = []
-    floodfills: list[bytes] = []
-    exclusive: list[bytes] = []
-    for level in levels:
-        if level == 8:
-            identity = _synth_identity(rng)
-            router = SimRouter(hash_identity(identity), shade_for_level(8), None)
-            exclusive.append(router.hash)
-        else:
-            record = synth_record(rng, level)
-            router = SimRouter(record.hash, shade_for_level(level), record)
-            records.append(record)
-            if level == 1:
-                floodfills.append(router.hash)
-        routers[router.hash] = router
-
-    knowledge = _assign_knowledge(records, floodfills, spec.k, spec.date)
-    return NetworkModel(
-        spec=spec,
-        routers=routers,
-        published=tuple(record.hash for record in records),
-        floodfills=tuple(floodfills),
-        exclusive=frozenset(exclusive),
-        knowledge=knowledge,
-    )
+        knowledge = _assign_knowledge(records, floodfills, spec.k, spec.date)
+        return NetworkModel(
+            spec=spec,
+            routers=routers,
+            published=tuple(record.hash for record in records),
+            floodfills=tuple(floodfills),
+            exclusive=frozenset(exclusive),
+            knowledge=knowledge,
+        )
 
 
 def _assign_knowledge(
@@ -404,7 +402,9 @@ class SimulatedSource(NetDbSource):
     ``random.Random(failure_seed)`` and fails when the draw falls below the
     rate, so which probes fail depends only on the seed and on each probe's
     place in the sequence of probes. A rate outside [0, 1], NaN included,
-    raises :class:`~shadescope.encoding.InputError`.
+    raises :class:`~shadescope.encoding.InputError`, as does a probe of a
+    hash that is not one of the model's floodfills: a bad plan, not a
+    failed probe.
     """
 
     def __init__(self, model: NetworkModel, failure_rate: float = 0.0, failure_seed: int = 0):
@@ -417,7 +417,7 @@ class SimulatedSource(NetDbSource):
     def probe_floodfill(self, floodfill: bytes) -> Mapping[bytes, RouterInfo]:
         stored = self._model.knowledge.get(floodfill)
         if stored is None:
-            raise ProbeTransportError("probed hash is not a floodfill")
+            raise InputError("plan includes a hash outside the model's floodfills")
         if self._failure_rate and self._rng.random() < self._failure_rate:
             raise ProbeTransportError("injected probe failure")
         return stored

@@ -554,6 +554,8 @@ SMALL_SPEC = {"n_routers": 50, "floodfill_fraction": 0.5,
 @pytest.mark.parametrize("spec, flags", [
     pytest.param({**SMALL_SPEC, "n_routers": "x"}, [], id="n_routers-text"),
     pytest.param({**SMALL_SPEC, "k": "4"}, [], id="k-text"),
+    pytest.param({**SMALL_SPEC, "k": 0}, [], id="k-zero"),
+    pytest.param({**SMALL_SPEC, "shade_distribution": {"2": 0.1, "8": 0.1}}, [], id="sum-0.7"),
     pytest.param({**SMALL_SPEC, "date": 20250101}, [], id="date-number"),
     pytest.param({**SMALL_SPEC, "date": "20251340"}, [], id="date-impossible"),
     pytest.param({**SMALL_SPEC, "date": "2025-01-01"}, [], id="date-dashed"),
@@ -584,10 +586,13 @@ SMALL_SPEC = {"n_routers": 50, "floodfill_fraction": 0.5,
     pytest.param(SMALL_SPEC, ["--fail-rate", "nan"], id="fail-rate-nan"),
 ])
 def test_bad_spec_or_fail_rate_is_input_error(tmp_path, capsys, command, spec, flags):
-    spec_path = tmp_path / "net.json"
+    # Checked before --out is opened, so an existing --out keeps its bytes.
+    spec_path, out = tmp_path / "net.json", tmp_path / "out.csv"
     spec_path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
-    assert main([*command, str(spec_path), *flags, "--out", str(tmp_path / "out.csv")]) == 2
+    out.write_bytes(b"kept,1\r\n")
+    assert main([*command, str(spec_path), *flags, "--out", str(out)]) == 2
     assert_one_line_error(capsys.readouterr().err)
+    assert out.read_bytes() == b"kept,1\r\n"
 
 
 def _named_input_argv(command: str, path: str, corpus_dir, workdir) -> list[str]:
@@ -928,6 +933,20 @@ def test_failed_run_removes_only_the_out_file_it_created(tmp_path, corpus_dir, c
         assert not new.exists() and old.exists()
 
 
+def test_lookup_rejects_a_bad_spec_before_loading_the_snapshot(corpus_dir, tmp_path,
+                                                               capsys, monkeypatch):
+    loads = []
+    monkeypatch.setattr(cli, "load_netdb_dir", lambda directory: loads.append(directory))
+    spec_path = tmp_path / "net.json"
+    spec_path.write_text(json.dumps({**SMALL_SPEC, "k": 0}))
+    argv = ["lookup", "00" * 32, "--netdb", str(corpus_dir), "--simulate", str(spec_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert_one_line_error(err)
+    assert "replication k must lie in" in err
+    assert loads == []
+
+
 @pytest.mark.parametrize("command", ["lookup", "xor-assoc", "simulate"])
 def test_hash_starting_with_dash_is_passed_after_double_dash_or_in_hex(
         sim_spec_file, sim_model, assoc_fixture, tmp_path, capsys, command):
@@ -974,9 +993,9 @@ COMMAND_LINES = {
 
 
 def _command_line_errors():
-    """(argv, program named in the error) for each bad command line. A
-    subcommand's parser names its command; an option no parser knows is
-    reported by the top parser, as are a missing or unknown command."""
+    """(argv, program named in the error) for each bad command line. An
+    error in a command's arguments, an unknown option included, names the
+    command; a missing or unknown command names the program alone."""
     yield pytest.param([], "shadescope", id="no-command")
     yield pytest.param(["bogus"], "shadescope", id="unknown-command")
     for command, argv in COMMAND_LINES.items():
@@ -986,7 +1005,7 @@ def _command_line_errors():
         if command in ("lookup", "simulate"):
             yield pytest.param([*argv, "--batch", "abc"], prog, id=f"batch-abc-{command}")
         yield pytest.param([*argv, "--format", "xml"], prog, id=f"format-xml-{command}")
-        yield pytest.param([*argv, "--bogus"], "shadescope", id=f"unknown-option-{command}")
+        yield pytest.param([*argv, "--bogus"], prog, id=f"unknown-option-{command}")
 
 
 @pytest.mark.parametrize("argv, prog", _command_line_errors())

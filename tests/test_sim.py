@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import shadescope
 from shadescope.classify import classify
 from shadescope.dht import routing_key
-from shadescope.encoding import hash_to_b64
-from shadescope.protocol import ProbePlan, ProbeTransportError
+from shadescope.encoding import InputError, hash_to_b64
+from shadescope.protocol import ProbePlan, ProbeTransportError, classify_remote
 from shadescope.sim import (
     HitCurve,
     InfeasibleSpecError,
@@ -286,46 +286,41 @@ class TestGenerateNetwork:
 
 class TestSpecValidation:
     def test_floodfills_without_shade1_mass(self):
-        spec = NetworkSpec(
-            n_routers=100, floodfill_fraction=0.5,
-            shade_distribution={"1": 0.0, "2": 0.5, "3": 0.5},
-        )
         with pytest.raises(InfeasibleSpecError):
-            generate_network(spec)
+            NetworkSpec(
+                n_routers=100, floodfill_fraction=0.5,
+                shade_distribution={"1": 0.0, "2": 0.5, "3": 0.5},
+            )
 
     def test_distribution_must_sum_to_one(self):
-        spec = NetworkSpec(
-            n_routers=100, floodfill_fraction=0.2,
-            shade_distribution={"2": 0.2},
-        )
         with pytest.raises(InfeasibleSpecError):
-            generate_network(spec)
+            NetworkSpec(
+                n_routers=100, floodfill_fraction=0.2,
+                shade_distribution={"2": 0.2},
+            )
 
     def test_explicit_shade1_must_agree_with_fraction(self):
-        spec = NetworkSpec(
-            n_routers=100, floodfill_fraction=0.5,
-            shade_distribution={"1": 0.2, "2": 0.8},
-        )
         with pytest.raises(InfeasibleSpecError):
-            generate_network(spec)
+            NetworkSpec(
+                n_routers=100, floodfill_fraction=0.5,
+                shade_distribution={"1": 0.2, "2": 0.8},
+            )
 
     def test_bad_level_key(self):
-        spec = NetworkSpec(
-            n_routers=10, floodfill_fraction=0.5,
-            shade_distribution={"9": 1.0},
-        )
         with pytest.raises(InfeasibleSpecError):
-            generate_network(spec)
+            NetworkSpec(
+                n_routers=10, floodfill_fraction=0.5,
+                shade_distribution={"9": 1.0},
+            )
 
     @pytest.mark.parametrize("distribution, message", [
         ({2: 0.1, "2": 0.4, "8": 0.1}, "shade level 2 given twice"),
         ({"01": 0.5, "2": 0.4, "8": 0.1}, "bad shade_distribution entry '01'"),
     ])
     def test_each_level_has_one_key(self, distribution, message):
-        spec = NetworkSpec(n_routers=10, floodfill_fraction=0.5,
-                           shade_distribution=distribution)
         with pytest.raises(InfeasibleSpecError, match=message):
-            generate_network(spec)
+            NetworkSpec(n_routers=10, floodfill_fraction=0.5,
+                        shade_distribution=distribution)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -344,7 +339,44 @@ class TestSpecValidation:
         )
         base.update(kwargs)
         with pytest.raises(InfeasibleSpecError):
-            generate_network(NetworkSpec(**base))
+            NetworkSpec(**base)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"k": 2.5}, {"k": True}, {"n_routers": 40.0}, {"n_routers": True}, {"seed": "x"},
+    ], ids=lambda kwargs: "-".join(f"{k}={v!r}" for k, v in kwargs.items()))
+    def test_constructor_checks_types(self, kwargs):
+        # The file's type rule holds for a spec made in code too: no numpy
+        # TypeError later, and no bool read as a number.
+        base = dict(n_routers=40, floodfill_fraction=0.25,
+                    shade_distribution={"2": 0.5, "8": 0.25})
+        with pytest.raises(InfeasibleSpecError, match="wrong type"):
+            NetworkSpec(**{**base, **kwargs})
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 60), k=st.integers(0, 6), seed=st.integers(0, 3),
+           date=st.sampled_from(["20250101", "20250401", "20251231", "20251301"]))
+    def test_a_spec_that_constructs_generates_its_counts(self, data, n, k, seed, date):
+        # Counts drawn per level (level 1 sometimes implied by the floodfill
+        # fraction), or a fraction drawn at random: the spec either refuses
+        # itself or generates a model with exactly its counts per level.
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=7, max_size=7)))
+        drawn = {level: hi - lo for level, (lo, hi) in
+                 enumerate(zip([0, *cuts], [*cuts, n]), start=1)}
+        distribution = {str(level): c / n for level, c in drawn.items()}
+        if data.draw(st.booleans()):
+            del distribution["1"]
+        if data.draw(st.integers(0, 3)) == 0:
+            level = data.draw(st.sampled_from(sorted(distribution)))
+            distribution[level] = data.draw(st.floats(0, 1))
+        try:
+            spec = NetworkSpec(n_routers=n, floodfill_fraction=drawn[1] / n,
+                               shade_distribution=distribution, k=k, seed=seed, date=date)
+        except InfeasibleSpecError:
+            return
+        model = generate_network(spec)
+        levels = [router.shade.level for router in model.routers.values()]
+        assert len(model.routers) == spec.n_routers == sum(spec.counts.values())
+        assert {level: levels.count(level) for level in spec.counts} == spec.counts
 
     def test_spec_file_round_trip(self, tmp_path):
         payload = {
@@ -460,8 +492,22 @@ class TestSimulatedSource:
     def test_probing_non_floodfill_fails(self):
         model = generate_network(small_spec(seed=3))
         source = SimulatedSource(model)
-        with pytest.raises(ProbeTransportError):
+        with pytest.raises(InputError):
             source.probe_floodfill(bytes(32))
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["non-floodfills", "mixed"])
+    def test_plan_outside_the_floodfills_is_an_input_error(self, mixed):
+        # A planned hash the model has no floodfill for is a bad plan, as
+        # run_probe_experiment states it, not a probe that failed: neither
+        # an inconclusive verdict nor a "failed_probes" certificate.
+        model = generate_network(small_spec(seed=3))
+        others = [h for h in model.published if h not in model.knowledge][:5]
+        plan = ProbePlan((*model.floodfills, *others) if mixed else tuple(others), batch_size=5)
+        message = "plan includes a hash outside the model's floodfills"
+        with pytest.raises(InputError, match=message):
+            classify_remote(sorted(model.exclusive)[0], SimulatedSource(model), plan)
+        with pytest.raises(InputError, match=message):
+            run_probe_experiment(model, sorted(model.exclusive)[:1], plan)
 
 
 class TestProbeExperiment:
