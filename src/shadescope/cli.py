@@ -462,6 +462,7 @@ def cmd_simulate(args) -> int:
         _write_curves(curves, out)
 
     metrics = completeness_metrics(model)
+    shades = {shade: dataclasses.asdict(shade) for shade in SHADES.values()}
     facts = {
         "spec_file": args.spec_file,
         "n_routers": len(model.routers),
@@ -478,7 +479,7 @@ def cmd_simulate(args) -> int:
         "curve_file": args.out,
         "results": [
             {
-                "shade": None if c.report.shade is None else dataclasses.asdict(c.report.shade),
+                "shade": None if c.report.shade is None else shades[c.report.shade],
                 "probes_used": c.report.probes_used,
                 "failed_probes": c.report.failed_probes,
                 "hits": c.points[-1][1],

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 from .classify import EvidenceSource, ShadeReport
-from .encoding import InputError, _check_hashes, check_hash, hash_to_b64
+from .encoding import InputError, _check_hashes, hash_to_b64
 from .model import RouterInfo
 from .netdb import _open_output
 
@@ -121,8 +121,7 @@ def classify_sweep(
     a probe's answer depends only on its place in the plan, as with
     :class:`~shadescope.sim.SimulatedSource` under one seed.
     """
-    for subject in subjects:
-        check_hash(subject, "subject hash")
+    _check_hashes(subjects, "subject hash")
     reports: list[Optional[ShadeReport]] = [None] * len(subjects)
     pending: dict[bytes, list[int]] = {}
     for i, subject in enumerate(subjects):

@@ -26,6 +26,7 @@ from itertools import accumulate
 from math import floor
 from operator import itemgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .classify import ShadeReport, classify
@@ -62,8 +63,11 @@ MAX_K = 100
 _LEVEL_KEYS = {str(level): level for level in range(1, 9)}
 
 # The type of each spec field and spec-file key; true and false are not numbers.
+# A spec stores its distribution read-only, so ``dataclasses.replace`` passes
+# a MappingProxyType back in.
 _SPEC_TYPES = {"n_routers": int, "floodfill_fraction": (int, float),
-               "shade_distribution": dict, "k": int, "seed": int, "date": str}
+               "shade_distribution": (dict, MappingProxyType), "k": int, "seed": int,
+               "date": str}
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,8 @@ class NetworkSpec:
     """Generation parameters. shade_distribution maps levels "1".."8" to
     fractions of n_routers; level "1" may be omitted and is then implied
     by floodfill_fraction. ``counts`` is the router count of each level.
+    Both are stored as read-only copies, so a spec cannot change after it
+    is checked, not even through the mapping its caller passed.
 
     The constructor raises :class:`InfeasibleSpecError` for a field of the
     wrong type (true and false are not numbers), a bad date or distribution,
@@ -86,11 +92,11 @@ class NetworkSpec:
 
     n_routers: int
     floodfill_fraction: float
-    shade_distribution: dict
+    shade_distribution: Mapping
     k: int = 4
     seed: int = 0
     date: str = "20250101"
-    counts: dict = field(init=False, repr=False, compare=False)
+    counts: Mapping[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for key, types in _SPEC_TYPES.items():
@@ -103,7 +109,9 @@ class NetworkSpec:
             raise InfeasibleSpecError(str(exc)) from None
         if not 1 <= self.k <= MAX_K:
             raise InfeasibleSpecError(f"replication k must lie in [1, {MAX_K}]")
-        object.__setattr__(self, "counts", _allocate_counts(self))
+        distribution = MappingProxyType(dict(self.shade_distribution))
+        object.__setattr__(self, "shade_distribution", distribution)
+        object.__setattr__(self, "counts", MappingProxyType(_allocate_counts(self)))
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "NetworkSpec":
@@ -434,7 +442,8 @@ def run_probe_experiment(
 
     One ``SimulatedSource(model, failure_rate, failure_seed)`` serves every
     target (a rate outside [0, 1] raises ``InputError``, as does a target
-    outside the model or a planned hash outside its floodfills), and
+    outside the model or a planned hash that is not a key of
+    ``model.knowledge``, the floodfills the source answers for), and
     :func:`~shadescope.protocol.classify_sweep` probes each planned
     floodfill once. So there is one failure pattern, and every target sees
     it, as in one pass over the probing pool: probe *i* fails for every
@@ -447,7 +456,7 @@ def run_probe_experiment(
     The points depend only on that outcome, so each distinct one is built
     once and its tuple is shared by every curve that reached it.
     """
-    if not set(model.floodfills).issuperset(plan.floodfills):
+    if not all(map(model.knowledge.__contains__, plan.floodfills)):
         raise InputError("plan includes a hash outside the model's floodfills")
     for target in targets:
         if target not in model.routers:
@@ -488,7 +497,10 @@ def export_curves(curves: Sequence[HitCurve], path: Union[str, Path]) -> None:
     Points are ``(int, int)`` pairs, as :class:`HitCurve` types them. Each
     distinct point is formatted once per call and reused by value, so a
     point given as ``(True, 5.0)`` would print as the ``(1, 5)`` that
-    compares equal to it, if that was formatted first.
+    compares equal to it, if that was formatted first. Each distinct
+    ``points`` object gets one set of row tails per call, reused by every
+    curve that holds that object, as the curves of one
+    :func:`run_probe_experiment` outcome do.
 
     ``path`` is opened by :func:`~shadescope.netdb._open_output`: if writing
     fails, a file this call created is removed, and one that was there
@@ -504,11 +516,17 @@ def _write_curves(curves: Sequence[HitCurve], fh: TextIO) -> None:
     """:func:`export_curves` into ``fh``, a stream from ``_open_output``."""
     keyed = sorted(((hash_to_b64(c.target), c.points) for c in curves), key=itemgetter(0))
     # Base64 hashes and integers never need quoting, so the lines are
-    # formatted directly: the bytes are csv.writer's. Curves share their
-    # checkpoints, so a target's rows are its name joined with the cached
-    # ",probes,hits" tails of its points.
+    # formatted directly: the bytes are csv.writer's. One set of row tails
+    # per distinct points object per call: ["", ",probes,hits\r\n", ...],
+    # and a target's rows are the target joined with them (the leading ""
+    # puts it first). Tails are keyed by id(points), which is safe because
+    # ``keyed`` holds every points object until the call returns; keying by
+    # value would hash every point of every curve again, the cost this saves.
     cell = _Cells().__getitem__
+    tails: dict[int, list[str]] = {}
     fh.write("target,cumulative_probes,hits\r\n")
     for target, points in keyed:
-        if points:
-            fh.write(target + target.join(map(cell, points)))
+        tail = tails.get(id(points))
+        if tail is None:
+            tail = tails[id(points)] = ["", *map(cell, points)]
+        fh.write(target.join(tail))

@@ -23,7 +23,10 @@ taken off its names, the new listing is the old one, byte for byte.
 The ``simulate --targets all`` digest was re-recorded when ``simulate``
 began drawing probe failures from ``--seed``, as ``lookup`` does, instead
 of from seed 0: the new bytes are those of ``run_probe_experiment`` with
-``failure_seed=5`` on the replay that preceded the change.
+``failure_seed=5`` on the replay that preceded the change. The
+``simulate --targets all --format json`` digest was recorded from the
+command that converted each result's shade with its own
+``dataclasses.asdict`` call; one dict per shade level must print the same.
 """
 
 import hashlib
@@ -58,6 +61,9 @@ LOOKUP_PROBE_CSV_SHA256 = (
 )
 SIMULATE_ALL_CURVES_SHA256 = (
     "ab8c348f14d710f66c187bf77a9430058bf22ce805b7db68505282f6139f26e0"
+)
+SIMULATE_ALL_JSON_SHA256 = (
+    "fc89e7af82e504cd7ab160c345162f3817f64d35cbc1409252a4cae762201d95"
 )
 DUPLICATE_TARGETS_CURVES_SHA256 = (
     "66b355af673788643fd5a5013f1f61aed5e7c5de7e6dc6823d87d23aa2e69310"
@@ -135,6 +141,23 @@ def test_simulate_all_curves_unchanged(sim_spec_file, tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert _sha256(out.read_bytes()) == SIMULATE_ALL_CURVES_SHA256
+
+
+def test_simulate_all_json_unchanged(sim_spec_file, tmp_path, monkeypatch, capsys):
+    # The run of test_simulate_all_curves_unchanged, reported as JSON: one
+    # result per target, each with its shade, from relative paths so the
+    # bytes do not name the temporary directory.
+    (tmp_path / "net.json").write_bytes(sim_spec_file.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    code = main([
+        "simulate", "net.json",
+        "--targets", "all", "--seed", "5", "--fail-rate", "0.2",
+        "--max-probes", "40", "--out", "curves.csv", "--format", "json",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(json.loads(out)["results"]) == 400
+    assert _sha256(out.encode()) == SIMULATE_ALL_JSON_SHA256
 
 
 def test_duplicate_targets_curves_unchanged(sim_model, tmp_path):

@@ -318,6 +318,15 @@ class TestClassifySweep:
         assert report.record is later
         assert report.probes_used == 2
 
+    @pytest.mark.parametrize("bad", [bytes(31), "a" * 32, None], ids=["short", "text", "none"])
+    def test_bad_subject_is_rejected_before_any_lookup(self, bad):
+        # Checked in one pass, with check_hash's message, wherever it is listed.
+        source = ScriptedSource()
+        plan = ProbePlan(tuple(_hashes(3, seed=15)), batch_size=3)
+        with pytest.raises(EncodingError, match="^subject hash must be exactly 32 bytes$"):
+            classify_sweep([bytes(32), bad], source, plan)
+        assert source.console_calls == [] and source.probe_calls == []
+
     def test_unknown_target_listed_last_is_rejected(self, sim_model):
         plan = ProbePlan(sim_model.floodfills[:10], batch_size=5)
         targets = list(sim_model.published[:3]) + [bytes(32)]

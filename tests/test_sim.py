@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -378,6 +379,32 @@ class TestSpecValidation:
         assert len(model.routers) == spec.n_routers == sum(spec.counts.values())
         assert {level: levels.count(level) for level in spec.counts} == spec.counts
 
+    def test_stored_mappings_are_read_only_copies(self):
+        # Neither the caller's dict nor the stored mappings can change a
+        # checked spec, so it builds what it says; replace() still builds.
+        distribution = {"2": 0.5, "8": 0.25}
+        spec = NetworkSpec(n_routers=40, floodfill_fraction=0.25,
+                           shade_distribution=distribution)
+        built = generate_network(spec)
+        distribution["2"] = 0.25
+        distribution["7"] = 0.25
+        with pytest.raises(TypeError):
+            spec.counts[2] += 5
+        with pytest.raises(TypeError):
+            spec.shade_distribution["2"] = 0.75
+        assert spec.shade_distribution == {"2": 0.5, "8": 0.25}
+        assert spec.counts == {1: 10, 2: 20, 8: 10}
+        assert spec == NetworkSpec(n_routers=40, floodfill_fraction=0.25,
+                                   shade_distribution={"2": 0.5, "8": 0.25})
+        again = generate_network(spec)
+        assert len(again.routers) == spec.n_routers
+        assert {h: r.shade for h, r in again.routers.items()} == {
+            h: r.shade for h, r in built.routers.items()}
+        replaced = dataclasses.replace(spec, seed=2)
+        assert replaced.seed == 2 and replaced.counts == spec.counts
+        levels = [r.shade.level for r in generate_network(replaced).routers.values()]
+        assert {level: levels.count(level) for level in replaced.counts} == replaced.counts
+
     def test_spec_file_round_trip(self, tmp_path):
         payload = {
             "n_routers": 40, "floodfill_fraction": 0.25,
@@ -693,6 +720,31 @@ class TestCurveExport:
                                   max_size=8).map(tuple)),
         min_size=1, max_size=12))
     def test_bytes_equal_oracle(self, curves):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
+            export_curves(curves, new)
+            oracle_export_curves(curves, old)
+            assert new.read_bytes() == old.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_shared_points_bytes_equal_oracle(self, data):
+        # Curves draw their points from a small pool of tuple objects, so
+        # many share one object, as one run_probe_experiment outcome's do.
+        # The pool also holds an equal-valued copy and a same-length variant
+        # of each tuple, and the empty tuple.
+        point = st.tuples(st.integers(0, 600), st.integers(0, 1))
+        base = data.draw(st.lists(st.lists(point, min_size=1, max_size=6).map(tuple),
+                                  min_size=1, max_size=4))
+        copies = [tuple(list(points)) for points in base]
+        variants = [tuple((probes + 1, hits) for probes, hits in points) for points in base]
+        pool = base + copies + variants + [()]
+        assert all(c is not b for c, b in zip(copies, base))
+        targets = st.sampled_from([bytes([i]) * 32 for i in (0, 7, 62, 63, 255)])
+        picks = data.draw(st.lists(st.tuples(targets | st.binary(min_size=32, max_size=32),
+                                             st.integers(0, len(pool) - 1)),
+                                   min_size=1, max_size=20))
+        curves = [HitCurve(target=target, points=pool[i]) for target, i in picks]
         with tempfile.TemporaryDirectory() as tmp:
             new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
             export_curves(curves, new)
