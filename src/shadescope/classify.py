@@ -13,7 +13,15 @@ from enum import Enum
 from typing import Optional
 
 from .encoding import hash_to_b64
-from .model import HIGH_BANDWIDTH, CapabilityProfile, RouterInfo, Shade, SHADES, SHADE_EXCLUSIVE
+from .model import (
+    HIGH_BANDWIDTH,
+    SHADE_EXCLUSIVE,
+    SHADES,
+    CapabilityProfile,
+    RouterInfo,
+    Shade,
+    _set,
+)
 
 
 def classify(profile: Optional[CapabilityProfile]) -> Shade:
@@ -73,7 +81,7 @@ class Evidence:
     probes_used: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ShadeReport:
     """Outcome of a multi-source classification run, built from its facts.
 
@@ -94,17 +102,24 @@ class ShadeReport:
     profile: Optional[CapabilityProfile] = field(init=False)
     shade: Optional[Shade] = field(init=False)
 
-    def __post_init__(self) -> None:
-        if (self.found_by is None) != (self.record is None):
+    def __init__(self, subject: bytes, found_by: Optional[EvidenceSource] = None,
+                 record: Optional[RouterInfo] = None, probes_used: int = 0,
+                 failed_at: tuple[int, ...] = ()) -> None:
+        if (found_by is None) != (record is None):
             raise ValueError("found_by and record must be given together")
         profile = shade = None
-        if self.record is not None:
-            profile = self.record.profile()
+        if record is not None:
+            profile = record.profile()
             shade = classify(profile)
-        elif self.probes_used == 0 or self.failed_probes < self.probes_used:
+        elif probes_used == 0 or len(failed_at) < probes_used:
             shade = SHADE_EXCLUSIVE
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "shade", shade)
+        _set(self, "subject", subject)
+        _set(self, "found_by", found_by)
+        _set(self, "record", record)
+        _set(self, "probes_used", probes_used)
+        _set(self, "failed_at", failed_at)
+        _set(self, "profile", profile)
+        _set(self, "shade", shade)
 
     @property
     def caps(self) -> Optional[str]:

@@ -42,17 +42,28 @@ def check_hash(value: bytes, label: str = "hash") -> bytes:
     return bytes(value)
 
 
-def _check_hashes(values: Sequence[bytes], label: str) -> None:
-    """Raise as :func:`check_hash` would for the first bad value, in one pass."""
-    if not (all(map(isinstance, values, repeat((bytes, bytearray))))
-            and set(map(len, values)) <= {HASH_LEN}):
+def _check_hashes(values: Sequence[bytes], label: str) -> Sequence[bytes]:
+    """Raise as :func:`check_hash` would for the first bad value; else the
+    values as bytes, as :func:`check_hash` returns them: ``values`` itself
+    when each is bytes already, or a new tuple with each bytearray copied."""
+    if not all(map(isinstance, values, repeat(bytes))):
+        if not all(map(isinstance, values, repeat((bytes, bytearray)))):
+            raise EncodingError(f"{label} must be exactly {HASH_LEN} bytes")
+        values = tuple(map(bytes, values))
+    if not set(map(len, values)) <= {HASH_LEN}:
         raise EncodingError(f"{label} must be exactly {HASH_LEN} bytes")
+    return values
+
+
+# base64's "+/" to the variant's "-~", built once: base64.b64encode with
+# altchars builds this table again on every call.
+_B64_TABLE = bytes.maketrans(b"+/", _B64_ALTCHARS)
 
 
 def hash_to_b64(value: bytes) -> str:
     """Encode a 32-byte hash as the 44-char base64 variant (trailing '=')."""
     check_hash(value)
-    return base64.b64encode(value, _B64_ALTCHARS).decode("ascii")
+    return binascii.b2a_base64(value, newline=False).translate(_B64_TABLE).decode("ascii")
 
 
 def hash_from_b64(text: str) -> bytes:

@@ -67,7 +67,8 @@ class SnapshotSource(NetDbSource):
 
 @dataclass(frozen=True)
 class ProbePlan:
-    """Ordered floodfill probe schedule, consumed in fixed batches."""
+    """Ordered floodfill probe schedule, consumed in fixed batches. A
+    bytearray floodfill is stored as bytes, so it can key a lookup."""
 
     floodfills: tuple[bytes, ...]
     batch_size: int = 5
@@ -78,7 +79,8 @@ class ProbePlan:
             raise InputError("batch size must be positive")
         if self.max_probes is not None and self.max_probes < 0:
             raise InputError("max_probes must be non-negative")
-        _check_hashes(self.floodfills, "planned floodfill")
+        object.__setattr__(self, "floodfills",
+                           _check_hashes(self.floodfills, "planned floodfill"))
 
     @property
     def probe_limit(self) -> int:
@@ -115,13 +117,14 @@ def classify_sweep(
     it, the later answer is kept), until every subject is seen. A
     subject's :class:`ShadeReport` holds the facts at the batch that
     revealed it, or at the end of the sweep. Reports come back in the
-    order of ``subjects``.
+    order of ``subjects``; a bytearray subject is looked up, and reported,
+    as bytes.
 
     Each report equals :func:`classify_remote` on a fresh source whenever
     a probe's answer depends only on its place in the plan, as with
     :class:`~shadescope.sim.SimulatedSource` under one seed.
     """
-    _check_hashes(subjects, "subject hash")
+    subjects = _check_hashes(subjects, "subject hash")
     reports: list[Optional[ShadeReport]] = [None] * len(subjects)
     pending: dict[bytes, list[int]] = {}
     for i, subject in enumerate(subjects):
@@ -160,7 +163,7 @@ def classify_sweep(
 
     failed = tuple(failed_at)
     return [
-        report or ShadeReport(subject, probes_used=probes_used, failed_at=failed)
+        report or ShadeReport(subject, None, None, probes_used, failed)
         for subject, report in zip(subjects, reports)
     ]
 

@@ -31,7 +31,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .classify import ShadeReport, classify
 from .dht import FloodfillTable, normalize_date, routing_keys
-from .encoding import InputError, hash_to_b64
+from .encoding import InputError, check_hash, hash_to_b64
 from .model import (
     BANDWIDTH_LETTERS,
     HIGH_BANDWIDTH,
@@ -40,6 +40,7 @@ from .model import (
     RouterInfo,
     Shade,
     TransportAddress,
+    _set,
     hash_identity,
     shade_for_level,
 )
@@ -175,7 +176,7 @@ class VisibilityMetrics:
     xi: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HitCurve:
     """Cumulative directory hits per probe batch for one target.
 
@@ -189,6 +190,12 @@ class HitCurve:
     target: bytes
     points: tuple[tuple[int, int], ...]
     report: Optional[ShadeReport] = None
+
+    def __init__(self, target: bytes, points: tuple[tuple[int, int], ...],
+                 report: Optional[ShadeReport] = None) -> None:
+        _set(self, "target", target)
+        _set(self, "points", points)
+        _set(self, "report", report)
 
 
 def _allocate_counts(spec: NetworkSpec) -> dict[int, int]:
@@ -448,7 +455,8 @@ def run_probe_experiment(
     floodfill once. So there is one failure pattern, and every target sees
     it, as in one pass over the probing pool: probe *i* fails for every
     target or for none. Each report is the one a fresh source seeded alike
-    would give that target alone.
+    would give that target alone. A bytearray target is replayed, and its
+    curve and report keyed, as bytes.
 
     A curve has one point per plan batch the run reached: (batch end, 0)
     for each batch before the last, then (probes used, 1 for a hit or 0).
@@ -458,9 +466,18 @@ def run_probe_experiment(
     """
     if not all(map(model.knowledge.__contains__, plan.floodfills)):
         raise InputError("plan includes a hash outside the model's floodfills")
-    for target in targets:
-        if target not in model.routers:
-            raise InputError(f"target not in model: {hash_to_b64(target)}")
+    try:
+        known = all(map(model.routers.__contains__, targets))
+    except TypeError:  # an unhashable target, such as a bytearray
+        known = False
+    if not known:  # name the first bad target, or copy each bytearray to bytes
+        checked = []
+        for target in targets:
+            target = check_hash(target)  # a hash of the wrong shape raises here
+            if target not in model.routers:
+                raise InputError(f"target not in model: {hash_to_b64(target)}")
+            checked.append(target)
+        targets = checked
     source = SimulatedSource(model, failure_rate, failure_seed)
     reports = classify_sweep(targets, source, plan)
     ends = tuple(accumulate(len(batch) for batch in plan.batches()))
@@ -473,7 +490,7 @@ def run_probe_experiment(
         if points is None:
             points = misses[: bisect_left(ends, report.probes_used)] + (outcome,)
             shared[outcome] = points
-        curves.append(HitCurve(target=target, points=points, report=report))
+        curves.append(HitCurve(target, points, report))
     return curves
 
 
@@ -504,7 +521,7 @@ def export_curves(curves: Sequence[HitCurve], path: Union[str, Path]) -> None:
 
     ``path`` is opened by :func:`~shadescope.netdb._open_output`: if writing
     fails, a file this call created is removed, and one that was there
-    before is left, truncated.
+    before is left, cut to what was written before the failure.
     """
     if not curves:
         raise ValueError("no curves to export")

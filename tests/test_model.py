@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import inspect
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shadescope.classify import classify
+from shadescope.classify import ShadeReport, classify
 from shadescope.encoding import (
     EncodingError,
     hash_from_b32,
@@ -30,7 +31,7 @@ from shadescope.model import (
     hash_identity,
     shade_for_level,
 )
-from shadescope.sim import synth_record
+from shadescope.sim import HitCurve, synth_record
 from shadescope.wire import decode_router_info, encode_router_info
 
 from fixtures import oracle_has_introducers, oracle_profile, random_record
@@ -51,6 +52,18 @@ class TestHashText:
         text = hash_to_b64(b"\xff" * 32)
         assert len(text) == 44
         assert text.endswith("=")
+
+    @given(st.binary(min_size=32, max_size=32))
+    def test_b64_equals_the_base64_module(self, value):
+        expected = base64.b64encode(value, b"-~").decode()
+        assert hash_to_b64(value) == expected
+        assert hash_to_b64(bytearray(value)) == expected
+
+    @given(st.binary(max_size=64).filter(lambda value: len(value) != 32))
+    def test_b64_encode_rejects_wrong_length(self, value):
+        for given_value in (value, bytearray(value)):
+            with pytest.raises(EncodingError, match="^hash must be exactly 32 bytes$"):
+                hash_to_b64(given_value)
 
     def test_b64_decode_accepts_missing_padding(self):
         value = bytes(range(32))
@@ -319,6 +332,8 @@ _BUILDERS = {
     Destination: (lambda: Destination(DEST_391), {"data": DEST_387}),
     TransportAddress: (lambda: TransportAddress("NTCP2"), {"cost": 7}),
     RouterInfo: (lambda: RouterInfo(Destination(DEST_387), 0), {"published_ms": 5}),
+    ShadeReport: (lambda: ShadeReport(bytes(32)), {"probes_used": 3}),
+    HitCurve: (lambda: HitCurve(bytes(32), ((5, 0),)), {"points": ((5, 1),)}),
 }
 each_record_class = pytest.mark.parametrize("cls", list(_BUILDERS), ids=lambda c: c.__name__)
 

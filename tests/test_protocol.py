@@ -327,6 +327,21 @@ class TestClassifySweep:
             classify_sweep([bytes(32), bad], source, plan)
         assert source.console_calls == [] and source.probe_calls == []
 
+    def test_bytearray_subject_is_looked_up_and_reported_as_bytes(self):
+        # A bytearray passes the hash check, so it is read as its bytes: its
+        # report equals the bytes subject's, with no record and with one.
+        (report,) = classify_sweep([bytearray(32)], NetDbSource(), ProbePlan(()))
+        assert type(report.subject) is bytes and report == classify_remote(
+            bytes(32), NetDbSource(), ProbePlan(()))
+        record = record_for(3, seed=16)
+        floodfills = _hashes(4, seed=16)
+        source = ScriptedSource(knowledge={floodfills[2]: {record.hash: record}})
+        plan = ProbePlan(tuple(floodfills), batch_size=2)
+        reports = classify_sweep([bytearray(record.hash), record.hash], source, plan)
+        assert [type(r.subject) for r in reports] == [bytes, bytes]
+        assert reports[0] == reports[1] and reports[0].record is record
+        assert reports[0].probes_used == 4
+
     def test_unknown_target_listed_last_is_rejected(self, sim_model):
         plan = ProbePlan(sim_model.floodfills[:10], batch_size=5)
         targets = list(sim_model.published[:3]) + [bytes(32)]

@@ -587,6 +587,41 @@ class TestProbeExperiment:
         with pytest.raises(ValueError):
             run_probe_experiment(model, [model.published[0]], plan)
 
+    @pytest.mark.parametrize("first, bad, message", [
+        (None, bytes(31), "^hash must be exactly 32 bytes$"),
+        (None, "a" * 32, "^hash must be exactly 32 bytes$"),
+        (None, [0] * 32, "^hash must be exactly 32 bytes$"),
+        (bytes(32), bytes(31), "^target not in model: "),
+    ], ids=["short", "text", "unhashable", "absent-before-short"])
+    def test_first_bad_target_names_the_error(self, first, bad, message):
+        # The membership pass finds a bad target; the loop after it raises
+        # for the first one, as the check of a 32-byte hash or the naming
+        # of an absent one would.
+        model = generate_network(small_spec(seed=1))
+        plan = ProbePlan(model.floodfills, batch_size=5)
+        targets = [model.published[0], *([first] if first else []), bad]
+        with pytest.raises(InputError, match=message):
+            run_probe_experiment(model, targets, plan)
+
+    def test_bytearray_targets_are_replayed_as_bytes(self):
+        model = generate_network(small_spec(seed=16))
+        plan = ProbePlan(model.floodfills, batch_size=3)
+        targets = list(model.routers)[:12]
+        given = [bytearray(t) if i % 2 else t for i, t in enumerate(targets)]
+        curves = run_probe_experiment(model, given, plan, 0.2, 3)
+        assert curves == run_probe_experiment(model, targets, plan, 0.2, 3)
+        assert all(type(c.target) is bytes and type(c.report.subject) is bytes
+                   for c in curves)
+
+    def test_bytearray_plan_floodfills_are_probed_as_bytes(self):
+        model = generate_network(small_spec(seed=17))
+        plan = ProbePlan(tuple(map(bytearray, model.floodfills)), batch_size=3)
+        assert plan == ProbePlan(model.floodfills, batch_size=3)
+        assert all(type(f) is bytes for f in plan.floodfills)
+        targets = list(model.routers)[:12]
+        assert (run_probe_experiment(model, targets, plan, 0.2, 4)
+                == run_probe_experiment(model, targets, ProbePlan(model.floodfills, 3), 0.2, 4))
+
     def test_failure_injection_can_force_inconclusive(self):
         model = generate_network(small_spec(seed=13))
         target = sorted(model.exclusive)[0]
@@ -698,6 +733,25 @@ class TestCurveExport:
                                          + hash_to_b64(bytes(32)).encode() + b",5,0\r\n")
         else:
             assert not path.exists()
+
+    def test_longer_file_is_rewritten_to_exactly_the_new_bytes(self, tmp_path):
+        curves = [HitCurve(bytes(32), ((5, 0), (10, 1)))]
+        fresh, path = tmp_path / "fresh.csv", tmp_path / "curves.csv"
+        export_curves(curves, fresh)
+        path.write_bytes(b"x" * 100_000 + b"\n")
+        export_curves(curves, path)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_failed_export_into_a_longer_file_holds_what_was_written(self, tmp_path):
+        # The file is cut where the failed export stopped writing, so none
+        # of the old, longer content is left after it.
+        good, bad = HitCurve(bytes(32), ((5, 0),)), HitCurve(bytes([1]) * 32, (None,))
+        path = tmp_path / "curves.csv"
+        path.write_bytes(b"old row\r\n" * 10_000)
+        with pytest.raises(TypeError):
+            export_curves([good, bad], path)
+        assert path.read_bytes() == (b"target,cumulative_probes,hits\r\n"
+                                     + hash_to_b64(bytes(32)).encode() + b",5,0\r\n")
 
     def test_empty_export_rejected(self, tmp_path):
         with pytest.raises(ValueError):
