@@ -9,7 +9,7 @@ import fnmatch
 import gc
 import os
 import stat
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, TextIO, Union
@@ -188,11 +188,7 @@ def _read_file(path: Union[str, Path]) -> bytes:
 
 
 # Non-blocking: a FIFO with no reader fails at once instead of waiting for one.
-# No O_TRUNC: an existing file is rewritten in place and cut on exit, which
-# skips the kernel's release of every old page at open (rewriting a 9.8 MB
-# export on ext4 mounted with discard, an O_TRUNC open took about 3.9 ms, an
-# open in place 0.07 ms and the cut 0.05 ms).
-_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | _BINARY | _NONBLOCK
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _BINARY | _NONBLOCK
 # A 9.8 MB export of 2,010 curves made about 1,870 write(2) calls through the
 # default 8 KiB buffer, one per target's block; through 1 MiB it makes ten.
 _WRITE_BUFFER = 1 << 20
@@ -200,40 +196,25 @@ _WRITE_BUFFER = 1 << 20
 
 @contextmanager
 def _open_output(path: Union[str, Path]) -> Iterator[TextIO]:
-    """A UTF-8 text stream, untranslated newlines, on ``path`` created, or
-    rewritten in place and cut to what the run wrote, for one ``with``;
-    every output file is opened here. A FIFO with no reader raises
-    ``OSError`` (``ENXIO``) naming ``path`` instead of blocking until one
-    comes; a regular file, ``/dev/null`` and a FIFO with a reader are
-    written, and only a regular file is ever cut.
+    """A UTF-8 text stream, untranslated newlines, on ``path`` created or
+    truncated, for one ``with``; every output file is opened here. A FIFO
+    with no reader raises ``OSError`` (``ENXIO``) naming ``path`` instead of
+    blocking until one comes; a regular file, ``/dev/null`` and a FIFO with a
+    reader are written.
 
-    The call owns the file's whole life. When the ``with`` ends, after the
-    flush at close, a regular file is cut (``ftruncate``) to the bytes this
-    call wrote, on success and on failure alike. If the ``with`` body
-    raises, or that flush does, the file is removed when this call created
-    it; a file that was there before is left, cut to what was written
-    before the failure. Writes go through a 1 MiB (``_WRITE_BUFFER``)
-    buffer, so an error such as ``ENOSPC`` may surface only at that flush,
-    and the descriptor is closed either way.
-
-    The trade-off of rewriting in place: a process killed without unwinding
-    (SIGKILL, the OOM killer, power loss) can leave the old file's tail
-    after the new bytes, where truncating at open would leave only a new
-    prefix. Nothing is synced to disk (no ``fsync``) in either case."""
+    The call owns the file's whole life. If the ``with`` body raises, or the
+    flush at close does, the file is removed when this call created it; a
+    file that was there before is left, truncated. Writes go through a 1 MiB
+    (``_WRITE_BUFFER``) buffer, so an error such as ``ENOSPC`` may surface
+    only at that flush, and the descriptor is closed either way."""
     path = os.fspath(path)
     created = not os.path.lexists(path)
     fd = os.open(path, _WRITE_FLAGS, 0o666)
     try:
-        # Exits run last first: the stream's close flushes it, then a regular
-        # file is cut where the last write ended, then the descriptor closes.
-        with ExitStack() as stack:
-            stack.callback(os.close, fd)
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                stack.callback(lambda: os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR)))
-            if _NONBLOCK:
-                os.set_blocking(fd, True)  # writes wait for a slow reader, as plain open's do
-            yield stack.enter_context(open(fd, "w", buffering=_WRITE_BUFFER, encoding="utf-8",
-                                           newline="", closefd=False))
+        if _NONBLOCK:
+            os.set_blocking(fd, True)  # writes wait for a slow reader, as plain open's do
+        with open(fd, "w", buffering=_WRITE_BUFFER, encoding="utf-8", newline="") as fh:
+            yield fh
     except BaseException:
         if created:
             with suppress(OSError):

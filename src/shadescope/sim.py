@@ -470,27 +470,24 @@ def run_probe_experiment(
         known = all(map(model.routers.__contains__, targets))
     except TypeError:  # an unhashable target, such as a bytearray
         known = False
-    if not known:  # name the first bad target, or copy each bytearray to bytes
-        checked = []
+    if not known:  # name the first bad target, if there is one
         for target in targets:
             target = check_hash(target)  # a hash of the wrong shape raises here
             if target not in model.routers:
                 raise InputError(f"target not in model: {hash_to_b64(target)}")
-            checked.append(target)
-        targets = checked
     source = SimulatedSource(model, failure_rate, failure_seed)
     reports = classify_sweep(targets, source, plan)
     ends = tuple(accumulate(len(batch) for batch in plan.batches()))
     misses = tuple((end, 0) for end in ends)
     shared: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     curves: list[HitCurve] = []
-    for target, report in zip(targets, reports):
+    for report in reports:
         outcome = (report.probes_used, int(report.record is not None))
         points = shared.get(outcome)
         if points is None:
             points = misses[: bisect_left(ends, report.probes_used)] + (outcome,)
             shared[outcome] = points
-        curves.append(HitCurve(target, points, report))
+        curves.append(HitCurve(report.subject, points, report))
     return curves
 
 
@@ -521,7 +518,7 @@ def export_curves(curves: Sequence[HitCurve], path: Union[str, Path]) -> None:
 
     ``path`` is opened by :func:`~shadescope.netdb._open_output`: if writing
     fails, a file this call created is removed, and one that was there
-    before is left, cut to what was written before the failure.
+    before is left, truncated.
     """
     if not curves:
         raise ValueError("no curves to export")

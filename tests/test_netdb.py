@@ -310,60 +310,6 @@ class TestSnapshotWalk:
         assert snapshot.failures == []
 
 
-class TestOpenOutput:
-    """The output opener rewrites a regular file in place and cuts it to
-    what the call wrote; anything else is written and never cut."""
-
-    @pytest.fixture
-    def cuts(self, monkeypatch):
-        lengths = []
-        ftruncate = os.ftruncate
-
-        def spy(fd, length):
-            lengths.append(length)
-            ftruncate(fd, length)
-
-        monkeypatch.setattr(os, "ftruncate", spy)
-        return lengths
-
-    def test_rewrite_keeps_the_inode_and_mode(self, tmp_path, cuts):
-        path = tmp_path / "out.csv"
-        path.write_text("an older and longer file\n" * 100)
-        path.chmod(0o640)
-        before = path.stat()
-        with netdb._open_output(path) as fh:
-            fh.write("new\n")
-        after = path.stat()
-        assert path.read_bytes() == b"new\n"
-        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
-        assert cuts == [4]
-
-    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
-    def test_dev_null_is_written_and_never_cut(self, cuts):
-        with netdb._open_output("/dev/null") as fh:
-            fh.write("row\r\n" * 100)
-        with pytest.raises(RuntimeError):
-            with netdb._open_output("/dev/null") as fh:
-                fh.write("row\r\n")
-                raise RuntimeError("writer failed")
-        assert cuts == [] and os.path.exists("/dev/null")
-
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-    def test_fifo_with_a_reader_is_written_and_never_cut(self, tmp_path, cuts):
-        fifo = tmp_path / "F"
-        os.mkfifo(fifo)
-        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
-        try:
-            # 500 bytes fit in the pipe, so the write never waits on the reader.
-            with netdb._open_output(fifo) as fh:
-                fh.write("row\r\n" * 100)
-            data = os.read(reader, 1 << 16)
-        finally:
-            os.close(reader)
-        assert data == b"row\r\n" * 100
-        assert cuts == []
-
-
 def _hashes(n, seed=0):
     rng = random.Random(seed)
     return [rng.randbytes(32) for _ in range(n)]

@@ -743,8 +743,8 @@ class TestCurveExport:
         assert path.read_bytes() == fresh.read_bytes()
 
     def test_failed_export_into_a_longer_file_holds_what_was_written(self, tmp_path):
-        # The file is cut where the failed export stopped writing, so none
-        # of the old, longer content is left after it.
+        # The old file is longer than what the export writes before it
+        # fails; none of the old content is left after the new bytes.
         good, bad = HitCurve(bytes(32), ((5, 0),)), HitCurve(bytes([1]) * 32, (None,))
         path = tmp_path / "curves.csv"
         path.write_bytes(b"old row\r\n" * 10_000)
