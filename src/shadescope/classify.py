@@ -81,7 +81,7 @@ class Evidence:
     probes_used: int = 0
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class ShadeReport:
     """Outcome of a multi-source classification run, built from its facts.
 

@@ -26,9 +26,9 @@ HIGH_BANDWIDTH = "NOPX"
 BANDWIDTH_LETTERS = LOW_BANDWIDTH + HIGH_BANDWIDTH
 
 
-# The frozen classes below store their fields through this in their own
-# ``__init__``: writing ``self.__dict__`` instead would give up the
-# interpreter's inline attribute storage and cost memory per instance.
+# The frozen record classes store their fields through this in their own
+# ``__init__``, since their own ``__setattr__`` refuses every write. They are
+# slotted: each field lives in a slot, and an instance has no ``__dict__``.
 _set = object.__setattr__
 
 
@@ -36,7 +36,7 @@ class DestinationError(InputError):
     """Raised when destination bytes cannot be parsed."""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class Destination:
     """A service destination key blob; total size is 387 + certificate length.
 
@@ -111,7 +111,7 @@ _PROFILES: dict[tuple, CapabilityProfile] = {
 }
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class TransportAddress:
     """One published address. ``options`` is copied; omitted, it is a new empty dict."""
 
@@ -143,7 +143,7 @@ class TransportAddress:
         return False
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class RouterInfo:
     """A parsed directory record. The signature is carried but never verified.
 

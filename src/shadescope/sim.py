@@ -83,12 +83,12 @@ class NetworkSpec:
     wrong type (true and false are not numbers), a bad date or distribution,
     an ``n_routers`` over :data:`MAX_ROUTERS` or a ``k`` over :data:`MAX_K`,
     so that the worst spec allowed peaks under 1 GB. The limits
-    come from measured peaks: simulate takes about 3 KB per router at k = 4
-    (58.7 MB at 3,242 routers, 148.3 MB at 32,420), so MAX_ROUTERS routers
-    peak near 0.35 GB; each record is stored on min(k, floodfills)
+    come from measured peaks: simulate takes about 2.8 KB per router at
+    k = 4 (57.6 MB at 3,242 routers, 139.5 MB at 32,420), so MAX_ROUTERS
+    routers peak near 0.33 GB; each record is stored on min(k, floodfills)
     floodfills at about 55 bytes a copy (generation at 32,420 routers peaked
-    at 103 MB with k = 4 and 268 MB with k = 100), so a k of MAX_K adds
-    about 0.55 GB at MAX_ROUTERS.
+    at 95.9 MB with k = 4 and 259.3 MB with k = 100), so a k of MAX_K adds
+    about 0.53 GB at MAX_ROUTERS.
     """
 
     n_routers: int
@@ -176,7 +176,7 @@ class VisibilityMetrics:
     xi: float
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class HitCurve:
     """Cumulative directory hits per probe batch for one target.
 
@@ -261,8 +261,9 @@ def _below(rng: random.Random, n: int) -> int:
 
 
 def _synth_identity(rng: random.Random) -> Destination:
-    # Null certificate: 387 bytes total; the bytes of rng.randbytes(384).
-    return Destination(rng.getrandbits(3072).to_bytes(384, "little") + b"\x00\x00\x00")
+    # Null certificate: 387 bytes total, the bytes of rng.randbytes(384)
+    # then the 3 zero bytes that pad the 384-byte number to 387.
+    return Destination(rng.getrandbits(3072).to_bytes(387, "little"))
 
 
 def _direct_address(rng: random.Random) -> TransportAddress:
@@ -298,6 +299,11 @@ _RECIPES = {
     7: (LOW_BANDWIDTH, "", None),
 }
 
+# Each recipe's caps strings, letter + flags for each of its letters in
+# order, built once: a draw picks one, and records with equal caps share it.
+_CAPS = {level: tuple(letter + flags for letter in letters)
+         for level, (letters, flags, _) in _RECIPES.items()}
+
 
 def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
     """A record whose capability profile classifies exactly to ``shade_level``.
@@ -307,8 +313,9 @@ def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
     """
     if shade_level not in _RECIPES:
         raise ValueError("only shades 1-7 publish records")
-    letters, flags, make_address = _RECIPES[shade_level]
-    caps = letters[_below(rng, len(letters))] + flags
+    _, _, make_address = _RECIPES[shade_level]
+    choices = _CAPS[shade_level]
+    caps = choices[_below(rng, len(choices))]
     addresses = (make_address(rng),) if make_address else ()
     options = {"caps": caps, "router.version": _VERSIONS[_below(rng, len(_VERSIONS))]}
     if shade_level == 1:

@@ -43,6 +43,14 @@ KNOWN_STYLES = ("NTCP2", "SSU2", "NTCP", "SSU")
 
 _LENIENT_KEYS = ("caps", "router.version", "netdb.knownRouters", "netdb.knownLeaseSets")
 
+# The option keys and styles this package spells, each mapped to itself:
+# decoding looks a name up here and keeps the one shared string it finds,
+# so records do not each hold a copy. A fixed table, not ``sys.intern``,
+# because snapshot files are untrusted and interned strings may never be
+# freed.
+_NAMES = {name: name for name in (*_LENIENT_KEYS, "host", "port", "ih0", "itag0",
+                                  *KNOWN_STYLES)}
+
 
 class DecodeError(ValueError):
     """Structured decode failure naming the byte offset."""
@@ -91,6 +99,7 @@ def decode_router_info(data: bytes) -> RouterInfo:
             style = data[style_at:pos].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DecodeError("address style is not valid UTF-8", pos) from exc
+        style = _NAMES.get(style, style)
         options, pos = _read_mapping(data, pos, n, "address options")
         addresses.append(TransportAddress(style, cost, expiration_ms, options))
     if pos >= n:
@@ -135,7 +144,8 @@ def _read_mapping(data: bytes, pos: int, n: int, what: str) -> tuple[dict[str, s
             value_end = value_at + 1 + body[value_at]
             if value_end >= size or body[value_end] != 0x3B:  # ';'
                 break
-            entries[text[at + 1 : key_end]] = text[value_at + 1 : value_end]
+            key = text[at + 1 : key_end]
+            entries[_NAMES.get(key, key)] = text[value_at + 1 : value_end]
             at = value_end + 1
         else:
             return entries, end
@@ -158,7 +168,8 @@ def _read_mapping(data: bytes, pos: int, n: int, what: str) -> tuple[dict[str, s
                     raise DecodeError(f"malformed {what} mapping entry: expected "
                                       f"{bytes([separator])!r}, got {data[pos:pos + 1]!r}", pos)
                 pos += 1
-            entries[pair[0]] = pair[1]
+            key, value = pair
+            entries[_NAMES.get(key, key)] = value
     except UnicodeDecodeError as exc:
         raise DecodeError(f"{what} is not valid UTF-8", pos) from exc
     return entries, pos

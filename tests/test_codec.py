@@ -147,6 +147,49 @@ class TestRoundTrip:
         assert encode_router_info(a) == encode_router_info(b)
 
 
+class TestSharedNames:
+    """Option keys and styles the package spells decode to one shared string
+    each; any other name is a new string per record, as before."""
+
+    KNOWN = make_record(
+        caps="XfR", version="2.12.0",
+        extra={"netdb.knownRouters": "500", "netdb.knownLeaseSets": "7"},
+        addresses=[direct("NTCP2"), introducer(), TransportAddress("NTCP"),
+                   TransportAddress("SSU")],
+    )
+
+    @staticmethod
+    def _decode_twice(record):
+        blob = encode_router_info(record)
+        a, b = decode_router_info(blob), decode_router_info(blob)
+        assert a == b == record
+        return a, b
+
+    @staticmethod
+    def _assert_keys_shared(a, b, shared):
+        assert list(a) == list(b)
+        for x, y in zip(a, b):
+            assert (x is y) is (x in shared), x
+
+    def test_known_option_keys_and_styles_are_shared(self):
+        a, b = self._decode_twice(self.KNOWN)
+        known = {"caps", "router.version", "netdb.knownRouters", "netdb.knownLeaseSets",
+                 "host", "port", "ih0", "itag0"}
+        self._assert_keys_shared(a.options, b.options, known)
+        for x, y in zip(a.addresses, b.addresses):
+            self._assert_keys_shared(x.options, y.options, known)
+        assert [x.style for x in a.addresses] == ["NTCP2", "SSU2", "NTCP", "SSU"]
+        assert all(x.style is y.style for x, y in zip(a.addresses, b.addresses))
+
+    def test_non_ascii_mapping_shares_known_keys_only(self):
+        record = make_record(caps="LU", extra={"note": "café", "ih1": "x"},
+                             addresses=[TransportAddress("SSU3", options={"host": "é"})])
+        a, b = self._decode_twice(record)
+        self._assert_keys_shared(a.options, b.options, {"caps"})
+        self._assert_keys_shared(a.addresses[0].options, b.addresses[0].options, {"host"})
+        assert a.addresses[0].style is not b.addresses[0].style
+
+
 class TestDecodeErrors:
     def test_truncated_identity(self):
         with pytest.raises(DecodeError) as exc:

@@ -1,16 +1,17 @@
 import base64
+import copy
 import dataclasses
 import hashlib
 import inspect
+import pickle
 import random
 import re
-import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shadescope.classify import ShadeReport, classify
+from shadescope.classify import EvidenceSource, ShadeReport, classify
 from shadescope.encoding import (
     EncodingError,
     hash_from_b32,
@@ -396,19 +397,31 @@ class TestConstructors:
 
     @each_record_class
     def test_construction_leaves_no_instance_dict(self, cls):
-        # Reading __dict__ makes a dict for each instance whose attributes are
-        # still stored inline, and nothing for one whose constructor already
-        # made it (writing self.__dict__ does): that dict is memory per record.
-        build = _BUILDERS[cls][0]
-        instances = [build() for _ in range(500)]
-        tracemalloc.start()
-        try:
-            for instance in instances:
-                vars(instance)
-            allocated, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert allocated > 16 * len(instances)
+        # The classes are slotted: every field lives in a slot of the
+        # instance, which has no __dict__ to cost memory per record.
+        instance = _BUILDERS[cls][0]()
+        assert not hasattr(instance, "__dict__")
+        assert {f.name for f in dataclasses.fields(cls)} <= set(type(instance).__slots__)
+
+    @each_record_class
+    def test_pickle_and_copies_are_equal(self, cls):
+        instance = _BUILDERS[cls][0]()
+        for twin in (pickle.loads(pickle.dumps(instance)), copy.copy(instance),
+                     copy.deepcopy(instance)):
+            assert type(twin) is cls and twin == instance
+
+    def test_nested_records_round_trip_through_pickle_and_deepcopy(self):
+        # A curve holds a report, which holds a record with both address kinds.
+        rng = random.Random(4)
+        record = synth_record(rng, 1)
+        record = dataclasses.replace(
+            record, addresses=record.addresses + synth_record(rng, 5).addresses)
+        report = ShadeReport(record.hash, EvidenceSource.FLOODFILL_PROBE, record, 7, (2,))
+        curve = HitCurve(record.hash, ((5, 0), (7, 1)), report)
+        for twin in (pickle.loads(pickle.dumps(curve)), copy.deepcopy(curve)):
+            assert twin == curve and twin.report.record.hash == record.hash
+            assert twin.report.record.profile() is record.profile()
+            assert twin.report.shade == report.shade and twin.report.record is not record
 
 
 # Introducer-like option keys: a prefix, a tail of decimal digits (ASCII

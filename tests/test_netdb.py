@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -77,6 +78,24 @@ class TestLoadNetDbDir:
         recount = sum(1 for r in snapshot.records.values() if "f" in r.caps)
         assert recount == snapshot.stats.floodfill_count
         assert snapshot.stats.total == len(snapshot.records) + len(snapshot.failures)
+
+    def test_memory_per_decoded_record(self, tmp_path):
+        # Traced bytes a loaded snapshot holds per record, after a warm-up
+        # load: 1,390 with slotted records and known option keys and styles
+        # shared, 1,756 with dict-backed records and a copy of each name per
+        # record. The bound lies halfway between.
+        rng = random.Random(8)
+        for i in range(700):
+            _record_file(tmp_path, synth_record(rng, 1 + i % 7))
+        load_netdb_dir(tmp_path)
+        tracemalloc.start()
+        try:
+            snapshot = load_netdb_dir(tmp_path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(snapshot.records) == 700
+        assert held / len(snapshot.records) < 1_573
 
 
 class _Node:

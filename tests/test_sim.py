@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from bisect import bisect_left
 from itertools import accumulate
 from pathlib import Path
@@ -157,6 +158,14 @@ class TestSynthRecord:
         assert record.known_routers is not None
         assert record.known_leasesets is not None
 
+    @pytest.mark.parametrize("level", range(1, 8))
+    def test_equal_caps_share_one_string(self, level):
+        rng = random.Random(level)
+        first: dict[str, str] = {}
+        for _ in range(40):
+            caps = synth_record(rng, level).caps
+            assert caps is first.setdefault(caps, caps)
+
 
 class TestGenerateNetwork:
     def test_single_router_network(self):
@@ -188,6 +197,21 @@ class TestGenerateNetwork:
         assert len(model.routers) == 3242
         assert len(model.floodfills) == 1556
         assert len(model.exclusive) == 1
+
+    def test_census_model_memory_per_router(self):
+        # Traced bytes a census model holds per router, after a warm-up
+        # generation: 1,713 with slotted records and one caps string per
+        # recipe letter, 1,889 with dict-backed records and a caps string
+        # per record. The bound lies halfway between.
+        spec = census_spec()
+        generate_network(spec)
+        tracemalloc.start()
+        try:
+            model = generate_network(spec)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held / len(model.routers) < 1_801
 
     def test_conservation(self):
         for seed in range(5):
