@@ -286,23 +286,19 @@ def _introducer_address(rng: random.Random) -> TransportAddress:
     )
 
 
-# How each publishing shade's record is made: the bandwidth letters one is
-# drawn from, the flag letters after it, and the address maker (None: the
+# How each publishing shade's record is made: the caps strings one is
+# drawn from (a bandwidth letter, then the flag letters), built once so that
+# records with equal caps share one string, and the address maker (None: the
 # record publishes no address).
 _RECIPES = {
-    1: (HIGH_BANDWIDTH, "fR", _direct_address),
-    2: (HIGH_BANDWIDTH, "R", _direct_address),
-    3: (LOW_BANDWIDTH, "R", _direct_address),
-    4: (BANDWIDTH_LETTERS, "U", _direct_address),
-    5: (LOW_BANDWIDTH, "U", _introducer_address),
-    6: (LOW_BANDWIDTH, "H", None),
-    7: (LOW_BANDWIDTH, "", None),
+    1: (tuple(letter + "fR" for letter in HIGH_BANDWIDTH), _direct_address),
+    2: (tuple(letter + "R" for letter in HIGH_BANDWIDTH), _direct_address),
+    3: (tuple(letter + "R" for letter in LOW_BANDWIDTH), _direct_address),
+    4: (tuple(letter + "U" for letter in BANDWIDTH_LETTERS), _direct_address),
+    5: (tuple(letter + "U" for letter in LOW_BANDWIDTH), _introducer_address),
+    6: (tuple(letter + "H" for letter in LOW_BANDWIDTH), None),
+    7: (tuple(LOW_BANDWIDTH), None),
 }
-
-# Each recipe's caps strings, letter + flags for each of its letters in
-# order, built once: a draw picks one, and records with equal caps share it.
-_CAPS = {level: tuple(letter + flags for letter in letters)
-         for level, (letters, flags, _) in _RECIPES.items()}
 
 
 def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
@@ -313,8 +309,7 @@ def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
     """
     if shade_level not in _RECIPES:
         raise ValueError("only shades 1-7 publish records")
-    _, _, make_address = _RECIPES[shade_level]
-    choices = _CAPS[shade_level]
+    choices, make_address = _RECIPES[shade_level]
     caps = choices[_below(rng, len(choices))]
     addresses = (make_address(rng),) if make_address else ()
     options = {"caps": caps, "router.version": _VERSIONS[_below(rng, len(_VERSIONS))]}

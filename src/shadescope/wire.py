@@ -43,13 +43,12 @@ KNOWN_STYLES = ("NTCP2", "SSU2", "NTCP", "SSU")
 
 _LENIENT_KEYS = ("caps", "router.version", "netdb.knownRouters", "netdb.knownLeaseSets")
 
-# The option keys and styles this package spells, each mapped to itself:
-# decoding looks a name up here and keeps the one shared string it finds,
-# so records do not each hold a copy. A fixed table, not ``sys.intern``,
-# because snapshot files are untrusted and interned strings may never be
-# freed.
-_NAMES = {name: name for name in (*_LENIENT_KEYS, "host", "port", "ih0", "itag0",
-                                  *KNOWN_STYLES)}
+# The option keys and styles this package reads by name, each mapped to
+# itself: decoding looks a name up here and keeps the one shared string it
+# finds, so records do not each hold a copy. A fixed table, not
+# ``sys.intern``, because snapshot files are untrusted and interned strings
+# may never be freed.
+_NAMES = {name: name for name in (*_LENIENT_KEYS, "host", "port", *KNOWN_STYLES)}
 
 
 class DecodeError(ValueError):

@@ -115,8 +115,8 @@ def random_record(rng: random.Random) -> RouterInfo:
 def oracle_synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
     """The definition of :func:`shadescope.sim.synth_record` through
     ``Random``'s own ``choice``, ``randrange`` and ``randbytes``."""
-    letters, flags, make_address = _RECIPES[shade_level]
-    caps = rng.choice(letters) + flags
+    choices, make_address = _RECIPES[shade_level]
+    caps = rng.choice(choices)
     addresses = (_ORACLE_ADDRESSES[make_address](rng),) if make_address else ()
     options = {"caps": caps, "router.version": rng.choice(_VERSIONS)}
     if shade_level == 1:

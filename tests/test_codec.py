@@ -148,8 +148,9 @@ class TestRoundTrip:
 
 
 class TestSharedNames:
-    """Option keys and styles the package spells decode to one shared string
-    each; any other name is a new string per record, as before."""
+    """Option keys and styles the package reads by name decode to one shared
+    string each; any other name, such as an introducer key, is a new string
+    per record, as before."""
 
     KNOWN = make_record(
         caps="XfR", version="2.12.0",
@@ -174,7 +175,7 @@ class TestSharedNames:
     def test_known_option_keys_and_styles_are_shared(self):
         a, b = self._decode_twice(self.KNOWN)
         known = {"caps", "router.version", "netdb.knownRouters", "netdb.knownLeaseSets",
-                 "host", "port", "ih0", "itag0"}
+                 "host", "port"}
         self._assert_keys_shared(a.options, b.options, known)
         for x, y in zip(a.addresses, b.addresses):
             self._assert_keys_shared(x.options, y.options, known)

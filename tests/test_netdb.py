@@ -79,11 +79,14 @@ class TestLoadNetDbDir:
         assert recount == snapshot.stats.floodfill_count
         assert snapshot.stats.total == len(snapshot.records) + len(snapshot.failures)
 
+    @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                        reason="bound measured on CPython 3.11; object sizes differ by version")
     def test_memory_per_decoded_record(self, tmp_path):
         # Traced bytes a loaded snapshot holds per record, after a warm-up
-        # load: 1,390 with slotted records and known option keys and styles
-        # shared, 1,756 with dict-backed records and a copy of each name per
-        # record. The bound lies halfway between.
+        # load, on CPython 3.11.7: 1,406 with slotted records and the option
+        # keys and styles the package reads shared, 1,756 with dict-backed
+        # records and a copy of each name per record. The bound lies halfway
+        # between.
         rng = random.Random(8)
         for i in range(700):
             _record_file(tmp_path, synth_record(rng, 1 + i % 7))
@@ -95,7 +98,7 @@ class TestLoadNetDbDir:
         finally:
             tracemalloc.stop()
         assert len(snapshot.records) == 700
-        assert held / len(snapshot.records) < 1_573
+        assert held / len(snapshot.records) < 1_581
 
 
 class _Node:

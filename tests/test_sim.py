@@ -158,7 +158,9 @@ class TestSynthRecord:
         assert record.known_routers is not None
         assert record.known_leasesets is not None
 
-    @pytest.mark.parametrize("level", range(1, 8))
+    # Level 7 is left out: its caps are one letter, which CPython shares
+    # however it is made.
+    @pytest.mark.parametrize("level", range(1, 7))
     def test_equal_caps_share_one_string(self, level):
         rng = random.Random(level)
         first: dict[str, str] = {}
@@ -198,11 +200,13 @@ class TestGenerateNetwork:
         assert len(model.floodfills) == 1556
         assert len(model.exclusive) == 1
 
+    @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                        reason="bound measured on CPython 3.11; object sizes differ by version")
     def test_census_model_memory_per_router(self):
         # Traced bytes a census model holds per router, after a warm-up
-        # generation: 1,713 with slotted records and one caps string per
-        # recipe letter, 1,889 with dict-backed records and a caps string
-        # per record. The bound lies halfway between.
+        # generation, on CPython 3.11.7: 1,713 with slotted records and one
+        # caps string per recipe letter, 1,889 with dict-backed records and a
+        # caps string per record. The bound lies halfway between.
         spec = census_spec()
         generate_network(spec)
         tracemalloc.start()
