@@ -261,10 +261,3 @@ SHADES: dict[int, Shade] = {
 }
 
 SHADE_EXCLUSIVE = SHADES[8]
-
-
-def shade_for_level(level: int) -> Shade:
-    try:
-        return SHADES[level]
-    except KeyError:
-        raise ValueError(f"shade level out of range: {level}") from None

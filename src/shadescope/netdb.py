@@ -242,6 +242,7 @@ def load_leasesets(path: Union[str, Path]) -> tuple[list[LeaseSet], list[str]]:
 
     Line form: ``<dest_hash_b64> <b32> <gw_b64>:<tunnel_id>:<expiry_ms>[,...]``
     A b32 column other than '-' must name the destination hash, in any case.
+    A tunnel id is ASCII decimal digits below 2**32, an expiry below 2**64.
     The lease column may be '-' or absent for a descriptor with no leases;
     '#' starts a comment. Malformed lines become warnings, not errors. The
     file is read by :func:`_read_file`, so one that cannot be read, or is not
@@ -276,5 +277,13 @@ def _parse_leaseset_line(line: str) -> LeaseSet:
     if len(parts) == 3 and parts[2] != "-":
         for chunk in parts[2].split(","):
             gw_text, tunnel_id, expiry_ms = chunk.split(":")
-            leases.append(Lease(hash_from_b64(gw_text), int(tunnel_id), int(expiry_ms)))
+            leases.append(Lease(hash_from_b64(gw_text), _lease_field("tunnel_id", tunnel_id, 32),
+                                _lease_field("expiry_ms", expiry_ms, 64)))
     return LeaseSet(destination_hash=dest_hash, leases=tuple(leases))
+
+
+def _lease_field(name: str, text: str, bits: int) -> int:
+    """``text`` as an I2P field of ``bits`` bits: ASCII decimal digits, no sign or ``_``."""
+    if not (text.isascii() and text.isdigit() and int(text) >> bits == 0):
+        raise ValueError(f"{name} is not a decimal integer below 2**{bits}: {text!r}")
+    return int(text)

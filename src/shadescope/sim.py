@@ -8,8 +8,7 @@ for the generation date, so probe behavior mirrors the real placement
 rule; the k nearest come from one batched query to
 :class:`~shadescope.dht.FloodfillTable`, the same kernel that answers
 association and responsibility, and one pass over its rows, in published
-order, fills each floodfill's store of records. Every synthesized record is
-checked against :func:`~shadescope.classify.classify` before use.
+order, fills each floodfill's store of records.
 
 Synthesis draws through :func:`_below`, the loop behind ``Random.randrange``
 and ``Random.choice``, and ``getrandbits`` for bytes, so it consumes the
@@ -29,20 +28,20 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence, TextIO, Union
 
-from .classify import ShadeReport, classify
+from .classify import ShadeReport
 from .dht import FloodfillTable, normalize_date, routing_keys
 from .encoding import InputError, check_hash, hash_to_b64
 from .model import (
     BANDWIDTH_LETTERS,
     HIGH_BANDWIDTH,
     LOW_BANDWIDTH,
+    SHADES,
     Destination,
     RouterInfo,
     Shade,
     TransportAddress,
     _set,
     hash_identity,
-    shade_for_level,
 )
 from .netdb import _bulk_build, _open_output, _read_file
 from .protocol import NetDbSource, ProbePlan, ProbeTransportError, classify_sweep
@@ -304,8 +303,8 @@ _RECIPES = {
 def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
     """A record whose capability profile classifies exactly to ``shade_level``.
 
-    Raises :class:`RuntimeError` if the record made does not classify to
-    ``shade_level``; the check holds under ``python -O`` too.
+    The profile reads only the caps drawn and the recipe's address maker, so
+    ``tests/test_sim.py`` proves this by drawing every caps choice of each level.
     """
     if shade_level not in _RECIPES:
         raise ValueError("only shades 1-7 publish records")
@@ -316,17 +315,13 @@ def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
     if shade_level == 1:
         options["netdb.knownRouters"] = str(500 + _below(rng, 8501))
         options["netdb.knownLeaseSets"] = str(_below(rng, 401))
-    record = RouterInfo(
+    return RouterInfo(
         identity=_synth_identity(rng),
         published_ms=EPOCH_2025_MS + _below(rng, 86_400_001),
         addresses=addresses,
         options=options,
         signature=rng.getrandbits(512).to_bytes(64, "little"),
     )
-    level = classify(record.profile()).level
-    if level != shade_level:
-        raise RuntimeError(f"record made for shade {shade_level} classifies as {level}")
-    return record
 
 
 def generate_network(spec: NetworkSpec) -> NetworkModel:
@@ -352,11 +347,11 @@ def generate_network(spec: NetworkSpec) -> NetworkModel:
         for level in levels:
             if level == 8:
                 identity = _synth_identity(rng)
-                router = SimRouter(hash_identity(identity), shade_for_level(8), None)
+                router = SimRouter(hash_identity(identity), SHADES[8], None)
                 exclusive.append(router.hash)
             else:
                 record = synth_record(rng, level)
-                router = SimRouter(record.hash, shade_for_level(level), record)
+                router = SimRouter(record.hash, SHADES[level], record)
                 records.append(record)
                 if level == 1:
                     floodfills.append(router.hash)

@@ -30,7 +30,6 @@ from shadescope.model import (
     TransportAddress,
     _PROFILES,
     hash_identity,
-    shade_for_level,
 )
 from shadescope.sim import HitCurve, synth_record
 from shadescope.wire import decode_router_info, encode_router_info
@@ -203,11 +202,6 @@ class TestShade:
     def test_layers(self):
         assert all(SHADES[i].layer == 1 for i in range(1, 8))
         assert SHADES[8].layer == 2
-
-    @pytest.mark.parametrize("bad", [0, 9, -1])
-    def test_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            shade_for_level(bad)
 
 
 def _record(addresses=(), options=None):

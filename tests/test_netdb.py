@@ -435,6 +435,27 @@ class TestLeaseSets:
         assert len(warnings) == 2
         assert all(w.startswith("line ") for w in warnings)
 
+    @pytest.mark.parametrize("lease, message", [
+        ("-1:100", "tunnel_id is not a decimal integer below 2**32: '-1'"),
+        ("+5:100", "tunnel_id is not a decimal integer below 2**32: '+5'"),
+        ("1_000:100", "tunnel_id is not a decimal integer below 2**32: '1_000'"),
+        ("\u0665:100", "tunnel_id is not a decimal integer below 2**32: '\u0665'"),
+        (f"{2**32}:100", f"tunnel_id is not a decimal integer below 2**32: '{2**32}'"),
+        ("1" * 20 + ":100", f"tunnel_id is not a decimal integer below 2**32: '{'1' * 20}'"),
+        ("5:", "expiry_ms is not a decimal integer below 2**64: ''"),
+        ("5:-100", "expiry_ms is not a decimal integer below 2**64: '-100'"),
+        (f"5:{2**64}", f"expiry_ms is not a decimal integer below 2**64: '{2**64}'"),
+    ], ids=["negative", "plus", "underscore", "arabic-indic", "tunnel-2**32", "tunnel-20-digits",
+            "empty-expiry", "negative-expiry", "expiry-2**64"])
+    def test_bad_lease_fields_become_warnings(self, tmp_path, lease, message):
+        dest, gw = _hashes(2, seed=3)
+        path = tmp_path / "ls.txt"
+        path.write_text(f"{hash_to_b64(dest)} - {hash_to_b64(gw)}:{lease}\n"
+                        f"{hash_to_b64(dest)} - {hash_to_b64(gw)}:{2**32 - 1}:0{2**64 - 1}\n")
+        leasesets, warnings = load_leasesets(path)
+        assert warnings == [f"line 1: {message}"]
+        assert leasesets == [LeaseSet(dest, (Lease(gw, 2**32 - 1, 2**64 - 1),))]
+
     def test_b32_column_must_match_hash(self, tmp_path):
         dest, other = _hashes(2, seed=6)
         path = tmp_path / "ls.txt"
