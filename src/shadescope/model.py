@@ -38,28 +38,30 @@ class DestinationError(InputError):
 
 @dataclass(frozen=True, init=False, slots=True)
 class Destination:
-    """A service destination key blob; total size is 387 + certificate length.
+    """A service destination: exactly its key bytes, 387 + certificate length.
 
-    ``size`` is not an argument: it is read once, on construction, from the
-    certificate's 2-byte length.
+    ``data`` keeps only the certificate-declared bytes, as ``bytes``: bytes
+    past them (a key file's private keys) are dropped and a mutable buffer is
+    copied, so nothing a caller does later changes the destination or its hash.
     """
 
     data: bytes
-    size: int = field(init=False)
 
     def __init__(self, data: bytes) -> None:
         if len(data) < DEST_MIN_LEN:
-            raise DestinationError(
-                f"destination too short: {len(data)} bytes, need {DEST_MIN_LEN}"
-            )
+            raise DestinationError(f"destination too short: {len(data)} bytes, need {DEST_MIN_LEN}")
         size = DEST_MIN_LEN + (data[CERT_LEN_OFFSET] << 8 | data[CERT_LEN_OFFSET + 1])
         if len(data) < size:
             raise DestinationError(
                 f"destination truncated: certificate declares {size - DEST_MIN_LEN} "
                 f"payload bytes, total {size}, have {len(data)}"
             )
-        _set(self, "data", data)
-        _set(self, "size", size)
+        # Exact-length bytes are kept as they are: neither step copies them.
+        _set(self, "data", bytes(data[:size]))
+
+    @property
+    def size(self) -> int:
+        return len(self.data)
 
     @property
     def cert_type(self) -> int:
@@ -67,20 +69,12 @@ class Destination:
 
     @property
     def cert_len(self) -> int:
-        return self.size - DEST_MIN_LEN
-
-    @property
-    def key_bytes(self) -> bytes:
-        """The canonical bytes that identify this destination: the first ``size``."""
-        return self.data[: self.size]
+        return len(self.data) - DEST_MIN_LEN
 
 
 def hash_identity(dest: Destination) -> bytes:
-    """SHA-256 over the destination's canonical key bytes.
-
-    Bytes beyond the certificate-declared size never affect the result.
-    """
-    return hashlib.sha256(dest.key_bytes).digest()
+    """SHA-256 over the destination's key bytes, ``dest.data``: the router hash."""
+    return hashlib.sha256(dest.data).digest()
 
 
 @dataclass(frozen=True)
@@ -148,7 +142,7 @@ class RouterInfo:
     """A parsed directory record. The signature is carried but never verified.
 
     ``hash`` is not an argument: it is derived once, on construction, as
-    :func:`hash_identity` of ``identity``, so it always names the record.
+    :func:`hash_identity` of ``identity``, whose bytes never change: it always names the record.
     ``addresses`` and ``options`` are copied; an omitted ``options`` is a new empty dict.
     """
 
@@ -163,8 +157,7 @@ class RouterInfo:
                  addresses: Iterable[TransportAddress] = (),
                  options: Optional[Mapping[str, str]] = None,
                  signature: bytes = b"") -> None:
-        # hash_identity(identity), without its two calls.
-        _set(self, "hash", hashlib.sha256(identity.data[: identity.size]).digest())
+        _set(self, "hash", hash_identity(identity))
         _set(self, "identity", identity)
         _set(self, "published_ms", published_ms)
         _set(self, "addresses", tuple(addresses))
@@ -213,14 +206,24 @@ def int_option(raw: Optional[str]) -> Optional[int]:
     return int(raw)
 
 
+# I2P's lease field widths, in bits.
+LEASE_FIELD_BITS = {"tunnel_id": 32, "expiry_ms": 64}
+
+
 @dataclass(frozen=True)
 class Lease:
+    """One inbound tunnel; its numbers are ints, not bools, within ``LEASE_FIELD_BITS``."""
+
     gateway: bytes
     tunnel_id: int
     expiry_ms: int
 
     def __post_init__(self) -> None:
         check_hash(self.gateway, "lease gateway")
+        for name, bits in LEASE_FIELD_BITS.items():
+            value = getattr(self, name)
+            if type(value) is not int or value >> bits:  # negatives shift to -1
+                raise InputError(f"{name} is not an integer in [0, 2**{bits}): {value!r}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterator, Optional, TextIO, Union
 
 from .encoding import EncodingError, InputError, hash_from_b64, service_hash
-from .model import Lease, LeaseSet, RouterInfo
+from .model import LEASE_FIELD_BITS, Lease, LeaseSet, RouterInfo
 from .wire import DecodeError, decode_router_info
 
 RECORD_GLOB = "routerInfo-*.dat"
@@ -277,13 +277,14 @@ def _parse_leaseset_line(line: str) -> LeaseSet:
     if len(parts) == 3 and parts[2] != "-":
         for chunk in parts[2].split(","):
             gw_text, tunnel_id, expiry_ms = chunk.split(":")
-            leases.append(Lease(hash_from_b64(gw_text), _lease_field("tunnel_id", tunnel_id, 32),
-                                _lease_field("expiry_ms", expiry_ms, 64)))
+            leases.append(Lease(hash_from_b64(gw_text), _lease_field("tunnel_id", tunnel_id),
+                                _lease_field("expiry_ms", expiry_ms)))
     return LeaseSet(destination_hash=dest_hash, leases=tuple(leases))
 
 
-def _lease_field(name: str, text: str, bits: int) -> int:
-    """``text`` as an I2P field of ``bits`` bits: ASCII decimal digits, no sign or ``_``."""
+def _lease_field(name: str, text: str) -> int:
+    """``text`` as lease field ``name``: ASCII digits, below 2**LEASE_FIELD_BITS[name]."""
+    bits = LEASE_FIELD_BITS[name]
     if not (text.isascii() and text.isdigit() and int(text) >> bits == 0):
         raise ValueError(f"{name} is not a decimal integer below 2**{bits}: {text!r}")
     return int(text)

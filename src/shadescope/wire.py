@@ -26,14 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .model import (
-    CERT_LEN_OFFSET,
-    DEST_MIN_LEN,
-    Destination,
-    RouterInfo,
-    TransportAddress,
-    int_option,
-)
+from .model import Destination, DestinationError, RouterInfo, TransportAddress, int_option
 
 MAPPING_MAX = 0xFFFF
 _STYLE_RE = re.compile(r"[\x21-\x7e]{1,255}$")
@@ -64,15 +57,16 @@ class EncodeError(ValueError):
 
 
 def decode_router_info(data: bytes) -> RouterInfo:
-    """Strictly decode one record; raises :class:`DecodeError` on any defect."""
+    """Strictly decode one record; raises :class:`DecodeError` on any defect.
+
+    The identity is the leading :class:`Destination`; the record goes on after its key bytes.
+    """
+    try:
+        identity = Destination(data)
+    except DestinationError:
+        raise DecodeError("truncated identity", 0) from None
     n = len(data)
-    if n < DEST_MIN_LEN:
-        raise DecodeError("truncated identity", 0)
-    pos = DEST_MIN_LEN + (data[CERT_LEN_OFFSET] << 8 | data[CERT_LEN_OFFSET + 1])
-    if pos > n:
-        raise DecodeError("truncated identity", 0)
-    # Exactly the certificate-declared size, which Destination always accepts.
-    identity = Destination(data[:pos])
+    pos = len(identity.data)
     if pos + 8 > n:
         raise DecodeError("truncated publish time", pos)
     published_ms = int.from_bytes(data[pos : pos + 8], "big")
@@ -177,7 +171,7 @@ def _read_mapping(data: bytes, pos: int, n: int, what: str) -> tuple[dict[str, s
 def encode_router_info(record: RouterInfo) -> bytes:
     """Produce the exact byte form :func:`decode_router_info` inverts."""
     addresses = record.addresses
-    parts = [record.identity.key_bytes, _uint(record.published_ms, 8, "publish time")]
+    parts = [record.identity.data, _uint(record.published_ms, 8, "publish time")]
     if len(addresses) > 255:
         raise EncodeError("more than 255 addresses")
     parts.append(bytes((len(addresses),)))

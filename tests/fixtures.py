@@ -338,7 +338,7 @@ _ORACLE_STYLE_RE = re.compile(r"[\x21-\x7e]{1,255}$")
 
 def oracle_encode_router_info(record: RouterInfo) -> bytes:
     """The bytearray definition of :func:`shadescope.wire.encode_router_info`."""
-    out = bytearray(record.identity.key_bytes)
+    out = bytearray(record.identity.data[: record.identity.size])
     out += _uint(record.published_ms, 8, "publish time")
     if len(record.addresses) > 255:
         raise EncodeError("more than 255 addresses")

@@ -412,6 +412,27 @@ class TestB32:
         assert payload["cert_type"] == 5
         assert payload["b32"].endswith(".b32.i2p")
 
+    @pytest.mark.parametrize("form", ["raw", "base64"])
+    def test_key_file_reads_as_its_destination(self, tmp_path, capsys, form):
+        # A key file is the destination followed by its private keys, which
+        # neither the size nor the address may count.
+        import base64
+
+        keys = DEST_387 + bytes(range(256)) + bytes(range(128))
+        path = tmp_path / "keys.dat"
+        if form == "raw":
+            path.write_bytes(keys)
+        else:
+            path.write_text(base64.b64encode(keys, b"-~").decode() + "\n")
+        bare = tmp_path / "dest.dat"
+        bare.write_bytes(DEST_387)
+        assert main(["b32", str(bare)]) == 0
+        expected = capsys.readouterr().out.splitlines()
+        assert main(["b32", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:] == expected[1:]
+        assert out[1].startswith("size: 387 bytes")
+
     def test_stable_across_runs(self, tmp_path, capsys):
         path = tmp_path / "dest.dat"
         path.write_bytes(DEST_391)

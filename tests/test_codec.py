@@ -127,13 +127,19 @@ class TestRoundTrip:
         record = make_record(caps="XfR", cert_len=4)
         encoded = encode_router_info(record)
         assert record.identity.size == 391
-        assert encoded[:391] == record.identity.key_bytes
+        assert encoded[:391] == record.identity.data
         assert decode_router_info(encoded) == record
+
+    def test_mutable_buffer_decodes_to_bytes(self):
+        blob = encode_router_info(make_record(caps="XfR", cert_len=4))
+        decoded = decode_router_info(bytearray(blob))
+        assert type(decoded.identity.data) is bytes
+        assert decoded == decode_router_info(blob)
 
     def test_null_certificate_identity_section(self):
         record = make_record(caps="LR")
         assert record.identity.size == 387
-        assert encode_router_info(record)[:387] == record.identity.key_bytes
+        assert encode_router_info(record)[:387] == record.identity.data
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32))
@@ -193,10 +199,12 @@ class TestSharedNames:
 
 class TestDecodeErrors:
     def test_truncated_identity(self):
-        with pytest.raises(DecodeError) as exc:
-            decode_router_info(b"\x00" * 100)
-        assert "identity" in str(exc.value)
-        assert exc.value.offset == 0
+        # Short of the 387-byte minimum, and short of what a certificate declares.
+        for data in (b"\x00" * 100, encode_router_info(make_record(cert_len=4))[:390]):
+            with pytest.raises(DecodeError) as exc:
+                decode_router_info(data)
+            assert str(exc.value) == "truncated identity (at offset 0)"
+            assert exc.value.offset == 0
 
     def test_truncated_after_identity(self):
         data = encode_router_info(make_record())[:390]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from shadescope.classify import EvidenceSource, ShadeReport, classify
 from shadescope.encoding import (
     EncodingError,
+    InputError,
     hash_from_b32,
     hash_from_b64,
     hash_to_b32,
@@ -25,6 +26,7 @@ from shadescope.model import (
     CapabilityProfile,
     Destination,
     DestinationError,
+    Lease,
     RouterInfo,
     SHADES,
     TransportAddress,
@@ -152,7 +154,14 @@ class TestDestination:
     def test_extra_bytes_allowed(self):
         dest = Destination(DEST_387 + b"private key material")
         assert dest.size == 387
-        assert dest.key_bytes == DEST_387
+        assert dest.data == DEST_387
+
+    def test_mutable_buffer_is_kept_as_bytes(self):
+        buf = bytearray(DEST_387)
+        dest = Destination(buf)
+        buf[0] ^= 1
+        assert type(dest.data) is bytes and dest.data == DEST_387
+        assert hash(dest) == hash(Destination(DEST_387))
 
     def test_size_is_derived_not_an_argument(self):
         with pytest.raises(TypeError):
@@ -184,6 +193,22 @@ class TestHashIdentity:
     def test_matches_direct_sha256(self):
         dest = Destination(DEST_387)
         assert hash_identity(dest) == hashlib.sha256(DEST_387).digest()
+
+
+class TestLease:
+    GATEWAY = bytes(range(32))
+
+    @pytest.mark.parametrize("tunnel_id, expiry_ms", [
+        (-1, 0), (2**32, 0), (0, 2**64), (True, 0), ("5", 0), (0, -1), (0, False), (0, 1.0),
+    ], ids=["negative", "tunnel-2**32", "expiry-2**64", "bool", "str", "negative-expiry",
+            "bool-expiry", "float-expiry"])
+    def test_fields_outside_their_widths_raise(self, tunnel_id, expiry_ms):
+        with pytest.raises(InputError):
+            Lease(self.GATEWAY, tunnel_id, expiry_ms)
+
+    def test_fields_at_their_maxima_build(self):
+        lease = Lease(self.GATEWAY, 2**32 - 1, 2**64 - 1)
+        assert (lease.tunnel_id, lease.expiry_ms) == (2**32 - 1, 2**64 - 1)
 
 
 class TestShade:
@@ -388,6 +413,13 @@ class TestConstructors:
         padded = RouterInfo(Destination(DEST_391 + b"private key material"), 0)
         assert padded.hash == RouterInfo(Destination(DEST_391), 0).hash
         assert padded.hash.hex() == DEST_391_SHA
+
+    def test_router_hash_holds_after_caller_buffer_changes(self):
+        buf = bytearray(DEST_387)
+        record = RouterInfo(Destination(buf), 0)
+        buf[0] ^= 1
+        assert record.hash == hash_identity(record.identity)
+        assert record.hash.hex() == DEST_387_SHA
 
     @each_record_class
     def test_construction_leaves_no_instance_dict(self, cls):

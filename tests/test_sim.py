@@ -194,9 +194,10 @@ class TestGenerateNetwork:
                         reason="bound measured on CPython 3.11; object sizes differ by version")
     def test_census_model_memory_per_router(self):
         # Traced bytes a census model holds per router, after a warm-up
-        # generation, on CPython 3.11.7: 1,713 with slotted records and one
-        # caps string per recipe letter, 1,889 with dict-backed records and a
-        # caps string per record. The bound lies halfway between.
+        # generation, on CPython 3.11.7: 1,673 with slotted records that keep
+        # no destination size, and one caps string per recipe letter; 1,713
+        # with a size slot per destination; 1,889 with dict-backed records and
+        # a caps string per record. The bound lies halfway between the last two.
         spec = census_spec()
         generate_network(spec)
         tracemalloc.start()

@@ -1,9 +1,9 @@
 """The public surface: the package root's exports, the README examples,
 the rules that only the CLI prints, that one exception type marks a bad
 input and one handler reports it, that one function reads and one writes
-(and removes) every file, that one helper drives the garbage collector and
-that a spec checks itself, and the module boundaries the benchmark harness
-traces."""
+(and removes) every file, that one helper drives the garbage collector,
+that a spec checks itself and that one module knows the destination layout,
+and the module boundaries the benchmark harness traces."""
 
 import ast
 import importlib
@@ -222,6 +222,31 @@ def test_one_spec_rule():
     assert not names & {"normalize_date", "MAX_K", "MAX_ROUTERS", "_allocate_counts",
                         "InfeasibleSpecError"}
     assert {"_bulk_build", "synth_record", "_assign_knowledge"} <= names  # builds in place
+
+
+LAYOUT_NAMES = {"DEST_MIN_LEN", "CERT_TYPE_OFFSET", "CERT_LEN_OFFSET"}
+
+
+def test_one_home_for_the_destination_layout():
+    # model alone knows where a destination's certificate sits and so how
+    # many bytes it spans, so the router hash, the decoder and the b32 rule
+    # agree on its key bytes. A layout name imported, read or used as an
+    # attribute anywhere else in the package is an offender.
+    package = Path(shadescope.__file__).parent
+    offenders, seen = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            for name in names & LAYOUT_NAMES:
+                if path.name == "model.py":
+                    seen.add(name)
+                else:
+                    offenders.append(f"{path.name}:{node.lineno}: {name}")
+    assert offenders == []
+    assert seen == LAYOUT_NAMES  # the check sees what it exempts
 
 
 def test_traced_boundaries_resolve(monkeypatch):
