@@ -1,7 +1,10 @@
 """Domain types shared across the toolkit.
 
 All types are immutable after construction and safe to share across
-threads; the operations on them are pure.
+threads; the operations on them are pure. One kind of record is built in
+two steps: a synthesised :class:`RouterInfo` holds its hash and the draws
+it was made from, and builds its other fields once, on the first read of
+any of them. Their values never change after that.
 """
 
 from __future__ import annotations
@@ -107,7 +110,11 @@ _PROFILES: dict[tuple, CapabilityProfile] = {
 
 @dataclass(frozen=True, init=False, slots=True)
 class TransportAddress:
-    """One published address. ``options`` is copied; omitted, it is a new empty dict."""
+    """One published address. ``options`` is copied; omitted, it is a new empty dict.
+
+    :meth:`_owning` builds one without the copy, for a dict the package has
+    just made and hands over.
+    """
 
     style: str
     cost: int = 0
@@ -120,6 +127,17 @@ class TransportAddress:
         _set(self, "cost", cost)
         _set(self, "expiration_ms", expiration_ms)
         _set(self, "options", {} if options is None else dict(options))
+
+    @classmethod
+    def _owning(cls, style: str, cost: int, expiration_ms: int,
+                options: dict[str, str]) -> TransportAddress:
+        """An address that keeps ``options`` itself: no one else may hold the dict."""
+        address = object.__new__(cls)
+        _set(address, "style", style)
+        _set(address, "cost", cost)
+        _set(address, "expiration_ms", expiration_ms)
+        _set(address, "options", options)
+        return address
 
     @property
     def has_host_port(self) -> bool:
@@ -144,6 +162,12 @@ class RouterInfo:
     ``hash`` is not an argument: it is derived once, on construction, as
     :func:`hash_identity` of ``identity``, whose bytes never change: it always names the record.
     ``addresses`` and ``options`` are copied; an omitted ``options`` is a new empty dict.
+
+    :meth:`_owning` keeps the tuple and dict it is given, without the copies.
+    :meth:`_deferred` makes a record from a hash and the draws of its other
+    fields, which it builds together on the first read of any one of them;
+    until then the field slots are empty and ``_draws`` holds the draws.
+    Every other record has ``_draws`` None and all its fields set.
     """
 
     hash: bytes = field(init=False)
@@ -152,17 +176,64 @@ class RouterInfo:
     addresses: tuple[TransportAddress, ...] = ()
     options: Mapping[str, str] = field(default_factory=dict)
     signature: bytes = b""
+    _draws: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(self, identity: Destination, published_ms: int,
                  addresses: Iterable[TransportAddress] = (),
                  options: Optional[Mapping[str, str]] = None,
                  signature: bytes = b"") -> None:
         _set(self, "hash", hash_identity(identity))
+        _set(self, "_draws", None)
+        self._fill(identity, published_ms, tuple(addresses),
+                   {} if options is None else dict(options), signature)
+
+    @classmethod
+    def _owning(cls, identity: Destination, published_ms: int,
+                addresses: tuple[TransportAddress, ...], options: dict[str, str],
+                signature: bytes) -> RouterInfo:
+        """A record that keeps ``addresses`` and ``options`` themselves: no one
+        else may hold the dict."""
+        record = object.__new__(cls)
+        _set(record, "hash", hash_identity(identity))
+        _set(record, "_draws", None)
+        record._fill(identity, published_ms, addresses, options, signature)
+        return record
+
+    @classmethod
+    def _deferred(cls, key_bytes: bytes, draws: tuple) -> RouterInfo:
+        """A record named by the destination of exactly ``key_bytes``, whose
+        fields ``draws[0](*draws[1:])`` returns, in field order after ``hash``,
+        on the first read of any of them: the identity it returns must be
+        ``Destination(key_bytes)``, and its addresses and options the
+        record's own."""
+        record = object.__new__(cls)
+        _set(record, "hash", hashlib.sha256(key_bytes).digest())
+        _set(record, "_draws", draws)
+        return record
+
+    def _fill(self, identity: Destination, published_ms: int,
+              addresses: tuple[TransportAddress, ...], options: dict[str, str],
+              signature: bytes) -> None:
         _set(self, "identity", identity)
         _set(self, "published_ms", published_ms)
-        _set(self, "addresses", tuple(addresses))
-        _set(self, "options", {} if options is None else dict(options))
+        _set(self, "addresses", addresses)
+        _set(self, "options", options)
         _set(self, "signature", signature)
+
+    def __getattr__(self, name: str):
+        # Runs only when a lookup fails: a field of a record not yet built,
+        # or no such attribute. The fields are all set before ``_draws`` is
+        # cleared, so a thread that finds it None finds them set. Two threads
+        # may both build; each builds equal values from the same draws.
+        # Defining it has a cost on CPython 3.11: attribute loads on a class
+        # with __getattr__ are not specialised, so every read of any record
+        # takes the generic lookup (about 25 ns more per read, measured).
+        if name in _DEFERRED_FIELDS:
+            draws = self._draws
+            if draws is not None:
+                self._fill(*draws[0](*draws[1:]))
+                _set(self, "_draws", None)
+        return object.__getattribute__(self, name)
 
     @property
     def caps(self) -> str:
@@ -199,6 +270,9 @@ class RouterInfo:
         return _PROFILES["f" in caps, "H" in caps, "U" in caps, alpha, iota, bandwidth]
 
 
+_DEFERRED_FIELDS = frozenset(("identity", "published_ms", "addresses", "options", "signature"))
+
+
 def int_option(raw: Optional[str]) -> Optional[int]:
     """An option value of decimal digits only as an int; anything else is None."""
     if raw is None or not raw.isdecimal():
@@ -212,14 +286,17 @@ LEASE_FIELD_BITS = {"tunnel_id": 32, "expiry_ms": 64}
 
 @dataclass(frozen=True)
 class Lease:
-    """One inbound tunnel; its numbers are ints, not bools, within ``LEASE_FIELD_BITS``."""
+    """One inbound tunnel; its numbers are ints, not bools, within ``LEASE_FIELD_BITS``.
+
+    ``gateway`` is kept as ``bytes``: a mutable buffer is copied.
+    """
 
     gateway: bytes
     tunnel_id: int
     expiry_ms: int
 
     def __post_init__(self) -> None:
-        check_hash(self.gateway, "lease gateway")
+        _set(self, "gateway", check_hash(self.gateway, "lease gateway"))
         for name, bits in LEASE_FIELD_BITS.items():
             value = getattr(self, name)
             if type(value) is not int or value >> bits:  # negatives shift to -1
@@ -231,13 +308,14 @@ class LeaseSet:
     """A service descriptor: destination hash plus inbound tunnel gateways.
 
     A lease names the tunnel gateway, never the hosting endpoint.
+    ``destination_hash`` is kept as ``bytes``: a mutable buffer is copied.
     """
 
     destination_hash: bytes
     leases: tuple[Lease, ...] = ()
 
     def __post_init__(self) -> None:
-        check_hash(self.destination_hash, "destination hash")
+        _set(self, "destination_hash", check_hash(self.destination_hash, "destination hash"))
 
     @property
     def b32(self) -> str:

@@ -13,6 +13,11 @@ order, fills each floodfill's store of records.
 Synthesis draws through :func:`_below`, the loop behind ``Random.randrange``
 and ``Random.choice``, and ``getrandbits`` for bytes, so it consumes the
 generator exactly as those methods would, without their argument handling.
+It comes in two halves: :func:`synth_record` takes a record's draws and
+keeps them, with its hash, in the record, and :func:`_record_fields`
+builds its other fields from them on the first read of any of them. So
+generation makes no destination, address or option dict; only the records
+a run reads, such as those a replay finds, are ever built.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from math import floor
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, TextIO, Union
 
 from .classify import ShadeReport
 from .dht import FloodfillTable, normalize_date, routing_keys
@@ -82,12 +87,15 @@ class NetworkSpec:
     wrong type (true and false are not numbers), a bad date or distribution,
     an ``n_routers`` over :data:`MAX_ROUTERS` or a ``k`` over :data:`MAX_K`,
     so that the worst spec allowed peaks under 1 GB. The limits
-    come from measured peaks: simulate takes about 2.8 KB per router at
-    k = 4 (57.6 MB at 3,242 routers, 139.5 MB at 32,420), so MAX_ROUTERS
-    routers peak near 0.33 GB; each record is stored on min(k, floodfills)
-    floodfills at about 55 bytes a copy (generation at 32,420 routers peaked
-    at 95.9 MB with k = 4 and 259.3 MB with k = 100), so a k of MAX_K adds
-    about 0.53 GB at MAX_ROUTERS.
+    come from measured peaks: simulate takes about 2.3 KB per router at
+    k = 4 (56.6 MB at 3,242 routers, 123.3 MB at 32,420), and a run that
+    reads every record builds them all, which adds about 0.6 KB per router
+    (generation at 32,420 routers peaked at 79.5 MB, and at 98.7 MB with
+    every record then built), so MAX_ROUTERS routers peak near 0.29 GB;
+    each record is stored on min(k, floodfills) floodfills at about 55
+    bytes a copy (generation at 32,420 routers peaked at 79.5 MB with k = 4
+    and 241.6 MB with k = 100), so a k of MAX_K adds about 0.53 GB at
+    MAX_ROUTERS.
     """
 
     n_routers: int
@@ -259,42 +267,54 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def _synth_identity(rng: random.Random) -> Destination:
+def _identity_bytes(rng: random.Random) -> bytes:
     # Null certificate: 387 bytes total, the bytes of rng.randbytes(384)
     # then the 3 zero bytes that pad the 384-byte number to 387.
-    return Destination(rng.getrandbits(3072).to_bytes(387, "little"))
+    return rng.getrandbits(3072).to_bytes(387, "little")
 
 
-def _direct_address(rng: random.Random) -> TransportAddress:
-    host = f"10.{_below(rng, 256)}.{_below(rng, 256)}.{1 + _below(rng, 254)}"
-    return TransportAddress(
-        style=("NTCP2", "SSU2")[_below(rng, 2)],
-        cost=5 + _below(rng, 10),
-        options={"host": host, "port": str(9000 + _below(rng, 22000))},
-    )
+class _AddressRecipe(NamedTuple):
+    """How one kind of address is made: ``draw`` takes its values from the
+    generator, and ``build(*draws)`` makes the address from them."""
+
+    draw: Callable[[random.Random], tuple]
+    build: Callable[..., TransportAddress]
 
 
-def _introducer_address(rng: random.Random) -> TransportAddress:
-    return TransportAddress(
-        style="SSU2",
-        cost=5,
-        options={
-            "ih0": hash_to_b64(rng.getrandbits(256).to_bytes(32, "little")),
-            "itag0": str(1 + _below(rng, 2**31)),
-        },
-    )
+def _direct_draws(rng: random.Random) -> tuple:
+    # The host's three octets, the style, the cost, the port.
+    return (_below(rng, 256), _below(rng, 256), 1 + _below(rng, 254),
+            ("NTCP2", "SSU2")[_below(rng, 2)], 5 + _below(rng, 10), 9000 + _below(rng, 22000))
+
+
+def _direct_address(a: int, b: int, c: int, style: str, cost: int, port: int) -> TransportAddress:
+    return TransportAddress._owning(style, cost, 0, {"host": f"10.{a}.{b}.{c}", "port": str(port)})
+
+
+def _introducer_draws(rng: random.Random) -> tuple:
+    # The introducer's hash as a 256-bit number, and its tag.
+    return rng.getrandbits(256), 1 + _below(rng, 2**31)
+
+
+def _introducer_address(ih0: int, itag0: int) -> TransportAddress:
+    options = {"ih0": hash_to_b64(ih0.to_bytes(32, "little")), "itag0": str(itag0)}
+    return TransportAddress._owning("SSU2", 5, 0, options)
+
+
+_DIRECT = _AddressRecipe(_direct_draws, _direct_address)
+_INTRODUCER = _AddressRecipe(_introducer_draws, _introducer_address)
 
 
 # How each publishing shade's record is made: the caps strings one is
 # drawn from (a bandwidth letter, then the flag letters), built once so that
-# records with equal caps share one string, and the address maker (None: the
-# record publishes no address).
+# records with equal caps share one string, and the address recipe (None:
+# the record publishes no address).
 _RECIPES = {
-    1: (tuple(letter + "fR" for letter in HIGH_BANDWIDTH), _direct_address),
-    2: (tuple(letter + "R" for letter in HIGH_BANDWIDTH), _direct_address),
-    3: (tuple(letter + "R" for letter in LOW_BANDWIDTH), _direct_address),
-    4: (tuple(letter + "U" for letter in BANDWIDTH_LETTERS), _direct_address),
-    5: (tuple(letter + "U" for letter in LOW_BANDWIDTH), _introducer_address),
+    1: (tuple(letter + "fR" for letter in HIGH_BANDWIDTH), _DIRECT),
+    2: (tuple(letter + "R" for letter in HIGH_BANDWIDTH), _DIRECT),
+    3: (tuple(letter + "R" for letter in LOW_BANDWIDTH), _DIRECT),
+    4: (tuple(letter + "U" for letter in BANDWIDTH_LETTERS), _DIRECT),
+    5: (tuple(letter + "U" for letter in LOW_BANDWIDTH), _INTRODUCER),
     6: (tuple(letter + "H" for letter in LOW_BANDWIDTH), None),
     7: (tuple(LOW_BANDWIDTH), None),
 }
@@ -303,25 +323,48 @@ _RECIPES = {
 def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
     """A record whose capability profile classifies exactly to ``shade_level``.
 
-    The profile reads only the caps drawn and the recipe's address maker, so
+    The profile reads only the caps drawn and the recipe's address kind, so
     ``tests/test_sim.py`` proves this by drawing every caps choice of each level.
+
+    This is the draw half: it takes every value from ``rng`` now (caps,
+    address, version, floodfill counts, identity, publish time, signature)
+    and keeps only those values, not the objects made from them. The
+    record's ``hash`` is set at once; :func:`_record_fields`, the build
+    half, makes its other fields on the first read of any of them (see
+    :meth:`~shadescope.model.RouterInfo._deferred`).
     """
     if shade_level not in _RECIPES:
         raise ValueError("only shades 1-7 publish records")
-    choices, make_address = _RECIPES[shade_level]
+    choices, address = _RECIPES[shade_level]
     caps = choices[_below(rng, len(choices))]
-    addresses = (make_address(rng),) if make_address else ()
-    options = {"caps": caps, "router.version": _VERSIONS[_below(rng, len(_VERSIONS))]}
+    address_draws = address.draw(rng) if address else ()
+    version = _VERSIONS[_below(rng, len(_VERSIONS))]
+    known_routers = known_leasesets = None
     if shade_level == 1:
-        options["netdb.knownRouters"] = str(500 + _below(rng, 8501))
-        options["netdb.knownLeaseSets"] = str(_below(rng, 401))
-    return RouterInfo(
-        identity=_synth_identity(rng),
-        published_ms=EPOCH_2025_MS + _below(rng, 86_400_001),
-        addresses=addresses,
-        options=options,
-        signature=rng.getrandbits(512).to_bytes(64, "little"),
-    )
+        known_routers = 500 + _below(rng, 8501)
+        known_leasesets = _below(rng, 401)
+    identity = _identity_bytes(rng)
+    published_ms = EPOCH_2025_MS + _below(rng, 86_400_001)
+    signature = rng.getrandbits(512)
+    return RouterInfo._deferred(identity, (
+        _record_fields, caps, version, known_routers, known_leasesets, identity,
+        published_ms, signature, address.build if address else None) + address_draws)
+
+
+def _record_fields(caps: str, version: str, known_routers: Optional[int],
+                   known_leasesets: Optional[int], identity: bytes, published_ms: int,
+                   signature: int, build_address: Optional[Callable[..., TransportAddress]],
+                   *address_draws) -> tuple:
+    """The build half of :func:`synth_record`: the record's fields after
+    ``hash``, made from its draws. Floodfills (known counts not None) also
+    publish their netdb counts."""
+    options = {"caps": caps, "router.version": version}
+    if known_routers is not None:
+        options["netdb.knownRouters"] = str(known_routers)
+        options["netdb.knownLeaseSets"] = str(known_leasesets)
+    addresses = (build_address(*address_draws),) if build_address else ()
+    return (Destination(identity), published_ms, addresses, options,
+            signature.to_bytes(64, "little"))
 
 
 def generate_network(spec: NetworkSpec) -> NetworkModel:
@@ -346,7 +389,7 @@ def generate_network(spec: NetworkSpec) -> NetworkModel:
         exclusive: list[bytes] = []
         for level in levels:
             if level == 8:
-                identity = _synth_identity(rng)
+                identity = Destination(_identity_bytes(rng))
                 router = SimRouter(hash_identity(identity), SHADES[8], None)
                 exclusive.append(router.hash)
             else:

@@ -60,6 +60,8 @@ def decode_router_info(data: bytes) -> RouterInfo:
     """Strictly decode one record; raises :class:`DecodeError` on any defect.
 
     The identity is the leading :class:`Destination`; the record goes on after its key bytes.
+    Every field has its declared type whatever buffer ``data`` is: the
+    signature is ``bytes`` also when ``data`` is a ``bytearray``.
     """
     try:
         identity = Destination(data)
@@ -94,7 +96,7 @@ def decode_router_info(data: bytes) -> RouterInfo:
             raise DecodeError("address style is not valid UTF-8", pos) from exc
         style = _NAMES.get(style, style)
         options, pos = _read_mapping(data, pos, n, "address options")
-        addresses.append(TransportAddress(style, cost, expiration_ms, options))
+        addresses.append(TransportAddress._owning(style, cost, expiration_ms, options))
     if pos >= n:
         raise DecodeError("truncated peer count", pos)
     peers_at = pos + 1
@@ -102,13 +104,9 @@ def decode_router_info(data: bytes) -> RouterInfo:
     if pos > n:
         raise DecodeError("truncated peer hashes", peers_at)
     options, pos = _read_mapping(data, pos, n, "router options")
-    return RouterInfo(
-        identity=identity,
-        published_ms=published_ms,
-        addresses=addresses,
-        options=options,
-        signature=data[pos:],
-    )
+    # The mappings are new dicts no one else holds, so the record keeps them.
+    return RouterInfo._owning(identity, published_ms, tuple(addresses), options,
+                              bytes(data[pos:]))
 
 
 def _read_mapping(data: bytes, pos: int, n: int, what: str) -> tuple[dict[str, str], int]:

@@ -14,8 +14,8 @@ from typing import Mapping, Sequence, Union
 from shadescope.encoding import hash_from_b64, hash_to_b64
 from shadescope.model import (BANDWIDTH_LETTERS, DEST_MIN_LEN, CapabilityProfile, Destination,
                               DestinationError, LeaseSet, RouterInfo, TransportAddress)
-from shadescope.sim import (EPOCH_2025_MS, HitCurve, _RECIPES, _VERSIONS, _direct_address,
-                            _introducer_address, _synth_identity, synth_record)
+from shadescope.sim import (EPOCH_2025_MS, HitCurve, _DIRECT, _INTRODUCER, _RECIPES, _VERSIONS,
+                            _identity_bytes, synth_record)
 from shadescope.wire import (KNOWN_STYLES, MAPPING_MAX, DecodeError, EncodeError,
                              encode_router_info)
 
@@ -73,14 +73,14 @@ def random_record(rng: random.Random) -> RouterInfo:
             rng.randbytes(384) + b"\x05" + (4).to_bytes(2, "big") + rng.randbytes(4)
         )
     else:
-        identity = _synth_identity(rng)
+        identity = Destination(_identity_bytes(rng))
     addresses = []
     for _ in range(rng.randint(0, 3)):
         kind = rng.random()
         if kind < 0.4:
-            addresses.append(_direct_address(rng))
+            addresses.append(_DIRECT.build(*_DIRECT.draw(rng)))
         elif kind < 0.7:
-            addresses.append(_introducer_address(rng))
+            addresses.append(_INTRODUCER.build(*_INTRODUCER.draw(rng)))
         else:
             addresses.append(
                 TransportAddress(
@@ -152,8 +152,8 @@ def _oracle_introducer_address(rng: random.Random) -> TransportAddress:
 
 
 _ORACLE_ADDRESSES = {
-    _direct_address: _oracle_direct_address,
-    _introducer_address: _oracle_introducer_address,
+    _DIRECT: _oracle_direct_address,
+    _INTRODUCER: _oracle_introducer_address,
 }
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadescope.model import CERT_LEN_OFFSET, Destination, RouterInfo, TransportAddress
+from shadescope import wire
 from shadescope.wire import (
     KNOWN_STYLES,
     DecodeError,
@@ -135,6 +136,45 @@ class TestRoundTrip:
         decoded = decode_router_info(bytearray(blob))
         assert type(decoded.identity.data) is bytes
         assert decoded == decode_router_info(blob)
+
+    def test_mutable_buffer_decodes_to_declared_types(self):
+        record = make_record(caps="XfR", version="2.12.0", cert_len=4,
+                             addresses=[direct("NTCP2"), introducer()])
+        decoded = decode_router_info(bytearray(encode_router_info(record)))
+        assert decoded == record
+        assert type(decoded.hash) is bytes and type(decoded.identity) is Destination
+        assert type(decoded.identity.data) is bytes
+        assert type(decoded.published_ms) is int and type(decoded.signature) is bytes
+        assert type(decoded.addresses) is tuple and type(decoded.options) is dict
+        mappings = [decoded.options]
+        for address in decoded.addresses:
+            assert type(address) is TransportAddress and type(address.style) is str
+            assert type(address.cost) is int and type(address.expiration_ms) is int
+            assert type(address.options) is dict
+            mappings.append(address.options)
+        assert all(type(text) is str for mapping in mappings for item in mapping.items()
+                   for text in item)
+
+    def test_decoder_keeps_the_mappings_it_reads(self, monkeypatch):
+        # Each mapping is a new dict the decoder made, so the record keeps it
+        # rather than a copy; two decodes still share no dict.
+        read = []
+
+        def recording(*args):
+            entries, end = read_mapping(*args)
+            read.append(entries)
+            return entries, end
+
+        read_mapping = wire._read_mapping
+        monkeypatch.setattr(wire, "_read_mapping", recording)
+        blob = encode_router_info(make_record(caps="XfR", addresses=[direct("NTCP2"),
+                                                                     introducer()]))
+        a = decode_router_info(blob)
+        kept = [x.options for x in a.addresses] + [a.options]
+        assert len(kept) == len(read) == 3 and all(x is y for x, y in zip(kept, read))
+        b = decode_router_info(blob)
+        assert a == b and a.options is not b.options
+        assert all(x.options is not y.options for x, y in zip(a.addresses, b.addresses))
 
     def test_null_certificate_identity_section(self):
         record = make_record(caps="LR")

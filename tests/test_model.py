@@ -6,6 +6,9 @@ import inspect
 import pickle
 import random
 import re
+import sys
+import threading
+from operator import attrgetter, methodcaller
 
 import pytest
 from hypothesis import given
@@ -27,6 +30,7 @@ from shadescope.model import (
     Destination,
     DestinationError,
     Lease,
+    LeaseSet,
     RouterInfo,
     SHADES,
     TransportAddress,
@@ -209,6 +213,21 @@ class TestLease:
     def test_fields_at_their_maxima_build(self):
         lease = Lease(self.GATEWAY, 2**32 - 1, 2**64 - 1)
         assert (lease.tunnel_id, lease.expiry_ms) == (2**32 - 1, 2**64 - 1)
+
+    def test_mutable_gateway_is_kept_as_bytes(self):
+        buf = bytearray(self.GATEWAY)
+        lease = Lease(buf, 1, 2)
+        buf[0] = 0xFF
+        assert type(lease.gateway) is bytes and lease.gateway == self.GATEWAY
+        assert hash(lease) == hash(Lease(self.GATEWAY, 1, 2))
+
+    def test_mutable_destination_hash_is_kept_as_bytes(self):
+        buf = bytearray(self.GATEWAY)
+        leaseset = LeaseSet(buf)
+        before = leaseset.b32
+        buf[0] = 1
+        assert type(leaseset.destination_hash) is bytes
+        assert leaseset.b32 == before == LeaseSet(self.GATEWAY).b32
 
 
 class TestShade:
@@ -448,6 +467,100 @@ class TestConstructors:
             assert twin == curve and twin.report.record.hash == record.hash
             assert twin.report.record.profile() is record.profile()
             assert twin.report.shade == report.shade and twin.report.record is not record
+
+
+_COMPARED = [f.name for f in dataclasses.fields(RouterInfo) if f.compare]
+
+
+def _built(record: RouterInfo) -> bool:
+    return record._draws is None
+
+
+class TestDeferredRecord:
+    """A synthesised record holds its hash and its draws; its other fields
+    are built together on the first read of any of them."""
+
+    @pytest.mark.parametrize("level", range(1, 8))
+    def test_hash_names_the_identity_before_and_after_the_build(self, level):
+        for seed in range(6):
+            record = synth_record(random.Random(seed), level)
+            named = record.hash
+            assert not _built(record)
+            identity = record.identity
+            assert _built(record)
+            assert named == record.hash == hash_identity(identity)
+
+    @pytest.mark.parametrize("level", range(1, 8))
+    def test_equals_its_decoded_encoding(self, level):
+        record, twin, shown = (synth_record(random.Random(level), level) for _ in range(3))
+        decoded = decode_router_info(encode_router_info(record))
+        assert not _built(twin) and twin == decoded and decoded == twin
+        for name in _COMPARED:
+            assert getattr(record, name) == getattr(decoded, name), name
+        assert not _built(shown) and repr(shown) == repr(record)
+
+    @pytest.mark.parametrize("read", [
+        *map(attrgetter, ["identity", "published_ms", "addresses", "options", "signature",
+                          "caps"]), methodcaller("profile"),
+    ], ids=["identity", "published_ms", "addresses", "options", "signature", "caps", "profile"])
+    def test_any_field_read_builds_every_field(self, read):
+        record = synth_record(random.Random(2), 1)
+        read(record)
+        assert _built(record)
+        assert record == synth_record(random.Random(2), 1)
+
+    def test_other_records_hold_every_field(self):
+        for record in (_record(), decode_router_info(encode_router_info(_record()))):
+            assert _built(record)
+            assert all(name in dir(record) for name in _COMPARED)
+
+    def test_missing_attribute_raises(self):
+        record = synth_record(random.Random(1), 3)
+        with pytest.raises(AttributeError):
+            record.no_such_field
+        assert not _built(record)
+
+    @pytest.mark.parametrize("copy_of", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy,
+                                         copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    def test_copies_of_an_unbuilt_record_are_equal(self, copy_of):
+        twin = copy_of(synth_record(random.Random(3), 5))
+        assert type(twin) is RouterInfo and _built(twin)
+        assert twin == synth_record(random.Random(3), 5)
+
+    def test_replace_builds_the_record_it_copies(self):
+        record = synth_record(random.Random(4), 2)
+        changed = dataclasses.replace(record, published_ms=5)
+        assert _built(record) and _built(changed)
+        assert changed.published_ms == 5 and changed.hash == record.hash
+
+    def test_threads_reading_one_unbuilt_record_see_equal_fields(self):
+        # More threads than cores and a short switch interval, so builds can
+        # interleave: two threads may both build, and every read must still
+        # see the same values.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(20):
+                record = synth_record(random.Random(seed), 1)
+                barrier = threading.Barrier(4, timeout=10)
+                seen = []
+
+                def read(first):
+                    # Each thread starts on a different field, so any may build.
+                    names = _COMPARED[first:] + _COMPARED[:first]
+                    barrier.wait()
+                    seen.append({name: getattr(record, name) for name in names})
+
+                threads = [threading.Thread(target=read, args=(i + 1,)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == 4 and all(view == seen[0] for view in seen)
+                assert seen[0] == {name: getattr(record, name) for name in _COMPARED}
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # Introducer-like option keys: a prefix, a tail of decimal digits (ASCII

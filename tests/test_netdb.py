@@ -83,9 +83,10 @@ class TestLoadNetDbDir:
                         reason="bound measured on CPython 3.11; object sizes differ by version")
     def test_memory_per_decoded_record(self, tmp_path):
         # Traced bytes a loaded snapshot holds per record, after a warm-up
-        # load, on CPython 3.11.7: 1,366 with slotted records that keep no
-        # destination size, and the option keys and styles the package reads
-        # shared; 1,406 with a size slot per destination; 1,756 with
+        # load, on CPython 3.11.7: 1,352 with slotted records that keep the
+        # decoder's own mappings, no destination size, and the option keys
+        # and styles the package reads shared; 1,366 with each mapping
+        # copied; 1,406 with a size slot per destination; 1,756 with
         # dict-backed records and a copy of each name per record. The bound
         # lies halfway between the last two.
         rng = random.Random(8)

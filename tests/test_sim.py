@@ -49,6 +49,10 @@ def small_spec(seed=0, n=60, k=2):
     )
 
 
+def _built(record):
+    return record._draws is None
+
+
 def census_spec():
     dist = {
         "2": 500 / 3242, "3": 500 / 3242, "4": 300 / 3242,
@@ -194,10 +198,11 @@ class TestGenerateNetwork:
                         reason="bound measured on CPython 3.11; object sizes differ by version")
     def test_census_model_memory_per_router(self):
         # Traced bytes a census model holds per router, after a warm-up
-        # generation, on CPython 3.11.7: 1,673 with slotted records that keep
-        # no destination size, and one caps string per recipe letter; 1,713
-        # with a size slot per destination; 1,889 with dict-backed records and
-        # a caps string per record. The bound lies halfway between the last two.
+        # generation, on CPython 3.11.7: 1,142 with records that keep their
+        # draws until a field is read; 1,673 with every record built at
+        # synthesis; 1,713 with a size slot per destination; 1,889 with
+        # dict-backed records and a caps string per record. The bound lies
+        # halfway between the first two.
         spec = census_spec()
         generate_network(spec)
         tracemalloc.start()
@@ -206,7 +211,30 @@ class TestGenerateNetwork:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held / len(model.routers) < 1_801
+        assert held / len(model.routers) < 1_408
+
+    def test_census_generation_builds_no_record(self):
+        # Generation reads only each record's hash; a replay of the
+        # exclusive target, as criterion 1 runs it, reads no record either.
+        model = generate_network(census_spec())
+        records = [router.record for router in model.routers.values() if router.record is not None]
+        assert len(records) == 3241 and not any(map(_built, records))
+        plan = ProbePlan(model.floodfills, batch_size=5, max_probes=500)
+        curve, = run_probe_experiment(model, sorted(model.exclusive), plan)
+        assert curve.report.shade.level == 8 and curve.report.probes_used == 500
+        assert not any(map(_built, records))
+
+    def test_replay_builds_exactly_the_records_it_found(self):
+        model = generate_network(small_spec(seed=3, n=400))
+        plan = ProbePlan(model.floodfills, batch_size=5, max_probes=20)
+        targets = sorted(model.routers)[:150]
+        found = {id(curve.report.record) for curve in run_probe_experiment(model, targets, plan)
+                 if curve.report.record is not None}
+        built = {id(router.record) for router in model.routers.values()
+                 if router.record is not None and _built(router.record)}
+        published = sum(model.routers[target].record is not None for target in targets)
+        assert 0 < len(found) < published
+        assert built == found
 
     def test_conservation(self):
         for seed in range(5):
