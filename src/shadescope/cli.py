@@ -382,8 +382,8 @@ _B64_FILE_CHARS = frozenset(
 
 def _read_destination(path: str) -> Destination:
     data = _read_file(path)
-    try:
-        text = data.decode("ascii").strip()
+    try:  # base64 text may be wrapped, as coreutils base64 wraps at 76 columns
+        text = b"".join(data.split()).decode("ascii")
     except UnicodeDecodeError:
         return Destination(data)
     if text and set(text) <= _B64_FILE_CHARS:

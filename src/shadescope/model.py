@@ -1,10 +1,7 @@
 """Domain types shared across the toolkit.
 
 All types are immutable after construction and safe to share across
-threads; the operations on them are pure. One kind of record is built in
-two steps: a synthesised :class:`RouterInfo` holds its hash and the draws
-it was made from, and builds its other fields once, on the first read of
-any of them. Their values never change after that.
+threads; the operations on them are pure.
 """
 
 from __future__ import annotations
@@ -164,10 +161,6 @@ class RouterInfo:
     ``addresses`` and ``options`` are copied; an omitted ``options`` is a new empty dict.
 
     :meth:`_owning` keeps the tuple and dict it is given, without the copies.
-    :meth:`_deferred` makes a record from a hash and the draws of its other
-    fields, which it builds together on the first read of any one of them;
-    until then the field slots are empty and ``_draws`` holds the draws.
-    Every other record has ``_draws`` None and all its fields set.
     """
 
     hash: bytes = field(init=False)
@@ -176,14 +169,12 @@ class RouterInfo:
     addresses: tuple[TransportAddress, ...] = ()
     options: Mapping[str, str] = field(default_factory=dict)
     signature: bytes = b""
-    _draws: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(self, identity: Destination, published_ms: int,
                  addresses: Iterable[TransportAddress] = (),
                  options: Optional[Mapping[str, str]] = None,
                  signature: bytes = b"") -> None:
         _set(self, "hash", hash_identity(identity))
-        _set(self, "_draws", None)
         self._fill(identity, published_ms, tuple(addresses),
                    {} if options is None else dict(options), signature)
 
@@ -195,20 +186,7 @@ class RouterInfo:
         else may hold the dict."""
         record = object.__new__(cls)
         _set(record, "hash", hash_identity(identity))
-        _set(record, "_draws", None)
         record._fill(identity, published_ms, addresses, options, signature)
-        return record
-
-    @classmethod
-    def _deferred(cls, key_bytes: bytes, draws: tuple) -> RouterInfo:
-        """A record named by the destination of exactly ``key_bytes``, whose
-        fields ``draws[0](*draws[1:])`` returns, in field order after ``hash``,
-        on the first read of any of them: the identity it returns must be
-        ``Destination(key_bytes)``, and its addresses and options the
-        record's own."""
-        record = object.__new__(cls)
-        _set(record, "hash", hashlib.sha256(key_bytes).digest())
-        _set(record, "_draws", draws)
         return record
 
     def _fill(self, identity: Destination, published_ms: int,
@@ -219,21 +197,6 @@ class RouterInfo:
         _set(self, "addresses", addresses)
         _set(self, "options", options)
         _set(self, "signature", signature)
-
-    def __getattr__(self, name: str):
-        # Runs only when a lookup fails: a field of a record not yet built,
-        # or no such attribute. The fields are all set before ``_draws`` is
-        # cleared, so a thread that finds it None finds them set. Two threads
-        # may both build; each builds equal values from the same draws.
-        # Defining it has a cost on CPython 3.11: attribute loads on a class
-        # with __getattr__ are not specialised, so every read of any record
-        # takes the generic lookup (about 25 ns more per read, measured).
-        if name in _DEFERRED_FIELDS:
-            draws = self._draws
-            if draws is not None:
-                self._fill(*draws[0](*draws[1:]))
-                _set(self, "_draws", None)
-        return object.__getattribute__(self, name)
 
     @property
     def caps(self) -> str:
@@ -270,12 +233,9 @@ class RouterInfo:
         return _PROFILES["f" in caps, "H" in caps, "U" in caps, alpha, iota, bandwidth]
 
 
-_DEFERRED_FIELDS = frozenset(("identity", "published_ms", "addresses", "options", "signature"))
-
-
 def int_option(raw: Optional[str]) -> Optional[int]:
-    """An option value of decimal digits only as an int; anything else is None."""
-    if raw is None or not raw.isdecimal():
+    """An option value of ASCII digits only as an int; anything else is None."""
+    if raw is None or not (raw.isascii() and raw.isdigit()):
         return None
     return int(raw)
 

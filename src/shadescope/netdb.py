@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterator, Optional, TextIO, Union
 
 from .encoding import EncodingError, InputError, hash_from_b64, service_hash
-from .model import LEASE_FIELD_BITS, Lease, LeaseSet, RouterInfo
+from .model import LEASE_FIELD_BITS, Lease, LeaseSet, RouterInfo, int_option
 from .wire import DecodeError, decode_router_info
 
 RECORD_GLOB = "routerInfo-*.dat"
@@ -283,8 +283,9 @@ def _parse_leaseset_line(line: str) -> LeaseSet:
 
 
 def _lease_field(name: str, text: str) -> int:
-    """``text`` as lease field ``name``: ASCII digits, below 2**LEASE_FIELD_BITS[name]."""
+    """``text`` as lease field ``name``: an :func:`int_option` below 2**LEASE_FIELD_BITS[name]."""
     bits = LEASE_FIELD_BITS[name]
-    if not (text.isascii() and text.isdigit() and int(text) >> bits == 0):
+    value = int_option(text)
+    if value is None or value >> bits:
         raise ValueError(f"{name} is not a decimal integer below 2**{bits}: {text!r}")
-    return int(text)
+    return value

@@ -68,17 +68,19 @@ class SnapshotSource(NetDbSource):
 @dataclass(frozen=True)
 class ProbePlan:
     """Ordered floodfill probe schedule, consumed in fixed batches. A
-    bytearray floodfill is stored as bytes, so it can key a lookup."""
+    bytearray floodfill is stored as bytes, so it can key a lookup.
+    ``batch_size`` and ``max_probes`` (None: no limit) are ints, not bools."""
 
     floodfills: tuple[bytes, ...]
     batch_size: int = 5
     max_probes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise InputError("batch size must be positive")
-        if self.max_probes is not None and self.max_probes < 0:
-            raise InputError("max_probes must be non-negative")
+        if type(self.batch_size) is not int or self.batch_size < 1:
+            raise InputError(f"batch size must be a positive integer: {self.batch_size!r}")
+        if self.max_probes is not None and (type(self.max_probes) is not int
+                                            or self.max_probes < 0):
+            raise InputError(f"max_probes must be a non-negative integer: {self.max_probes!r}")
         object.__setattr__(self, "floodfills",
                            _check_hashes(self.floodfills, "planned floodfill"))
 

@@ -14,21 +14,23 @@ Synthesis draws through :func:`_below`, the loop behind ``Random.randrange``
 and ``Random.choice``, and ``getrandbits`` for bytes, so it consumes the
 generator exactly as those methods would, without their argument handling.
 It comes in two halves: :func:`synth_record` takes a record's draws and
-keeps them, with its hash, in the record, and :func:`_record_fields`
-builds its other fields from them on the first read of any of them. So
-generation makes no destination, address or option dict; only the records
-a run reads, such as those a replay finds, are ever built.
+keeps them, with its hash, in a :class:`_SynthRecord`, and
+:func:`_record_fields` builds its other fields from them on the first read
+of any of them. So generation makes no destination, address or option
+dict; only the records a run reads, such as those a replay finds, are ever
+built. No other module knows that a record can be built late.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from math import floor
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, TextIO, Union
@@ -320,6 +322,36 @@ _RECIPES = {
 }
 
 
+# The names of a record's fields, and a getter of their values in order.
+_FIELDS = tuple(f.name for f in fields(RouterInfo))
+_field_values = attrgetter(*_FIELDS)
+
+
+class _SynthRecord(RouterInfo):
+    """A record from :func:`synth_record`: ``hash`` is set at once, and the
+    other fields are built together by :func:`_record_fields`, from the
+    arguments in ``_draws``, on the first read of any of them. It equals any
+    :class:`~shadescope.model.RouterInfo` with equal fields; its copies are
+    built and have no ``_draws``."""
+
+    __slots__ = ("_draws",)
+
+    def __getattr__(self, name: str):
+        # Runs only when a lookup fails: a field not yet built, or no such
+        # attribute. The fields are all set before ``_draws`` is cleared, so
+        # a thread that finds it None finds them set. Two threads may both
+        # build; each builds equal values from the same draws.
+        if name in _FIELDS and (draws := self._draws) is not None:
+            self._fill(*_record_fields(*draws))
+            _set(self, "_draws", None)
+        return object.__getattribute__(self, name)
+
+    def __eq__(self, other: object):
+        if isinstance(other, RouterInfo):
+            return _field_values(self) == _field_values(other)
+        return NotImplemented
+
+
 def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
     """A record whose capability profile classifies exactly to ``shade_level``.
 
@@ -329,9 +361,9 @@ def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
     This is the draw half: it takes every value from ``rng`` now (caps,
     address, version, floodfill counts, identity, publish time, signature)
     and keeps only those values, not the objects made from them. The
-    record's ``hash`` is set at once; :func:`_record_fields`, the build
-    half, makes its other fields on the first read of any of them (see
-    :meth:`~shadescope.model.RouterInfo._deferred`).
+    record is a :class:`_SynthRecord`: its ``hash`` is set at once, and
+    :func:`_record_fields`, the build half, makes its other fields on the
+    first read of any of them.
     """
     if shade_level not in _RECIPES:
         raise ValueError("only shades 1-7 publish records")
@@ -346,9 +378,11 @@ def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
     identity = _identity_bytes(rng)
     published_ms = EPOCH_2025_MS + _below(rng, 86_400_001)
     signature = rng.getrandbits(512)
-    return RouterInfo._deferred(identity, (
-        _record_fields, caps, version, known_routers, known_leasesets, identity,
-        published_ms, signature, address.build if address else None) + address_draws)
+    record = object.__new__(_SynthRecord)
+    _set(record, "hash", hashlib.sha256(identity).digest())  # all 387 bytes are key bytes
+    _set(record, "_draws", (caps, version, known_routers, known_leasesets, identity, published_ms,
+                            signature, address.build if address else None, *address_draws))
+    return record
 
 
 def _record_fields(caps: str, version: str, known_routers: Optional[int],

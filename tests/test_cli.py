@@ -412,18 +412,21 @@ class TestB32:
         assert payload["cert_type"] == 5
         assert payload["b32"].endswith(".b32.i2p")
 
-    @pytest.mark.parametrize("form", ["raw", "base64"])
+    @pytest.mark.parametrize("form", ["raw", "base64", "wrapped"])
     def test_key_file_reads_as_its_destination(self, tmp_path, capsys, form):
         # A key file is the destination followed by its private keys, which
-        # neither the size nor the address may count.
+        # neither the size nor the address may count. Wrapped base64 has a
+        # newline every 76 columns, as coreutils base64 writes it.
         import base64
 
         keys = DEST_387 + bytes(range(256)) + bytes(range(128))
         path = tmp_path / "keys.dat"
         if form == "raw":
             path.write_bytes(keys)
-        else:
+        elif form == "base64":
             path.write_text(base64.b64encode(keys, b"-~").decode() + "\n")
+        else:
+            path.write_bytes(base64.encodebytes(keys))
         bare = tmp_path / "dest.dat"
         bare.write_bytes(DEST_387)
         assert main(["b32", str(bare)]) == 0

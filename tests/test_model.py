@@ -38,7 +38,7 @@ from shadescope.model import (
     hash_identity,
 )
 from shadescope.sim import HitCurve, synth_record
-from shadescope.wire import decode_router_info, encode_router_info
+from shadescope.wire import decode_router_info, encode_router_info, lenient_extract
 
 from fixtures import oracle_has_introducers, oracle_profile, random_record
 
@@ -312,6 +312,17 @@ class TestRouterInfo:
         assert record.options["netdb.knownRouters"] == "²"
         assert record.known_routers is None
 
+    @pytest.mark.parametrize("count", ["²", "٣٠", "１２"])
+    def test_non_ascii_digit_count_reported_absent_by_both_readers(self, count):
+        # "²" is a digit to str.isdigit but not an int() literal; Arabic-Indic
+        # and fullwidth digits are int() literals but not ASCII. Only ASCII
+        # digits count, and the strict and lenient readers agree.
+        data = encode_router_info(_record(options={"caps": "LR", "netdb.knownRouters": count}))
+        record = decode_router_info(data)
+        assert record.options["netdb.knownRouters"] == count
+        assert record.known_routers is None
+        assert lenient_extract(data).known_routers is None
+
     def test_profile_extraction(self):
         direct = TransportAddress("NTCP2", options={"host": "10.0.0.1", "port": "1"})
         record = _record([direct], options={"caps": "XfR"})
@@ -473,7 +484,7 @@ _COMPARED = [f.name for f in dataclasses.fields(RouterInfo) if f.compare]
 
 
 def _built(record: RouterInfo) -> bool:
-    return record._draws is None
+    return getattr(record, "_draws", None) is None
 
 
 class TestDeferredRecord:
@@ -523,8 +534,9 @@ class TestDeferredRecord:
     @pytest.mark.parametrize("copy_of", [lambda r: pickle.loads(pickle.dumps(r)), copy.copy,
                                          copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
     def test_copies_of_an_unbuilt_record_are_equal(self, copy_of):
-        twin = copy_of(synth_record(random.Random(3), 5))
-        assert type(twin) is RouterInfo and _built(twin)
+        original = synth_record(random.Random(3), 5)
+        twin = copy_of(original)
+        assert type(twin) is type(original) and _built(twin)
         assert twin == synth_record(random.Random(3), 5)
 
     def test_replace_builds_the_record_it_copies(self):

@@ -83,12 +83,12 @@ class TestLoadNetDbDir:
                         reason="bound measured on CPython 3.11; object sizes differ by version")
     def test_memory_per_decoded_record(self, tmp_path):
         # Traced bytes a loaded snapshot holds per record, after a warm-up
-        # load, on CPython 3.11.7: 1,352 with slotted records that keep the
+        # load, on CPython 3.11.7: 1,344 with slotted records that keep the
         # decoder's own mappings, no destination size, and the option keys
-        # and styles the package reads shared; 1,366 with each mapping
-        # copied; 1,406 with a size slot per destination; 1,756 with
-        # dict-backed records and a copy of each name per record. The bound
-        # lies halfway between the last two.
+        # and styles the package reads shared; 1,352 with a slot per record
+        # for draws; 1,366 with each mapping copied; 1,406 with a size slot
+        # per destination; 1,756 with dict-backed records and a copy of each
+        # name per record. The bound lies halfway between the last two.
         rng = random.Random(8)
         for i in range(700):
             _record_file(tmp_path, synth_record(rng, 1 + i % 7))

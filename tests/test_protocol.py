@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from shadescope import protocol
 from shadescope.classify import Evidence, EvidenceSource, classify
-from shadescope.encoding import EncodingError, hash_to_b64
+from shadescope.encoding import EncodingError, InputError, hash_to_b64
 from shadescope.model import SHADE_EXCLUSIVE
 from shadescope.netdb import NetDbSnapshot
 from shadescope.protocol import (
@@ -84,6 +84,15 @@ class TestProbePlan:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             ProbePlan((), batch_size=0)
+
+    @pytest.mark.parametrize("numbers", [
+        {"batch_size": 2.5}, {"max_probes": 1.5}, {"batch_size": "3"}, {"max_probes": "3"},
+        {"batch_size": True}, {"max_probes": False}, {"batch_size": None},
+    ], ids=["float-batch", "float-max", "str-batch", "str-max", "bool-batch", "bool-max",
+            "none-batch"])
+    def test_numbers_must_be_ints(self, numbers):
+        with pytest.raises(InputError, match="must be a (positive|non-negative) integer"):
+            ProbePlan(tuple(_hashes(4)), **numbers)
 
     @pytest.mark.parametrize("at", [0, 6, 11], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("bad", [bytes(31), "k" * 32, None], ids=["short", "str", "none"])
