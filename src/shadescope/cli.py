@@ -22,7 +22,7 @@ from . import profiles
 from .classify import EvidenceSource, classify
 from .dht import association_rows, derive_b32, normalize_date
 from .encoding import EncodingError, InputError, hash_to_b64, parse_hash_text
-from .model import Destination, SHADES
+from .model import SHADES, Destination, DestinationError
 from .netdb import _open_output, _read_file, load_leasesets, load_netdb_dir
 from .protocol import NetDbSource, ProbePlan, SnapshotSource, _write_probe_log, classify_remote
 from .sim import (
@@ -391,7 +391,11 @@ def _read_destination(path: str) -> Destination:
         normalized += "=" * (-len(normalized) % 4)
         try:
             return Destination(base64.b64decode(normalized))
-        except ValueError:  # not base64, or a DestinationError
+        except DestinationError:  # if the raw bytes are no destination either, say this
+            with contextlib.suppress(DestinationError):
+                return Destination(data)
+            raise
+        except ValueError:  # not base64
             pass
     return Destination(data)
 

@@ -23,7 +23,7 @@ from .model import Destination, hash_identity
 if TYPE_CHECKING:
     import numpy as np
 
-_DATE_RE = re.compile(r"\d{8}$")
+_DATE_RE = re.compile(r"[0-9]{8}$")
 
 
 def normalize_date(date: str) -> str:
@@ -47,15 +47,6 @@ def daily_mod_key(date: str) -> bytes:
     return hashlib.sha256(normalize_date(date).encode("ascii")).digest()
 
 
-def _combine(key_hash: bytes, mod_int: int) -> bytes:
-    # The paper's rule: the record hash XOR SHA-256(date), the daily key
-    # passed as its big-endian int. Deployed routers instead hash the
-    # concatenation hash || "yyyyMMdd" with no inner date digest, so they
-    # are not reproduced by changing this line alone.
-    mixed = int.from_bytes(key_hash, "big") ^ mod_int
-    return mixed.to_bytes(HASH_LEN, "big")
-
-
 def routing_key(key_hash: bytes, date: str) -> bytes:
     """The date-salted storage key for a 32-byte record hash."""
     return routing_keys((key_hash,), date)[0]
@@ -66,8 +57,13 @@ def routing_keys(hashes: Sequence[bytes], date: str) -> list[bytes]:
     is checked in one pass and the daily key is read, as an int, once."""
     _check_hashes(hashes, "record hash")
     mod_int = int.from_bytes(daily_mod_key(date), "big")
-    sha256 = hashlib.sha256
-    return [sha256(_combine(key_hash, mod_int)).digest() for key_hash in hashes]
+    sha256, from_bytes = hashlib.sha256, int.from_bytes
+    # The paper's rule: SHA-256 of the record hash XOR SHA-256(date), the
+    # daily key passed as its big-endian int. Deployed routers instead hash
+    # the concatenation hash || "yyyyMMdd" with no inner date digest, so they
+    # are not reproduced by changing this line alone.
+    return [sha256((from_bytes(key_hash, "big") ^ mod_int).to_bytes(HASH_LEN, "big")).digest()
+            for key_hash in hashes]
 
 
 # Candidates ranked per numpy block: 256 KiB per uint64 temporary.

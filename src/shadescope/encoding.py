@@ -25,7 +25,8 @@ B32_SUFFIX = ".b32.i2p"
 
 _B64_ALTCHARS = b"-~"
 _B64_RE = re.compile(r"[A-Za-z0-9\-~]{43}=?$")
-_B32_RE = re.compile(r"[a-z2-7]{52}$")
+# ASCII only: str.lower, like a Unicode IGNORECASE, reads U+212A KELVIN SIGN as "k".
+_B32_RE = re.compile(r"[a-z2-7]{52}$", re.ASCII | re.IGNORECASE)
 
 
 class InputError(ValueError):
@@ -89,16 +90,14 @@ def hash_to_b32(value: bytes) -> str:
 
 
 def hash_from_b32(text: str) -> bytes:
-    """Decode 52 base32 chars; mixed case accepted, suffix not handled here.
-    A text whose case-folded form does not re-encode to itself (nonzero
-    unused low bits in its last character) is rejected."""
-    folded = text.lower()
-    if len(folded) != B32_LEN:
-        raise EncodingError(
-            f"base32 hash must be {B32_LEN} chars, got {len(folded)}"
-        )
-    if not _B32_RE.fullmatch(folded):
+    """Decode 52 ASCII base32 chars; mixed case accepted, suffix not handled
+    here. A text whose case-folded form does not re-encode to itself
+    (nonzero unused low bits in its last character) is rejected."""
+    if len(text) != B32_LEN:
+        raise EncodingError(f"base32 hash must be {B32_LEN} chars, got {len(text)}")
+    if not _B32_RE.fullmatch(text):
         raise EncodingError(f"not a base32 hash: {text!r}")
+    folded = text.lower()
     # 52 chars carry 260 bits; pad to the 56-char block base32 expects.
     value = base64.b32decode(folded.upper() + "====")
     if hash_to_b32(value) != folded:

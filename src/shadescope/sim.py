@@ -10,15 +10,16 @@ rule; the k nearest come from one batched query to
 association and responsibility, and one pass over its rows, in published
 order, fills each floodfill's store of records.
 
-Synthesis draws through :func:`_below`, the loop behind ``Random.randrange``
-and ``Random.choice``, and ``getrandbits`` for bytes, so it consumes the
-generator exactly as those methods would, without their argument handling.
-It comes in two halves: :func:`synth_record` takes a record's draws and
-keeps them, with its hash, in a :class:`_SynthRecord`, and
-:func:`_record_fields` builds its other fields from them on the first read
-of any of them. So generation makes no destination, address or option
-dict; only the records a run reads, such as those a replay finds, are ever
-built. No other module knows that a record can be built late.
+Synthesis is table-driven: :func:`_take` draws each publishing shade's
+plan in :data:`_PLANS` in one loop over ``getrandbits``, consuming the
+generator exactly as ``Random.randrange``, ``choice`` and ``randbytes``
+would, without their argument handling. It comes in two halves:
+:func:`synth_record` keeps a record's raw draws, with its hash, in a
+:class:`_SynthRecord`, and :func:`_record_fields` builds its other fields
+from them on the first read of any of them. So generation makes no
+destination, address or option dict; only the records a run reads, such
+as those a replay finds, are ever built. No other module knows that a
+record can be built late.
 """
 
 from __future__ import annotations
@@ -258,15 +259,23 @@ def _allocate_counts(spec: NetworkSpec) -> dict[int, int]:
     return counts
 
 
-def _below(rng: random.Random, n: int) -> int:
-    """A draw in [0, n) for n >= 1, the same value from the same generator
-    state as ``Random._randbelow_with_getrandbits``, which ``randrange`` and
-    ``choice`` use: redraw ``n.bit_length()`` bits until they fall below n."""
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
+def _take(rng: random.Random, plan: Sequence[tuple[int, int]]) -> list[int]:
+    """One value per ``(bound, bits)`` entry of ``plan``: ``bits`` bits, drawn
+    again while not below ``bound``, as ``Random._randbelow_with_getrandbits``
+    does. So ``(n, n.bit_length())`` draws as ``randrange(n)`` or a ``choice``
+    of n items, and ``(1 << 8 * n, 8 * n)`` as ``randbytes(n)`` read little-endian."""
+    getrandbits = rng.getrandbits
+    draws = []
+    for bound, bits in plan:
+        value = getrandbits(bits)
+        while value >= bound:
+            value = getrandbits(bits)
+        draws.append(value)
+    return draws
+
+
+def _bounded(n: int) -> tuple[int, int]:
+    return n, n.bit_length()  # the plan entry of a draw in [0, n)
 
 
 def _identity_bytes(rng: random.Random) -> bytes:
@@ -276,35 +285,27 @@ def _identity_bytes(rng: random.Random) -> bytes:
 
 
 class _AddressRecipe(NamedTuple):
-    """How one kind of address is made: ``draw`` takes its values from the
-    generator, and ``build(*draws)`` makes the address from them."""
+    """How one kind of address is made: ``plan`` is its draws, as
+    :func:`_take` takes them, and ``build(*draws)`` makes the address from them."""
 
-    draw: Callable[[random.Random], tuple]
+    plan: tuple[tuple[int, int], ...]
     build: Callable[..., TransportAddress]
 
 
-def _direct_draws(rng: random.Random) -> tuple:
-    # The host's three octets, the style, the cost, the port.
-    return (_below(rng, 256), _below(rng, 256), 1 + _below(rng, 254),
-            ("NTCP2", "SSU2")[_below(rng, 2)], 5 + _below(rng, 10), 9000 + _below(rng, 22000))
-
-
-def _direct_address(a: int, b: int, c: int, style: str, cost: int, port: int) -> TransportAddress:
-    return TransportAddress._owning(style, cost, 0, {"host": f"10.{a}.{b}.{c}", "port": str(port)})
-
-
-def _introducer_draws(rng: random.Random) -> tuple:
-    # The introducer's hash as a 256-bit number, and its tag.
-    return rng.getrandbits(256), 1 + _below(rng, 2**31)
+def _direct_address(a: int, b: int, c: int, style: int, cost: int, port: int) -> TransportAddress:
+    # The host's three octets, the style, the cost, the port, as drawn.
+    return TransportAddress._owning(("NTCP2", "SSU2")[style], 5 + cost, 0,
+                                    {"host": f"10.{a}.{b}.{1 + c}", "port": str(9000 + port)})
 
 
 def _introducer_address(ih0: int, itag0: int) -> TransportAddress:
-    options = {"ih0": hash_to_b64(ih0.to_bytes(32, "little")), "itag0": str(itag0)}
+    # The introducer's hash as a 256-bit number, and its tag, as drawn.
+    options = {"ih0": hash_to_b64(ih0.to_bytes(32, "little")), "itag0": str(1 + itag0)}
     return TransportAddress._owning("SSU2", 5, 0, options)
 
 
-_DIRECT = _AddressRecipe(_direct_draws, _direct_address)
-_INTRODUCER = _AddressRecipe(_introducer_draws, _introducer_address)
+_DIRECT = _AddressRecipe(tuple(map(_bounded, (256, 256, 254, 2, 10, 22000))), _direct_address)
+_INTRODUCER = _AddressRecipe(((1 << 256, 256), _bounded(2**31)), _introducer_address)
 
 
 # How each publishing shade's record is made: the caps strings one is
@@ -319,6 +320,16 @@ _RECIPES = {
     5: (tuple(letter + "U" for letter in LOW_BANDWIDTH), _INTRODUCER),
     6: (tuple(letter + "H" for letter in LOW_BANDWIDTH), None),
     7: (tuple(LOW_BANDWIDTH), None),
+}
+
+
+# Each publishing shade's draws in stream order: caps index, address draws,
+# version index, a floodfill's netdb counts, identity, publish offset, signature.
+_PLANS = {
+    level: (_bounded(len(choices)), *(address.plan if address else ()), _bounded(len(_VERSIONS)),
+            *((_bounded(8501), _bounded(401)) if level == 1 else ()),
+            (1 << 3072, 3072), _bounded(86_400_001), (1 << 512, 512))
+    for level, (choices, address) in _RECIPES.items()
 }
 
 
@@ -358,46 +369,36 @@ def synth_record(rng: random.Random, shade_level: int) -> RouterInfo:
     The profile reads only the caps drawn and the recipe's address kind, so
     ``tests/test_sim.py`` proves this by drawing every caps choice of each level.
 
-    This is the draw half: it takes every value from ``rng`` now (caps,
-    address, version, floodfill counts, identity, publish time, signature)
-    and keeps only those values, not the objects made from them. The
-    record is a :class:`_SynthRecord`: its ``hash`` is set at once, and
+    This is the draw half: it takes the level's plan in :data:`_PLANS` from
+    ``rng`` now, in one :func:`_take`, and keeps only the values drawn, with
+    the identity as its bytes, since ``hash`` is their digest. The record is
+    a :class:`_SynthRecord`: its ``hash`` is set at once, and
     :func:`_record_fields`, the build half, makes its other fields on the
     first read of any of them.
     """
-    if shade_level not in _RECIPES:
+    if shade_level not in _PLANS:
         raise ValueError("only shades 1-7 publish records")
-    choices, address = _RECIPES[shade_level]
-    caps = choices[_below(rng, len(choices))]
-    address_draws = address.draw(rng) if address else ()
-    version = _VERSIONS[_below(rng, len(_VERSIONS))]
-    known_routers = known_leasesets = None
-    if shade_level == 1:
-        known_routers = 500 + _below(rng, 8501)
-        known_leasesets = _below(rng, 401)
-    identity = _identity_bytes(rng)
-    published_ms = EPOCH_2025_MS + _below(rng, 86_400_001)
-    signature = rng.getrandbits(512)
+    draws = _take(rng, _PLANS[shade_level])
+    identity = draws[-3] = draws[-3].to_bytes(387, "little")  # null certificate: 3 zero bytes
     record = object.__new__(_SynthRecord)
     _set(record, "hash", hashlib.sha256(identity).digest())  # all 387 bytes are key bytes
-    _set(record, "_draws", (caps, version, known_routers, known_leasesets, identity, published_ms,
-                            signature, address.build if address else None, *address_draws))
+    _set(record, "_draws", (shade_level, *draws))
     return record
 
 
-def _record_fields(caps: str, version: str, known_routers: Optional[int],
-                   known_leasesets: Optional[int], identity: bytes, published_ms: int,
-                   signature: int, build_address: Optional[Callable[..., TransportAddress]],
-                   *address_draws) -> tuple:
+def _record_fields(level: int, caps: int, *draws) -> tuple:
     """The build half of :func:`synth_record`: the record's fields after
-    ``hash``, made from its draws. Floodfills (known counts not None) also
-    publish their netdb counts."""
-    options = {"caps": caps, "router.version": version}
-    if known_routers is not None:
-        options["netdb.knownRouters"] = str(known_routers)
-        options["netdb.knownLeaseSets"] = str(known_leasesets)
-    addresses = (build_address(*address_draws),) if build_address else ()
-    return (Destination(identity), published_ms, addresses, options,
+    ``hash``, made from its level and the values its plan drew, each turned
+    into the field it stands for. Floodfills also publish their netdb counts."""
+    choices, address = _RECIPES[level]
+    n = len(address.plan) if address else 0
+    version, *counts, identity, offset, signature = draws[n:]
+    options = {"caps": choices[caps], "router.version": _VERSIONS[version]}
+    if counts:
+        options["netdb.knownRouters"] = str(500 + counts[0])
+        options["netdb.knownLeaseSets"] = str(counts[1])
+    addresses = (address.build(*draws[:n]),) if address else ()
+    return (Destination(identity), EPOCH_2025_MS + offset, addresses, options,
             signature.to_bytes(64, "little"))
 
 

@@ -15,7 +15,7 @@ from shadescope.encoding import hash_from_b64, hash_to_b64
 from shadescope.model import (BANDWIDTH_LETTERS, DEST_MIN_LEN, CapabilityProfile, Destination,
                               DestinationError, LeaseSet, RouterInfo, TransportAddress)
 from shadescope.sim import (EPOCH_2025_MS, HitCurve, _DIRECT, _INTRODUCER, _RECIPES, _VERSIONS,
-                            _identity_bytes, synth_record)
+                            _identity_bytes, _take, synth_record)
 from shadescope.wire import (KNOWN_STYLES, MAPPING_MAX, DecodeError, EncodeError,
                              encode_router_info)
 
@@ -78,9 +78,9 @@ def random_record(rng: random.Random) -> RouterInfo:
     for _ in range(rng.randint(0, 3)):
         kind = rng.random()
         if kind < 0.4:
-            addresses.append(_DIRECT.build(*_DIRECT.draw(rng)))
+            addresses.append(_DIRECT.build(*_take(rng, _DIRECT.plan)))
         elif kind < 0.7:
-            addresses.append(_INTRODUCER.build(*_INTRODUCER.draw(rng)))
+            addresses.append(_INTRODUCER.build(*_take(rng, _INTRODUCER.plan)))
         else:
             addresses.append(
                 TransportAddress(

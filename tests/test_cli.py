@@ -374,6 +374,22 @@ class TestXorAssoc:
         assert_one_line_error(err)
         assert str(ls_file) in err
 
+    @pytest.mark.parametrize("date", ["\uff12\uff10\uff12\uff15\uff10\uff11\uff10\uff11",
+                                      "\u0662\u0660\u0662\u0665\u0660\u0661\u0660\u0661"],
+                             ids=["fullwidth", "arabic-indic"])
+    def test_non_ascii_digit_date_is_not_yyyymmdd(self, assoc_fixture, capsys, date):
+        netdb, ls_file, target, _, _ = assoc_fixture
+        code = main([
+            "xor-assoc", target.hex(),
+            "--leasesets", str(ls_file),
+            "--netdb", str(netdb),
+            "--date", date,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "date must be yyyyMMdd" in err
+
     def test_impossible_date_is_input_error(self, assoc_fixture, capsys):
         netdb, ls_file, target, _, _ = assoc_fixture
         code = main([
@@ -448,6 +464,19 @@ class TestB32:
         path = tmp_path / "dest.dat"
         path.write_bytes(b"too short")
         assert main(["b32", str(path)]) == 2
+
+    @pytest.mark.parametrize("altchars", [b"+/", b"-~"])
+    def test_short_base64_destination_reports_its_decoded_size(self, tmp_path, capsys, altchars):
+        # Both readings fail; the error describes the 300 decoded bytes,
+        # not the base64 text read as raw bytes.
+        import base64
+
+        path = tmp_path / "dest.txt"
+        path.write_text(base64.b64encode(DEST_391[:300], altchars).decode() + "\n")
+        assert main(["b32", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "destination too short: 300 bytes, need 387" in err
 
 
 class TestSimulate:

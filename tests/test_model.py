@@ -23,6 +23,7 @@ from shadescope.encoding import (
     hash_to_b32,
     hash_to_b64,
     parse_hash_text,
+    service_hash,
 )
 from shadescope.model import (
     BANDWIDTH_LETTERS,
@@ -115,6 +116,17 @@ class TestHashText:
     def test_b32_case_folds(self):
         value = b"\xab" * 32
         assert hash_from_b32(hash_to_b32(value).upper()) == value
+
+    @pytest.mark.parametrize("suffix", ["", ".b32.i2p"])
+    @pytest.mark.parametrize("read", [service_hash, parse_hash_text])
+    def test_b32_kelvin_sign_is_no_spelling_of_k(self, read, suffix):
+        # str.lower folds U+212A KELVIN SIGN to "k": only ASCII text is
+        # folded and decoded, so each hash has one spelling in each case.
+        text = hash_to_b32(b"\x05" * 32)
+        kelvin = text.replace("k", "\u212a", 1)
+        assert kelvin != text and kelvin.lower() == text
+        with pytest.raises(EncodingError, match=re.escape(repr(kelvin))):
+            read(kelvin + suffix)
 
     def test_parse_hash_text_all_forms(self):
         value = bytes(range(32))

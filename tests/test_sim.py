@@ -29,8 +29,9 @@ from shadescope.sim import (
     completeness_metrics,
     export_curves,
     generate_network,
+    _PLANS,
     _RECIPES,
-    _below,
+    _take,
     run_probe_experiment,
     synth_record,
 )
@@ -77,17 +78,21 @@ DRAWS = st.lists(st.one_of(
 ), max_size=30)
 
 
-def _draw_pair(draw, helper, stdlib):
-    """One draw through the synthesis idiom and through the stdlib method."""
+def _plan_entry(draw):
+    """One draw as a plan entry for :func:`_take`, the value it stands for,
+    and the same draw through the stdlib method."""
     kind, *args = draw
     if kind == "randrange":
         start, width = args
-        return start + _below(helper, width), stdlib.randrange(start, start + width)
+        return ((width, width.bit_length()), lambda value: start + value,
+                lambda stdlib: stdlib.randrange(start, start + width))
     if kind == "choice":
         seq = tuple(range(100, 100 + args[0]))
-        return seq[_below(helper, len(seq))], stdlib.choice(seq)
+        return ((len(seq), len(seq).bit_length()), seq.__getitem__,
+                lambda stdlib: stdlib.choice(seq))
     (n,) = args
-    return helper.getrandbits(8 * n).to_bytes(n, "little"), stdlib.randbytes(n)
+    return ((1 << 8 * n, 8 * n), lambda value: value.to_bytes(n, "little"),
+            lambda stdlib: stdlib.randbytes(n))
 
 
 class TestDraws:
@@ -97,17 +102,28 @@ class TestDraws:
     def test_below_matches_randrange_at_each_width(self, width):
         helper, stdlib = random.Random(5), random.Random(5)
         for _ in range(50):
-            assert _below(helper, width) == stdlib.randrange(width)
+            assert _take(helper, ((width, width.bit_length()),)) == [stdlib.randrange(width)]
             assert helper.getstate() == stdlib.getstate()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**64), DRAWS)
     def test_interleaved_draws_match_stdlib(self, seed, draws):
-        helper, stdlib = random.Random(seed), random.Random(seed)
-        for draw in draws:
-            got, expected = _draw_pair(draw, helper, stdlib)
-            assert got == expected
+        # Each draw taken alone, and all of them taken as one plan, agree
+        # with the stdlib methods drawn in turn.
+        helper, stdlib, whole = random.Random(seed), random.Random(seed), random.Random(seed)
+        entries = [_plan_entry(draw) for draw in draws]
+        values = _take(whole, tuple(entry for entry, _, _ in entries))
+        for (entry, value_of, stdlib_draw), value in zip(entries, values):
+            (alone,) = _take(helper, (entry,))
+            assert value_of(alone) == value_of(value) == stdlib_draw(stdlib)
             assert helper.getstate() == stdlib.getstate()
+        assert whole.getstate() == stdlib.getstate()
+
+    def test_synth_widths_are_the_plans_bounded_draws(self):
+        # Every entry but a raw-bits one (bound 1 << bits) can draw again,
+        # so each of their widths is one of those tested above.
+        bounded = {bound for plan in _PLANS.values() for bound, bits in plan if bound != 1 << bits}
+        assert bounded == set(SYNTH_WIDTHS)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**64), st.integers(1, 7))
@@ -198,11 +214,12 @@ class TestGenerateNetwork:
                         reason="bound measured on CPython 3.11; object sizes differ by version")
     def test_census_model_memory_per_router(self):
         # Traced bytes a census model holds per router, after a warm-up
-        # generation, on CPython 3.11.7: 1,140 with records that keep their
-        # draws until a field is read; 1,673 with every record built at
-        # synthesis; 1,713 with a size slot per destination; 1,889 with
-        # dict-backed records and a caps string per record. The bound lies
-        # halfway between the first two.
+        # generation, on CPython 3.11.7: 1,086 with records that keep their
+        # raw draws until a field is read; 1,140 when they kept the drawn
+        # values offset and the address builder; 1,673 with every record
+        # built at synthesis; 1,713 with a size slot per destination; 1,889
+        # with dict-backed records and a caps string per record. The bound
+        # lies halfway between 1,140 and 1,673.
         spec = census_spec()
         generate_network(spec)
         tracemalloc.start()
@@ -399,6 +416,15 @@ class TestSpecValidation:
                     shade_distribution={"2": 0.5, "8": 0.25})
         with pytest.raises(InfeasibleSpecError, match="wrong type"):
             NetworkSpec(**{**base, **kwargs})
+
+    @pytest.mark.parametrize("date", ["\uff12\uff10\uff12\uff15\uff10\uff11\uff10\uff11",
+                                      "\u0662\u0660\u0662\u0665\u0660\u0661\u0660\u0661"],
+                             ids=["fullwidth", "arabic-indic"])
+    def test_non_ascii_digit_date_is_not_yyyymmdd(self, date):
+        # \d would match these digits; only ASCII ones spell a date.
+        with pytest.raises(InfeasibleSpecError, match="date must be yyyyMMdd"):
+            NetworkSpec(n_routers=10, floodfill_fraction=0.5, shade_distribution={"2": 0.5},
+                        date=date)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), n=st.integers(1, 60), k=st.integers(0, 6), seed=st.integers(0, 3),
