@@ -27,6 +27,9 @@ _B64_ALTCHARS = b"-~"
 _B64_RE = re.compile(r"[A-Za-z0-9\-~]{43}=?$")
 # ASCII only: str.lower, like a Unicode IGNORECASE, reads U+212A KELVIN SIGN as "k".
 _B32_RE = re.compile(r"[a-z2-7]{52}$", re.ASCII | re.IGNORECASE)
+# Each base32 letter, in either case, to the digit of its value in int(..., 32).
+_B32_DIGITS = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ234567abcdefghijklmnopqrstuvwxyz234567",
+                            "0123456789abcdefghijklmnopqrstuv" * 2)
 
 
 class InputError(ValueError):
@@ -97,12 +100,11 @@ def hash_from_b32(text: str) -> bytes:
         raise EncodingError(f"base32 hash must be {B32_LEN} chars, got {len(text)}")
     if not _B32_RE.fullmatch(text):
         raise EncodingError(f"not a base32 hash: {text!r}")
-    folded = text.lower()
-    # 52 chars carry 260 bits; pad to the 56-char block base32 expects.
-    value = base64.b32decode(folded.upper() + "====")
-    if hash_to_b32(value) != folded:
+    # 52 chars carry 260 bits: the hash, then 4 unused bits that must be zero.
+    bits = int(text.translate(_B32_DIGITS), 32)
+    if bits & 0xF:
         raise EncodingError(f"not the canonical base32 form of a hash: {text!r}")
-    return value
+    return (bits >> 4).to_bytes(HASH_LEN, "big")
 
 
 def service_address(value: bytes) -> str:

@@ -7,7 +7,7 @@ threads; the operations on them are pure.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Iterable, Mapping, Optional
 
@@ -30,6 +30,15 @@ BANDWIDTH_LETTERS = LOW_BANDWIDTH + HIGH_BANDWIDTH
 # ``__init__``, since their own ``__setattr__`` refuses every write. They are
 # slotted: each field lives in a slot, and an instance has no ``__dict__``.
 _set = object.__setattr__
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each field's slot descriptor of the slotted
+    ``cls``, in field order. One writes its slot directly, where :data:`_set`
+    looks the slot up by name on every call: :class:`RouterInfo` and
+    :class:`TransportAddress`, built once per decoded record, store their
+    fields this way."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 
 class DestinationError(InputError):
@@ -120,20 +129,20 @@ class TransportAddress:
 
     def __init__(self, style: str, cost: int = 0, expiration_ms: int = 0,
                  options: Optional[Mapping[str, str]] = None) -> None:
-        _set(self, "style", style)
-        _set(self, "cost", cost)
-        _set(self, "expiration_ms", expiration_ms)
-        _set(self, "options", {} if options is None else dict(options))
+        _set_style(self, style)
+        _set_cost(self, cost)
+        _set_expiration(self, expiration_ms)
+        _set_address_options(self, {} if options is None else dict(options))
 
     @classmethod
     def _owning(cls, style: str, cost: int, expiration_ms: int,
                 options: dict[str, str]) -> TransportAddress:
         """An address that keeps ``options`` itself: no one else may hold the dict."""
         address = object.__new__(cls)
-        _set(address, "style", style)
-        _set(address, "cost", cost)
-        _set(address, "expiration_ms", expiration_ms)
-        _set(address, "options", options)
+        _set_style(address, style)
+        _set_cost(address, cost)
+        _set_expiration(address, expiration_ms)
+        _set_address_options(address, options)
         return address
 
     @property
@@ -150,6 +159,9 @@ class TransportAddress:
             elif key.startswith("itag") and key[4:].isdecimal():
                 return True
         return False
+
+
+_set_style, _set_cost, _set_expiration, _set_address_options = _slot_setters(TransportAddress)
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -174,7 +186,7 @@ class RouterInfo:
                  addresses: Iterable[TransportAddress] = (),
                  options: Optional[Mapping[str, str]] = None,
                  signature: bytes = b"") -> None:
-        _set(self, "hash", hash_identity(identity))
+        _set_hash(self, hash_identity(identity))
         self._fill(identity, published_ms, tuple(addresses),
                    {} if options is None else dict(options), signature)
 
@@ -185,18 +197,22 @@ class RouterInfo:
         """A record that keeps ``addresses`` and ``options`` themselves: no one
         else may hold the dict."""
         record = object.__new__(cls)
-        _set(record, "hash", hash_identity(identity))
-        record._fill(identity, published_ms, addresses, options, signature)
+        _set_hash(record, hash_identity(identity))
+        _set_identity(record, identity)
+        _set_published(record, published_ms)
+        _set_addresses(record, addresses)
+        _set_options(record, options)
+        _set_signature(record, signature)
         return record
 
     def _fill(self, identity: Destination, published_ms: int,
               addresses: tuple[TransportAddress, ...], options: dict[str, str],
               signature: bytes) -> None:
-        _set(self, "identity", identity)
-        _set(self, "published_ms", published_ms)
-        _set(self, "addresses", addresses)
-        _set(self, "options", options)
-        _set(self, "signature", signature)
+        _set_identity(self, identity)
+        _set_published(self, published_ms)
+        _set_addresses(self, addresses)
+        _set_options(self, options)
+        _set_signature(self, signature)
 
     @property
     def caps(self) -> str:
@@ -231,6 +247,10 @@ class RouterInfo:
             alpha = alpha or address.has_host_port
             iota = iota or address.has_introducers
         return _PROFILES["f" in caps, "H" in caps, "U" in caps, alpha, iota, bandwidth]
+
+
+(_set_hash, _set_identity, _set_published, _set_addresses, _set_options,
+ _set_signature) = _slot_setters(RouterInfo)
 
 
 def int_option(raw: Optional[str]) -> Optional[int]:

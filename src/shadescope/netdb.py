@@ -172,19 +172,20 @@ def _read_file(path: Union[str, Path]) -> bytes:
         info = os.fstat(fd)
         if not stat.S_ISREG(info.st_mode):
             raise OSError(f"not a regular file: {path!r}")
-        chunks = []
         request = info.st_size + 1
         try:
-            while True:
-                chunks.append(os.read(fd, request))
-                if len(chunks[-1]) < request:
-                    break
-                request = _READ_CHUNK
+            data = os.read(fd, request)
+            if len(data) == request:  # the file grew after the fstat
+                chunks = [data]
+                while len(chunks[-1]) == request:
+                    request = _READ_CHUNK
+                    chunks.append(os.read(fd, request))
+                data = b"".join(chunks)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
     finally:
         os.close(fd)
-    return b"".join(chunks)
+    return data
 
 
 # Non-blocking: a FIFO with no reader fails at once instead of waiting for one.
@@ -276,7 +277,10 @@ def _parse_leaseset_line(line: str) -> LeaseSet:
     leases: list[Lease] = []
     if len(parts) == 3 and parts[2] != "-":
         for chunk in parts[2].split(","):
-            gw_text, tunnel_id, expiry_ms = chunk.split(":")
+            fields = chunk.split(":")
+            if len(fields) != 3:
+                raise ValueError(f"lease is not gateway:tunnel_id:expiry_ms: {chunk!r}")
+            gw_text, tunnel_id, expiry_ms = fields
             leases.append(Lease(hash_from_b64(gw_text), _lease_field("tunnel_id", tunnel_id),
                                 _lease_field("expiry_ms", expiry_ms)))
     return LeaseSet(destination_hash=dest_hash, leases=tuple(leases))

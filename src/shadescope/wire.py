@@ -23,6 +23,7 @@ order.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -42,6 +43,11 @@ _LENIENT_KEYS = ("caps", "router.version", "netdb.knownRouters", "netdb.knownLea
 # ``sys.intern``, because snapshot files are untrusted and interned strings
 # may never be freed.
 _NAMES = {name: name for name in (*_LENIENT_KEYS, "host", "port", *KNOWN_STYLES)}
+
+# Publish time (u64) and address count (u8); per address, cost (u8),
+# expiration (u64) and style length (u8).
+_HEAD = struct.Struct(">QB")
+_ADDRESS = struct.Struct(">BQB")
 
 
 class DecodeError(ValueError):
@@ -69,25 +75,21 @@ def decode_router_info(data: bytes) -> RouterInfo:
         raise DecodeError("truncated identity", 0) from None
     n = len(data)
     pos = len(identity.data)
-    if pos + 8 > n:
-        raise DecodeError("truncated publish time", pos)
-    published_ms = int.from_bytes(data[pos : pos + 8], "big")
-    pos += 8
-    if pos >= n:
-        raise DecodeError("truncated address count", pos)
-    count = data[pos]
-    pos += 1
+    if pos + 9 > n:
+        if pos + 8 > n:
+            raise DecodeError("truncated publish time", pos)
+        raise DecodeError("truncated address count", pos + 8)
+    published_ms, count = _HEAD.unpack_from(data, pos)
+    pos += 9
     addresses = []
     for _ in range(count):
-        # Cost (u8), expiration (u64), style length (u8): a short read names
-        # the offset of the field it cuts.
+        # A short read names the offset of the field it cuts.
         if pos + 10 > n:
             short_at = pos if pos >= n else pos + 1 if pos + 9 > n else pos + 9
             raise DecodeError("truncated address", short_at)
-        cost = data[pos]
-        expiration_ms = int.from_bytes(data[pos + 1 : pos + 9], "big")
+        cost, expiration_ms, style_len = _ADDRESS.unpack_from(data, pos)
         style_at = pos + 10
-        pos = style_at + data[pos + 9]
+        pos = style_at + style_len
         if pos > n:
             raise DecodeError("truncated address style", style_at)
         try:
@@ -118,6 +120,7 @@ def _read_mapping(data: bytes, pos: int, n: int, what: str) -> tuple[dict[str, s
     if end > n:
         raise DecodeError(f"truncated {what} mapping", pos)
     entries: dict[str, str] = {}
+    shared = _NAMES.get
     body = data[pos:end]
     if body.isascii():
         # Every byte is one character, so one decode serves every entry,
@@ -128,15 +131,15 @@ def _read_mapping(data: bytes, pos: int, n: int, what: str) -> tuple[dict[str, s
         size = end - pos
         at = 0
         while at < size:
+            # The key's length byte, key, '=', the value's length byte, value, ';'.
             key_end = at + 1 + body[at]
-            value_at = key_end + 1
-            if value_at >= size or body[key_end] != 0x3D:  # '='
+            if key_end + 1 >= size or body[key_end] != 0x3D:  # '='
                 break
-            value_end = value_at + 1 + body[value_at]
+            value_end = key_end + 2 + body[key_end + 1]
             if value_end >= size or body[value_end] != 0x3B:  # ';'
                 break
             key = text[at + 1 : key_end]
-            entries[_NAMES.get(key, key)] = text[value_at + 1 : value_end]
+            entries[shared(key, key)] = text[key_end + 2 : value_end]
             at = value_end + 1
         else:
             return entries, end
@@ -160,7 +163,7 @@ def _read_mapping(data: bytes, pos: int, n: int, what: str) -> tuple[dict[str, s
                                       f"{bytes([separator])!r}, got {data[pos:pos + 1]!r}", pos)
                 pos += 1
             key, value = pair
-            entries[_NAMES.get(key, key)] = value
+            entries[shared(key, key)] = value
     except UnicodeDecodeError as exc:
         raise DecodeError(f"{what} is not valid UTF-8", pos) from exc
     return entries, pos

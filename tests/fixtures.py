@@ -1,9 +1,10 @@
 """Deterministic fixtures shared by the tests: record corpora,
 layout-diverse random records, curve CSV reading, leaseset writing,
 brute-force XOR oracles over ints, and the earlier definitions of the
-record predicates, the record decoder and encoder, record synthesis and
-the curve export as oracles."""
+record predicates, the record decoder and encoder, the base32 hash reader,
+record synthesis and the curve export as oracles."""
 
+import base64
 import csv
 import random
 import re
@@ -11,13 +12,28 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-from shadescope.encoding import hash_from_b64, hash_to_b64
+from shadescope.encoding import B32_LEN, EncodingError, hash_from_b64, hash_to_b64
 from shadescope.model import (BANDWIDTH_LETTERS, DEST_MIN_LEN, CapabilityProfile, Destination,
                               DestinationError, LeaseSet, RouterInfo, TransportAddress)
 from shadescope.sim import (EPOCH_2025_MS, HitCurve, _DIRECT, _INTRODUCER, _RECIPES, _VERSIONS,
                             _identity_bytes, _take, synth_record)
 from shadescope.wire import (KNOWN_STYLES, MAPPING_MAX, DecodeError, EncodeError,
                              encode_router_info)
+
+
+def oracle_hash_from_b32(text: str) -> bytes:
+    """The earlier base32 hash reader: ``base64.b32decode`` of the padded,
+    upper-cased text, then a re-encode that must give back the text in lower case."""
+    if len(text) != B32_LEN:
+        raise EncodingError(f"base32 hash must be {B32_LEN} chars, got {len(text)}")
+    if not re.fullmatch(r"[a-z2-7]{52}", text, re.ASCII | re.IGNORECASE):
+        raise EncodingError(f"not a base32 hash: {text!r}")
+    folded = text.lower()
+    # 52 chars carry 260 bits; pad to the 56-char block base32 expects.
+    value = base64.b32decode(folded.upper() + "====")
+    if base64.b32encode(value).decode("ascii").rstrip("=").lower() != folded:
+        raise EncodingError(f"not the canonical base32 form of a hash: {text!r}")
+    return value
 
 
 def load_curves(path: Union[str, Path]) -> list[HitCurve]:

@@ -318,6 +318,19 @@ class TestDecoderOracle:
             assert (decode_outcome(decode_router_info, blob[:cut])
                     == decode_outcome(oracle_decode_router_info, blob[:cut]))
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32))
+    def test_every_prefix_of_a_bytearray(self, seed):
+        # The decoder reads any buffer: a mutable one decodes as its bytes
+        # do, into a record whose fields are bytes.
+        blob = bytearray(encode_router_info(random_record(random.Random(seed))))
+        for cut in range(len(blob) + 1):
+            outcome = decode_outcome(decode_router_info, blob[:cut])
+            assert outcome == decode_outcome(oracle_decode_router_info, bytes(blob[:cut]))
+            if isinstance(outcome, RouterInfo):
+                assert type(outcome.signature) is bytes
+                assert type(outcome.identity.data) is bytes
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32), st.data())
     def test_overwritten_bytes(self, seed, data):

@@ -41,7 +41,7 @@ from shadescope.model import (
 from shadescope.sim import HitCurve, synth_record
 from shadescope.wire import decode_router_info, encode_router_info, lenient_extract
 
-from fixtures import oracle_has_introducers, oracle_profile, random_record
+from fixtures import oracle_has_introducers, oracle_hash_from_b32, oracle_profile, random_record
 
 # Frozen from an independent hashlib/base64 run before the build.
 DEST_387 = b"A" * 384 + b"\x00\x00\x00"
@@ -49,6 +49,14 @@ DEST_387_SHA = "db26b4fc1aaed5dbb90f1e9f306d43d537379862901a21c7d5dbebba53ab31e3
 DEST_391 = b"A" * 384 + b"\x05" + b"\x00\x04" + b"A" * 4
 DEST_391_SHA = "047b1fe9da65850fc7fd57188953609774801073b2689acf9e657fda9050d0da"
 RANGE32_B64 = "AAECAwQFBgcICQoLDA0ODxAREhMUFRYXGBkaGxwdHh8="
+
+
+def b32_outcome(read, text):
+    """The hash ``read`` returns for ``text``, or the text of its EncodingError."""
+    try:
+        return read(text)
+    except EncodingError as exc:
+        return str(exc)
 
 
 class TestHashText:
@@ -127,6 +135,30 @@ class TestHashText:
         assert kelvin != text and kelvin.lower() == text
         with pytest.raises(EncodingError, match=re.escape(repr(kelvin))):
             read(kelvin + suffix)
+
+    @given(st.binary(min_size=32, max_size=32), st.sampled_from(["lower", "upper", "mixed"]),
+           st.randoms(use_true_random=False))
+    def test_b32_matches_oracle_on_hashes(self, value, case, rng):
+        text = hash_to_b32(value)
+        if case == "upper":
+            text = text.upper()
+        elif case == "mixed":
+            text = "".join(rng.choice((ch, ch.upper())) for ch in text)
+        assert b32_outcome(hash_from_b32, text) == b32_outcome(oracle_hash_from_b32, text) == value
+
+    @pytest.mark.parametrize("last", "abcdefghijklmnopqrstuvwxyz234567")
+    def test_b32_matches_oracle_on_every_last_char(self, last):
+        # Only the 2 of 32 last characters with the 4 unused bits zero, 'a'
+        # and 'q', spell a hash; the other 30 are rejected by both readers.
+        stem = hash_to_b32(bytes(range(32)))[:-1]
+        for text in (stem + last, (stem + last).upper()):
+            outcome = b32_outcome(hash_from_b32, text)
+            assert outcome == b32_outcome(oracle_hash_from_b32, text)
+            assert isinstance(outcome, bytes) == (last in "aq")
+
+    @given(st.text(alphabet="aAzZ27Q18=\u212a \n", min_size=50, max_size=54))
+    def test_b32_matches_oracle_on_any_text(self, text):
+        assert b32_outcome(hash_from_b32, text) == b32_outcome(oracle_hash_from_b32, text)
 
     def test_parse_hash_text_all_forms(self):
         value = bytes(range(32))

@@ -322,6 +322,24 @@ class TestSnapshotWalk:
         monkeypatch.setattr(os, "fstat", stale_fstat)
         assert load_netdb_dir(tmp_path).records == {record.hash: padded}
 
+    def test_file_grown_by_whole_chunks_is_read_whole(self, tmp_path, monkeypatch):
+        # The first read and then one 64 KiB read come back full, so reading
+        # stops only at the empty read after them.
+        record = synth_record(random.Random(20), 2)
+        unsigned = len(encode_router_info(dataclasses.replace(record, signature=b"")))
+        padded = dataclasses.replace(record, signature=b"\x5a" * (11 + 65536 - unsigned))
+        path = _record_file(tmp_path, padded)
+        assert path.stat().st_size == 11 + 65536
+        fstat = os.fstat
+
+        def stale_fstat(fd):
+            info = list(fstat(fd))
+            info[6] = 10  # st_size
+            return os.stat_result(info)
+
+        monkeypatch.setattr(os, "fstat", stale_fstat)
+        assert load_netdb_dir(tmp_path).records == {record.hash: padded}
+
     def test_symlinked_subdirectory_is_not_followed(self, tmp_path):
         rng = random.Random(14)
         inside, outside = synth_record(rng, 1), synth_record(rng, 2)
@@ -457,6 +475,22 @@ class TestLeaseSets:
         leasesets, warnings = load_leasesets(path)
         assert warnings == [f"line 1: {message}"]
         assert leasesets == [LeaseSet(dest, (Lease(gw, 2**32 - 1, 2**64 - 1),))]
+
+    @pytest.mark.parametrize("leases, chunk", [
+        ("{gw}:5", "{gw}:5"),
+        ("{gw}:1:2:3", "{gw}:1:2:3"),
+        ("{gw}:1:2,", ""),
+    ], ids=["two-fields", "four-fields", "trailing-comma"])
+    def test_lease_of_another_shape_becomes_warning(self, tmp_path, leases, chunk):
+        dest, gw = _hashes(2, seed=3)
+        gw_text = hash_to_b64(gw)
+        path = tmp_path / "ls.txt"
+        path.write_text(f"{hash_to_b64(dest)} - {leases.format(gw=gw_text)}\n"
+                        f"{hash_to_b64(dest)} - {gw_text}:1:2\n")
+        leasesets, warnings = load_leasesets(path)
+        assert warnings == [
+            f"line 1: lease is not gateway:tunnel_id:expiry_ms: {chunk.format(gw=gw_text)!r}"]
+        assert leasesets == [LeaseSet(dest, (Lease(gw, 1, 2),))]
 
     def test_b32_column_must_match_hash(self, tmp_path):
         dest, other = _hashes(2, seed=6)
